@@ -3,13 +3,18 @@
 Linear maps (with optional low-rank adapters), strided 3D convolution,
 multi-head attention, layer normalization, learned embeddings, and the
 Adam optimizer used by every training loop.
+
+Softmax, layernorm and the attention core compute directly on arrays when
+no tape would be recorded (under ``no_grad``, or when nothing requires a
+gradient).  Those fused paths run the same numpy operations in the same
+order and dtypes as the taped ones, so their outputs are bitwise equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat
+from .tensor import Tensor, _tracks, default_dtype
 
 __all__ = [
     "Linear",
@@ -21,7 +26,6 @@ __all__ = [
     "softmax",
     "sinusoidal_embedding",
     "Adam",
-    "collect_parameters",
 ]
 
 
@@ -152,20 +156,47 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
     return Tensor._make(out, (x, w, b), vjp)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor, axis: int = -1, *, out: np.ndarray | None = None) -> Tensor:
+    """Softmax along ``axis``.
+
+    ``out`` is an array of ``x``'s shape and dtype that a call recording no
+    tape writes its result into; it may be ``x.data`` itself, which saves a
+    buffer when the caller owns the logits.
+    """
+    if _tracks((x,)):
+        if out is not None:
+            raise ValueError("softmax out= needs a call that records no tape")
+        shifted = x - x.max(axis=axis, keepdims=True).detach()
+        e = shifted.exp()
+        return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x.data, x.data.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return Tensor._make(e, (x,), None)
 
 
 def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = xc.square().mean(axis=-1, keepdims=True)
-    return xc / (var + eps).sqrt() * gain + shift
+    if _tracks((x, gain, shift)):
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = xc.square().mean(axis=-1, keepdims=True)
+        return xc / (var + eps).sqrt() * gain + shift
+    y = x.data - x.data.mean(axis=-1, keepdims=True)
+    # eps enters as a default-dtype array, as Tensor._coerce makes it on the taped path
+    std = (y * y).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=default_dtype())
+    np.sqrt(std, out=std)
+    y = _into_first(np.divide, y, std)
+    y = _into_first(np.multiply, y, gain.data)
+    y = _into_first(np.add, y, shift.data)
+    return Tensor._make(y, (x, gain, shift), None)
+
+
+def _into_first(ufunc, a, b):
+    """ufunc(a, b), written over ``a`` when that keeps the result dtype numpy would pick."""
+    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
 class AttentionLayer:
@@ -198,8 +229,15 @@ class AttentionLayer:
         q = self._split(self.wq(q_tokens))
         k = self._split(self.wk(kv_tokens))
         v = self._split(self.wv(kv_tokens))
-        scores = (q @ k.transpose(0, 1, 3, 2)).scale(1.0 / np.sqrt(self.head_dim))
-        attn = softmax(scores, axis=-1)
+        if _tracks((q, k)):
+            scores = (q @ k.transpose(0, 1, 3, 2)).scale(1.0 / np.sqrt(self.head_dim))
+            attn = softmax(scores, axis=-1)
+        else:
+            # one (N, heads, Lq, Lk) buffer: scaled by a Python float as .scale does,
+            # then overwritten by its softmax
+            data = q.data @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+            data *= float(1.0 / np.sqrt(self.head_dim))
+            attn = softmax(Tensor._make(data, (q, k), None), axis=-1, out=data)
         out = attn @ v  # (N, heads, Lq, hd)
         n, _, lq, _ = out.shape
         out = out.transpose(0, 2, 1, 3).reshape(n, lq, self.model_dim)
@@ -207,10 +245,6 @@ class AttentionLayer:
 
     def parameters(self):
         return self.wq.parameters() + self.wk.parameters() + self.wv.parameters() + self.wo.parameters()
-
-
-def attention_forward(layer: AttentionLayer, q_tokens: Tensor, kv_tokens: Tensor) -> Tensor:
-    return layer(q_tokens, kv_tokens)
 
 
 class Embedding:
@@ -233,11 +267,6 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     ang = t[:, None] * freqs[None, :] * 1000.0
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-def collect_parameters(module) -> list:
-    """Pull the parameter list off any object exposing .parameters()."""
-    return list(module.parameters())
 
 
 class Adam:

@@ -117,17 +117,15 @@ class RolloutSession:
         """Roll out n clips; returns (full video, per-step metric records)."""
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        first_clip = None
         records = []
         for _ in range(n_steps):
+            condition = self.active_condition()  # the condition this clip is generated with
             clip = self.step()
-            if first_clip is None:
-                first_clip = self.history[0]
             rec = {
                 "step": self.steps_taken,
                 "history_frames": self.generated_frames,
                 "context_length": self.ctx.length,
-                "condition": self.active_condition(),
+                "condition": condition,
                 "consistency_psnr": psnr(clip, self.history[0][: clip.shape[0]]),
             }
             records.append(rec)

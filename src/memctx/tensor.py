@@ -78,6 +78,11 @@ def no_grad():
         st.grad_enabled = prev
 
 
+def _tracks(parents) -> bool:
+    """Whether an op over ``parents`` records a tape node."""
+    return _st().grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _check_finite(arr, what):
     if _st().debug and not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {what}")
@@ -109,7 +114,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._id = next(_st().counter)
-        track = _st().grad_enabled and any(p.requires_grad for p in parents)
+        track = _tracks(parents)
         out.requires_grad = track
         if track:
             out._parents = tuple(parents)

@@ -76,20 +76,6 @@ def _all_params(enc, g):
     return params
 
 
-def cosine_schedule(base_lr: float, total_steps: int, warmup: int = 150, floor: float = 0.1):
-    """Linear warmup then cosine decay to ``floor * base_lr``; step-indexed."""
-    warmup = min(warmup, max(1, total_steps // 10))
-
-    def lr_at(step: int) -> float:
-        if step <= warmup:
-            return base_lr * step / warmup
-        span = max(1, total_steps - warmup)
-        cos = 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / span))
-        return base_lr * (floor + (1.0 - floor) * cos)
-
-    return lr_at
-
-
 def pretrain_retrieval(
     enc,
     g,

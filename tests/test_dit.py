@@ -85,6 +85,27 @@ def test_forward_deterministic_and_shaped():
     assert np.array_equal(a, b)
 
 
+def test_no_grad_forward_equals_taped_forward_bitwise():
+    """The fused no-tape kernels reproduce the taped forward exactly."""
+    enc, g = training.build_models(0)
+    rng = np.random.default_rng(23)
+    # unlock the zero-initialized velocity head and modulation so the output is not trivially zero
+    g.out_proj.weight.data[:] = rng.normal(0, 0.05, g.out_proj.weight.shape)
+    for block in g.blocks:
+        block.mod.weight.data[:] = rng.normal(0, 0.05, block.mod.weight.shape)
+    hist = rng.normal(size=(24, 8, 8, 4)).astype(np.float32)
+    x = _clip(24)
+    with no_grad():
+        ctx = enc.compress(hist)
+    kw = dict(ctx=ctx, frame_indices=[4, 9], window_latents=hist[-2:], window_frame_indices=[22, 23])
+    taped = g.predict_velocity(x, 0.8, 1, **kw)
+    with no_grad():
+        fused = g.predict_velocity(x, 0.8, 1, **kw)
+    assert taped.requires_grad and not fused.requires_grad
+    assert np.any(fused.numpy() != 0.0)
+    assert np.array_equal(fused.numpy(), taped.numpy())
+
+
 def test_forward_validation():
     g = _model()
     with pytest.raises(ValueError, match="timestep"):

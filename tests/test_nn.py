@@ -1,14 +1,19 @@
 """Neural layers: looped-oracle forwards and finite-difference gradients."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from memctx import nn
-from memctx.tensor import Tensor, backward, using_dtype
+from memctx.tensor import Tensor, backward, no_grad, set_debug_checks, using_dtype
 
 from test_tensor import check_grad
 
 RNG = np.random.default_rng(1)
+
+# value tests run each forward twice: recording a tape, then on the fused no-tape path
+GRAD_MODES = (contextlib.nullcontext, no_grad)
 
 
 def make_rng():
@@ -142,16 +147,21 @@ def test_conv3d_rejects_wrong_rank_and_channels():
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     x = RNG.standard_normal((4, 7)).astype(np.float32)
-    s = nn.softmax(Tensor(x)).numpy()
-    np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), rtol=1e-6)
-    s_shift = nn.softmax(Tensor(x + 100.0)).numpy()
-    np.testing.assert_allclose(s, s_shift, atol=1e-6)
+    for mode in GRAD_MODES:
+        with mode():
+            s = nn.softmax(Tensor(x, requires_grad=True)).numpy()
+            np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), rtol=1e-6)
+            s_shift = nn.softmax(Tensor(x + 100.0, requires_grad=True)).numpy()
+            np.testing.assert_allclose(s, s_shift, atol=1e-6)
 
 
 def test_softmax_extreme_logits_stay_finite():
-    s = nn.softmax(Tensor(np.array([[1e4, -1e4, 0.0]], dtype=np.float32))).numpy()
-    assert np.all(np.isfinite(s))
-    np.testing.assert_allclose(s[0, 0], 1.0, atol=1e-6)
+    x = np.array([[1e4, -1e4, 0.0]], dtype=np.float32)
+    for mode in GRAD_MODES:
+        with mode():
+            s = nn.softmax(Tensor(x, requires_grad=True)).numpy()
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s[0, 0], 1.0, atol=1e-6)
 
 
 def test_softmax_gradient():
@@ -161,11 +171,13 @@ def test_softmax_gradient():
 
 def test_layernorm_normalizes_last_axis():
     x = RNG.standard_normal((6, 16)).astype(np.float32) * 5 + 3
-    g = Tensor(np.ones(16))
-    s = Tensor(np.zeros(16))
-    y = nn.layernorm(Tensor(x), g, s).numpy()
-    np.testing.assert_allclose(y.mean(axis=-1), np.zeros(6), atol=1e-5)
-    np.testing.assert_allclose(y.std(axis=-1), np.ones(6), atol=1e-2)
+    g = Tensor(np.ones(16), requires_grad=True)
+    s = Tensor(np.zeros(16), requires_grad=True)
+    for mode in GRAD_MODES:
+        with mode():
+            y = nn.layernorm(Tensor(x), g, s).numpy()
+        np.testing.assert_allclose(y.mean(axis=-1), np.zeros(6), atol=1e-5)
+        np.testing.assert_allclose(y.std(axis=-1), np.ones(6), atol=1e-2)
 
 
 def test_layernorm_gradient():
@@ -181,6 +193,59 @@ def test_layernorm_gradient():
 def test_layernorm_eps_must_be_positive():
     with pytest.raises(ValueError):
         nn.layernorm(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=0.0)
+
+
+@pytest.mark.parametrize(
+    "x_dtype,param_dtype,eps_dtype",
+    [
+        ("float64", "float64", "float32"),
+        ("float32", "float64", "float32"),
+        ("float32", "float32", "float32"),
+        ("float32", "float32", "float64"),
+    ],
+)
+def test_fused_softmax_and_layernorm_equal_taped_bitwise(x_dtype, param_dtype, eps_dtype):
+    x = (RNG.standard_normal((2, 5, 16)) * 3 + 1).astype(x_dtype)
+    g = Tensor(RNG.standard_normal(16).astype(param_dtype), requires_grad=True)
+    s = Tensor(RNG.standard_normal(16).astype(param_dtype), requires_grad=True)
+    # eps_dtype is the default dtype, which sets the dtype eps is added in
+    with using_dtype(eps_dtype):
+        outs = []
+        for mode in GRAD_MODES:
+            with mode():
+                xt = Tensor(x, requires_grad=True)
+                outs.append((nn.softmax(xt, axis=1), nn.layernorm(xt, g, s)))
+    (sm_tape, ln_tape), (sm_fused, ln_fused) = outs
+    assert sm_tape.requires_grad and ln_tape.requires_grad
+    assert not sm_fused.requires_grad and not ln_fused.requires_grad
+    for tape, fused in ((sm_tape, sm_fused), (ln_tape, ln_fused)):
+        assert fused.dtype == tape.dtype
+        assert np.array_equal(fused.numpy(), tape.numpy())
+
+
+def test_softmax_out_overwrites_logits_only_without_tape():
+    x = RNG.standard_normal((3, 7))
+    expected = nn.softmax(Tensor(x)).numpy()
+    logits = x.copy()
+    out = nn.softmax(Tensor(logits), out=logits)
+    assert out.numpy() is logits
+    assert np.array_equal(logits, expected)
+    with pytest.raises(ValueError, match="no tape"):
+        nn.softmax(Tensor(x, requires_grad=True), out=x.copy())
+
+
+def test_debug_checks_fire_on_fused_softmax_and_layernorm():
+    x = Tensor(np.array([[np.inf, 1.0, 2.0, 3.0]]))  # built before the checks are on
+    g, s = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    set_debug_checks(True)
+    try:
+        with no_grad(), np.errstate(invalid="ignore"):  # inf - inf is the point
+            with pytest.raises(FloatingPointError):
+                nn.softmax(x)
+            with pytest.raises(FloatingPointError):
+                nn.layernorm(x, g, s)
+    finally:
+        set_debug_checks(False)
 
 
 # -- attention -----------------------------------------------------------------
@@ -212,16 +277,20 @@ def attention_oracle(x, kv, layer):
 def test_attention_forward_matches_dense_oracle():
     layer = nn.AttentionLayer(8, 2, make_rng())
     x = RNG.standard_normal((2, 5, 8)).astype(np.float32)
-    out = layer(Tensor(x)).numpy()
-    np.testing.assert_allclose(out, attention_oracle(x, x, layer), rtol=1e-4, atol=1e-5)
+    for mode in GRAD_MODES:
+        with mode():
+            out = layer(Tensor(x)).numpy()
+        np.testing.assert_allclose(out, attention_oracle(x, x, layer), rtol=1e-4, atol=1e-5)
 
 
 def test_cross_attention_matches_dense_oracle():
     layer = nn.AttentionLayer(8, 4, make_rng())
     q = RNG.standard_normal((1, 3, 8)).astype(np.float32)
     kv = RNG.standard_normal((1, 6, 8)).astype(np.float32)
-    out = layer(Tensor(q), Tensor(kv)).numpy()
-    np.testing.assert_allclose(out, attention_oracle(q, kv, layer), rtol=1e-4, atol=1e-5)
+    for mode in GRAD_MODES:
+        with mode():
+            out = layer(Tensor(q), Tensor(kv)).numpy()
+        np.testing.assert_allclose(out, attention_oracle(q, kv, layer), rtol=1e-4, atol=1e-5)
 
 
 def test_attention_gradient():

@@ -61,6 +61,13 @@ def test_condition_schedule_switches():
     assert sess.active_condition() == 7
 
 
+def test_run_records_the_condition_each_clip_was_generated_with():
+    # the switch to 7 lands exactly on the boundary after the first generated clip
+    sess, _ = _session(condition_schedule=((0, 2), (16, 7)))
+    _, records = sess.run(2)
+    assert [r["condition"] for r in records] == [2, 7]
+
+
 def test_condition_schedule_validation():
     enc, g = training.build_models(0)
     with pytest.raises(ValueError, match="frame 0"):
