@@ -27,8 +27,17 @@ class CheckpointMismatch(Exception):
     pass
 
 
+# (block, key) pairs that do not change what is trained: raising the step
+# budget on resume, or writing elsewhere, is not a config change
+_UNDIGESTED = (("training", "steps"), ("output", "dir"))
+
+
 def config_digest(config: dict) -> bytes:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    kept = dict(config)
+    for block, key in _UNDIGESTED:
+        if isinstance(kept.get(block), dict):
+            kept[block] = {k: v for k, v in kept[block].items() if k != key}
+    blob = json.dumps(kept, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).digest()
 
 
@@ -47,18 +56,31 @@ def _write_table(f, arrays: dict):
         f.write(arr.tobytes(order="C"))
 
 
+def _read(f, n: int) -> bytes:
+    buf = f.read(n)
+    if len(buf) != n:
+        raise CheckpointMismatch(f"checkpoint {f.name} is truncated at byte {f.tell()}")
+    return buf
+
+
+def _unpack(f, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(f, struct.calcsize(fmt)))
+
+
 def _read_table(f) -> dict:
-    (count,) = struct.unpack("<I", f.read(4))
+    (count,) = _unpack(f, "<I")
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", f.read(2))
-        name = f.read(nlen).decode()
-        (ndim,) = struct.unpack("<I", f.read(4))
-        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-        (tag,) = struct.unpack("<I", f.read(4))
-        dtype = _DTYPES[tag]
-        n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(f.read(n * dtype().itemsize), dtype=dtype, count=n)
+        (nlen,) = _unpack(f, "<H")
+        name = _read(f, nlen).decode()
+        (ndim,) = _unpack(f, "<I")
+        shape = _unpack(f, f"<{ndim}I")
+        (tag,) = _unpack(f, "<I")
+        if tag not in _DTYPES:
+            raise CheckpointMismatch(f"unknown dtype tag {tag} for {name} in {f.name}")
+        dtype = np.dtype(_DTYPES[tag])
+        n = int(np.prod(shape))
+        data = np.frombuffer(_read(f, n * dtype.itemsize), dtype=dtype)
         out[name] = data.reshape(shape).copy()
     return out
 
@@ -88,16 +110,16 @@ def save_checkpoint(
 def load_checkpoint(path: str, config: dict | None = None, strict_digest: bool = False):
     """Read a checkpoint; returns (params, step, optimizer_arrays, digest_ok)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read(f, 4)
         if magic != MCCK_MAGIC:
             raise CheckpointMismatch(f"bad checkpoint magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = _unpack(f, "<I")
         if version != MCCK_VERSION:
             raise CheckpointMismatch(f"unsupported checkpoint version {version}")
-        digest = f.read(32)
-        (step,) = struct.unpack("<Q", f.read(8))
+        digest = _read(f, 32)
+        (step,) = _unpack(f, "<Q")
         params = _read_table(f)
-        (has_opt,) = struct.unpack("<B", f.read(1))
+        (has_opt,) = _unpack(f, "<B")
         opt = _read_table(f) if has_opt else None
     digest_ok = True
     if config is not None:

@@ -1,8 +1,12 @@
 """Command-line harness: pretrain, finetune, rollout, eval, budget, experiment.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime/numeric failure.
-All commands are deterministic given config + seed; checkpoints are
-written atomically and training can resume from them.
+Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
+unknown key, a value out of range), a missing file, an unknown experiment
+recipe, or a checkpoint that does not fit (bad magic, unsupported version,
+truncated file, unknown dtype, missing or mis-shaped parameters); 3 for a
+runtime or numeric failure: diverged training, or any other ValueError or
+ArithmeticError.  All commands are deterministic given config + seed;
+checkpoints are written atomically and training can resume from them.
 """
 
 from __future__ import annotations
@@ -26,11 +30,8 @@ def _load(path: str) -> dict:
 
 
 def _named_params(enc, g) -> dict:
-    out = dict(g.named_parameters())
-    if enc is not None:
-        enc.materialize_pos(data.DESK_LATENT[1], data.DESK_LATENT[2])
-        out.update(enc.named_parameters())
-    return out
+    enc.materialize_pos(data.DESK_LATENT[1], data.DESK_LATENT[2])
+    return {**g.named_parameters(), **enc.named_parameters()}
 
 
 def _build(cfg):
@@ -38,12 +39,10 @@ def _build(cfg):
         cfg["seed"],
         rate=tuple(cfg["encoder"]["rate"]),
         variant=cfg["encoder"]["variant"],
-        arch=cfg["dit"]["arch"],
         chunk_len=cfg["encoder"]["chunk_len"],
         model_dim=cfg["dit"]["inner_dim"],
         n_blocks=cfg["dit"]["blocks"],
         n_heads=cfg["dit"]["heads"],
-        cross_attn=cfg["dit"]["cross_attn"],
     )
     if cfg["dit"]["lora_rank"] > 0:
         g.enable_lora(cfg["dit"]["lora_rank"], seeding.stream(cfg["seed"], 0x10BA))
@@ -145,9 +144,6 @@ def cmd_rollout(args) -> int:
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     enc, g = _build(cfg)
-    if enc is None:
-        print("rollout requires an encoder architecture", file=sys.stderr)
-        return EXIT_CONFIG
     named = _named_params(enc, g)
     params, _, _, _ = checkpoint.load_checkpoint(args.checkpoint, cfg)
     checkpoint.restore_into(named, params)

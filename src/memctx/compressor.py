@@ -4,8 +4,10 @@ A dual-branch model maps a long latent history onto a short token
 context: a low-resolution branch block-averages and projects into the
 transformer's inner dimension, a high-resolution branch runs a strided
 3D conv stack ending in chunk-local attention, and the two are summed
-after projection.  All computation is chunk-local in time, so streaming
-chunk appends reproduce batch compression exactly.
+after projection.  The ``large_patchifier`` variant is the ablation
+baseline: a patchify kernel as large as the rate followed by one linear
+map.  All computation is chunk-local in time, so streaming chunk appends
+reproduce batch compression exactly.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ __all__ = [
     "CompressionRate",
     "EncoderModel",
     "CompressedContext",
-    "compress",
-    "compress_streaming",
     "combine_contexts",
 ]
 
-VARIANTS = ("dual", "only_lr", "without_lr")
+VARIANTS = ("dual", "only_lr", "without_lr", "large_patchifier")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,6 +103,10 @@ class EncoderModel:
         self.chunk_len = chunk_len
         self.variant = variant
         self.encoder_id = encoder_id
+        if variant == "large_patchifier":
+            # one rate-sized block per token: its only parameter is this map
+            self.patch_proj = nn.Linear(rate.volume * latent_channels, model_dim, rng)
+            return
 
         # stride schedule: consume all temporal reduction before spatial
         t_factors = _stride_factors(rate.r_t)
@@ -167,6 +171,11 @@ class EncoderModel:
         rate = self.rate
         to, ho, wo = t // rate.r_t, h // rate.r_h, w // rate.r_w
         l_chunk = to * ho * wo
+
+        if self.variant == "large_patchifier":
+            x = chunk.reshape(n, to, rate.r_t, ho, rate.r_h, wo, rate.r_w, c)
+            x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(n, l_chunk, rate.volume * c)
+            return self.patch_proj(x)
 
         lr_tokens = None
         if self.variant != "without_lr":
@@ -256,14 +265,12 @@ class EncoderModel:
         return (t // self.rate.r_t) * (h // self.rate.r_h) * (w // self.rate.r_w)
 
     def parameters(self):
-        params = []
-        for conv in self.convs:
-            params += conv.parameters()
-        params += self.attn.parameters() + self.hr_proj.parameters() + self.lr_proj.parameters()
-        params += list(self._pos_params.values())
-        return params
+        return list(self.named_parameters().values())
 
     def named_parameters(self, prefix="enc"):
+        if self.variant == "large_patchifier":
+            proj = self.patch_proj
+            return {f"{prefix}.patch_proj.w": proj.weight, f"{prefix}.patch_proj.b": proj.bias}
         out = {}
         for i, conv in enumerate(self.convs):
             out[f"{prefix}.conv{i}.w"] = conv.weight
@@ -281,16 +288,8 @@ class EncoderModel:
 
     def materialize_pos(self, h: int, w: int):
         """Create the chunk positional table for a geometry ahead of checkpointing."""
-        l_chunk = self.token_count(self.chunk_len, h, w)
-        self._chunk_pos(l_chunk)
-
-
-def compress(model: EncoderModel, history) -> CompressedContext:
-    return model.compress(history)
-
-
-def compress_streaming(model: EncoderModel, prior, new_chunk) -> CompressedContext:
-    return model.compress_streaming(prior, new_chunk)
+        if self.variant != "large_patchifier":
+            self._chunk_pos(self.token_count(self.chunk_len, h, w))
 
 
 def combine_contexts(contexts) -> CompressedContext:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+from .compressor import VARIANTS
+
 __all__ = ["ConfigError", "load_config", "validate_config", "DEFAULTS"]
 
 
@@ -33,9 +35,7 @@ DEFAULTS = {
         "inner_dim": 64,
         "blocks": 4,
         "heads": 4,
-        "cross_attn": False,
         "lora_rank": 0,
-        "arch": "encoder",
     },
     "diffusion": {
         # training timesteps concentrate near t=1: memory is only consulted
@@ -75,15 +75,13 @@ _VALIDATORS = {
     "encoder.rate": lambda v: (
         isinstance(v, list) and len(v) == 3 and all(isinstance(r, int) and r >= 1 for r in v)
     ),
-    "encoder.variant": lambda v: v in ("dual", "only_lr", "without_lr"),
+    "encoder.variant": lambda v: v in VARIANTS,
     "encoder.chunk_len": lambda v: isinstance(v, int) and v >= 1,
     "encoder.model_dim": lambda v: isinstance(v, int) and v >= 8,
     "dit.inner_dim": lambda v: isinstance(v, int) and v >= 8,
     "dit.blocks": lambda v: isinstance(v, int) and v >= 1,
     "dit.heads": lambda v: isinstance(v, int) and v >= 1,
-    "dit.cross_attn": lambda v: isinstance(v, bool),
     "dit.lora_rank": lambda v: isinstance(v, int) and v >= 0,
-    "dit.arch": lambda v: v in ("encoder", "large_patchifier"),
     "diffusion.mu": lambda v: isinstance(v, (int, float)),
     "diffusion.sigma": lambda v: isinstance(v, (int, float)) and v > 0,
     "diffusion.shift": lambda v: isinstance(v, (int, float)) and v > 0,

@@ -75,10 +75,6 @@ class TimestepDistribution:
         return norm.cdf((np.log(u / (1.0 - u)) - self.mu) / self.sigma)
 
 
-def sample_timestep(dist: TimestepDistribution, seed: int, size=None) -> np.ndarray:
-    return dist.sample(seeding.stream(seed, 0x71ED), size)
-
-
 def _mask_history(history: np.ndarray, omega: FrameIndexSet, rng) -> np.ndarray:
     """Noise-as-mask: non-selected frames interpolated toward noise at their level."""
     masked = history.copy()

@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from . import nn
-from .compressor import CompressedContext, CompressionRate
+from .compressor import CompressedContext
 from .tensor import Tensor, concat
 
-__all__ = ["DiTModel", "large_patchifier_variant"]
+__all__ = ["DiTModel"]
 
 
 class _Block:
@@ -29,7 +29,7 @@ class _Block:
     that additive conditioning alone cannot express.
     """
 
-    def __init__(self, dim, heads, rng, cross_attn=False):
+    def __init__(self, dim, heads, rng):
         self.ln1 = _LayerNormParams(dim)
         self.attn = nn.AttentionLayer(dim, heads, rng)
         self.ln2 = _LayerNormParams(dim)
@@ -37,14 +37,8 @@ class _Block:
         self.fc2 = nn.Linear(4 * dim, dim, rng)
         self.mod = nn.Linear(dim, 6 * dim, rng)
         self.mod.weight.data[:] = 0.0
-        self.cross = None
-        if cross_attn:
-            self.ln3 = _LayerNormParams(dim)
-            self.cross = nn.AttentionLayer(dim, heads, rng)
-            # zero output projection: enhancement is an exact no-op at step 0
-            self.cross.wo.weight.data[:] = 0.0
 
-    def __call__(self, x: Tensor, temb: Tensor, cross_kv: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
         dim = x.shape[-1]
         mod = self.mod(temb.silu())  # (N, 6*dim)
         n = mod.shape[0]
@@ -52,16 +46,11 @@ class _Block:
         sh1, sc1, g1, sh2, sc2, g2 = (mod[:, :, i] for i in range(6))
         h = self.ln1(x) * (sc1 + 1.0) + sh1
         x = x + self.attn(h) * (g1 + 1.0)
-        if self.cross is not None and cross_kv is not None:
-            x = x + self.cross(self.ln3(x), cross_kv)
         h = self.ln2(x) * (sc2 + 1.0) + sh2
         return x + self.fc2(self.fc1(h).silu()) * (g2 + 1.0)
 
     def modules(self):
-        mods = [self.ln1, self.attn, self.ln2, self.fc1, self.fc2, self.mod]
-        if self.cross is not None:
-            mods += [self.ln3, self.cross]
-        return mods
+        return [self.ln1, self.attn, self.ln2, self.fc1, self.fc2, self.mod]
 
 
 class _LayerNormParams:
@@ -91,12 +80,10 @@ class DiTModel:
         max_frames: int = 192,
         max_ctx_tokens: int = 2048,
         max_spatial_slots: int = 1024,
-        cross_attn: bool = False,
     ):
         self.inner_dim = inner_dim
         self.patch = tuple(patch)
         self.latent_channels = latent_channels
-        self.cross_attn = cross_attn
         self.max_frames = max_frames
         patch_in = int(np.prod(self.patch)) * latent_channels
         self.patch_proj = nn.Linear(patch_in, inner_dim, rng)
@@ -120,11 +107,10 @@ class DiTModel:
         self.spatial_emb.table.data[:, :half] = nn.sinusoidal_embedding(rows, half)
         self.spatial_emb.table.data[:, half:] = nn.sinusoidal_embedding(cols, half)
         self.ctx_emb = nn.Embedding(max_ctx_tokens, inner_dim, rng)
-        self.blocks = [_Block(inner_dim, n_heads, rng, cross_attn) for _ in range(n_blocks)]
+        self.blocks = [_Block(inner_dim, n_heads, rng) for _ in range(n_blocks)]
         self.ln_out = _LayerNormParams(inner_dim)
         self.out_proj = nn.Linear(inner_dim, patch_in, rng)
         self.out_proj.weight.data[:] = 0.0  # velocity head starts at zero
-        self.hist_patch = None  # (kernel, Linear) for the enlarged-patchifier arm
         self._lora = False
 
     # -- tokenization ---------------------------------------------------------
@@ -183,24 +169,6 @@ class DiTModel:
             + self.ctx_emb(np.asarray(e_idx))
         )
 
-    def _kernel_pos(self, hist_shape, kernel, latent_hw) -> Tensor:
-        """Grid position embeddings for enlarged-patchifier history tokens."""
-        t, h, w, _ = hist_shape
-        kt, kh, kw = kernel
-        h_lat, w_lat = latent_hw
-        _, ph, pw = self.patch
-        gh, gw = h_lat // ph, w_lat // pw
-        t_idx, s_idx = [], []
-        for ti in range(t // kt):
-            for hi in range(h // kh):
-                for wi in range(w // kw):
-                    t_idx.append(min(ti * kt, self.max_frames - 1))
-                    hp = min(hi * kh // ph, gh - 1)
-                    wp = min(wi * kw // pw, gw - 1)
-                    s_idx.append(hp * gw + wp)
-        marker = self.ctx_emb(np.zeros(len(t_idx), dtype=np.int64))
-        return self.temporal_emb(np.asarray(t_idx)) + self.spatial_emb(np.asarray(s_idx)) + marker
-
     def _target_pos(self, shape, frame_indices) -> Tensor:
         gt, gh, gw = self._grid(shape)
         pt = self.patch[0]
@@ -223,8 +191,6 @@ class DiTModel:
         frame_indices=None,
         window_latents=None,
         window_frame_indices=None,
-        raw_history=None,
-        encoder_penultimate: Tensor | None = None,
     ) -> Tensor:
         """Predict the flow velocity for the target clip.
 
@@ -239,21 +205,12 @@ class DiTModel:
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
         if np.any(t_arr <= 0) or np.any(t_arr > 1):
             raise ValueError("timestep must lie in (0, 1]")
-        if encoder_penultimate is not None and not self.cross_attn:
-            raise ValueError("cross-attention enhancement requires cross_attn=True at construction")
 
         segments = []
         c_idx = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
         segments.append(self.cond_emb(c_idx).reshape(n, 1, self.inner_dim))
 
-        if self.hist_patch is not None and raw_history is not None:
-            kernel, proj = self.hist_patch
-            ctx_tokens = _kernel_patchify(raw_history, kernel, proj)
-            hist_shape = np.asarray(raw_history).shape[-4:]
-            segments.append(
-                ctx_tokens + self._kernel_pos(hist_shape, kernel, (x_t.shape[2], x_t.shape[3]))
-            )
-        elif ctx is not None:
+        if ctx is not None:
             ctx_tokens = ctx.tokens
             if ctx_tokens.ndim == 2:
                 ctx_tokens = ctx_tokens.reshape((1,) + ctx_tokens.shape)
@@ -277,7 +234,7 @@ class DiTModel:
         tokens = tokens + temb.reshape(n, 1, self.inner_dim)
 
         for block in self.blocks:
-            tokens = block(tokens, temb, encoder_penultimate)
+            tokens = block(tokens, temb)
         l_tgt = tgt_tokens.shape[1]
         out = self.ln_out(tokens[:, -l_tgt:])
         return self._unpatchify(self.out_proj(out), x_t.shape)
@@ -300,11 +257,8 @@ class DiTModel:
             (self, "out_proj"),
         ]
         for b in self.blocks:
-            for attn in ([b.attn, b.cross] if b.cross is not None else [b.attn]):
-                slots += [(attn, "wq"), (attn, "wk"), (attn, "wv"), (attn, "wo")]
+            slots += [(b.attn, "wq"), (b.attn, "wk"), (b.attn, "wv"), (b.attn, "wo")]
             slots += [(b, "fc1"), (b, "fc2"), (b, "mod")]
-        if self.hist_patch is not None:
-            pass  # history patchifier stays fully trainable
         return slots
 
     def parameters(self):
@@ -316,8 +270,6 @@ class DiTModel:
             for m in b.modules():
                 params += m.parameters()
         params += self.ln_out.parameters() + self.out_proj.parameters()
-        if self.hist_patch is not None:
-            params += self.hist_patch[1].parameters()
         return params
 
     def named_parameters(self, prefix="dit"):
@@ -326,35 +278,3 @@ class DiTModel:
             out[f"{prefix}.p{i:03d}"] = p
         return out
 
-
-def _kernel_patchify(latents, kernel, proj: nn.Linear) -> Tensor:
-    x = latents if isinstance(latents, Tensor) else Tensor(np.asarray(latents))
-    if x.ndim == 4:
-        x = x.reshape((1,) + x.shape)
-    n, t, h, w, c = x.shape
-    kt, kh, kw = kernel
-    for axis, extent, k in (("T", t, kt), ("H", h, kh), ("W", w, kw)):
-        if extent % k:
-            raise ValueError(f"history axis {axis}={extent} not divisible by kernel {k}")
-    x = x.reshape(n, t // kt, kt, h // kh, kh, w // kw, kw, c)
-    x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(
-        n, (t // kt) * (h // kh) * (w // kw), kt * kh * kw * c
-    )
-    return proj(x)
-
-
-def large_patchifier_variant(model: DiTModel, kernel, reference_rate: CompressionRate, rng) -> DiTModel:
-    """Route history through an enlarged patchify kernel instead of an encoder.
-
-    The kernel volume must realize the same total reduction as the
-    reference rate triple, keeping the token budget comparable.
-    """
-    kernel = tuple(int(k) for k in kernel)
-    if int(np.prod(kernel)) != reference_rate.volume:
-        raise ValueError(
-            f"kernel {kernel} reduces by {int(np.prod(kernel))}, "
-            f"reference rate {reference_rate} reduces by {reference_rate.volume}"
-        )
-    patch_in = int(np.prod(kernel)) * model.latent_channels
-    model.hist_patch = (kernel, nn.Linear(patch_in, model.inner_dim, rng))
-    return model

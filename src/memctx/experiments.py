@@ -29,14 +29,14 @@ __all__ = [
 ]
 
 
-# Compression-structure arms: (name, rate, encoder variant, architecture).
+# Compression-structure arms: (name, rate, encoder variant).
 ABLATION_ARMS = (
-    ("2x2x1", (2, 2, 1), "dual", "encoder"),
-    ("2x2x2", (2, 2, 2), "dual", "encoder"),
-    ("4x4x2", (4, 4, 2), "dual", "encoder"),
-    ("only_lr_4x4x2", (4, 4, 2), "only_lr", "encoder"),
-    ("without_lr_4x4x2", (4, 4, 2), "without_lr", "encoder"),
-    ("large_patchifier_4x4x2", (4, 4, 2), "dual", "large_patchifier"),
+    ("2x2x1", (2, 2, 1), "dual"),
+    ("2x2x2", (2, 2, 2), "dual"),
+    ("4x4x2", (4, 4, 2), "dual"),
+    ("only_lr_4x4x2", (4, 4, 2), "only_lr"),
+    ("without_lr_4x4x2", (4, 4, 2), "without_lr"),
+    ("large_patchifier_4x4x2", (4, 4, 2), "large_patchifier"),
 )
 
 # Expected quality orderings between compression arms (better, worse),
@@ -77,8 +77,8 @@ class ExperimentRecipe:
             raise ValueError("step budgets must be non-negative")
 
 
-def _train_arm(recipe, seed, rate, variant, arch, dataset, omega_policy="uniform"):
-    enc, g = training.build_models(seed, rate=rate, variant=variant, arch=arch)
+def _train_arm(recipe, seed, rate, variant, dataset, omega_policy="uniform"):
+    enc, g = training.build_models(seed, rate=rate, variant=variant)
     if recipe.pretrain_steps:
         training.pretrain_retrieval(
             enc,
@@ -102,10 +102,10 @@ def run_ablation_compression(recipe: ExperimentRecipe, out_dir: str | None = Non
     eval_ds = training.make_dataset(recipe.dataset_seed + 1000, max(recipe.n_eval // 2, 1))
     arms = {}
     t0 = time.time()
-    for name, rate, variant, arch in ABLATION_ARMS:
+    for name, rate, variant in ABLATION_ARMS:
         psnrs, ssims = [], []
         for seed in recipe.seeds:
-            enc, g = _train_arm(recipe, seed, rate, variant, arch, dataset)
+            enc, g = _train_arm(recipe, seed, rate, variant, dataset)
             res = training.evaluate_retrieval(
                 enc,
                 g,
@@ -161,7 +161,7 @@ def run_pretrain_ablation(recipe: ExperimentRecipe, out_dir: str | None = None) 
         arms = {}
         for arm_name, presteps in (("pretrained", recipe.pretrain_steps), ("scratch", 0)):
             sub = dataclasses.replace(recipe, pretrain_steps=presteps)
-            enc, g = _train_arm(sub, seed, (4, 4, 2), "dual", "encoder", dataset)
+            enc, g = _train_arm(sub, seed, (4, 4, 2), "dual", dataset)
             retrieval = training.evaluate_retrieval(
                 enc, g, eval_ds, seed=recipe.eval_seed, n_eval=recipe.n_eval,
                 sample_steps=recipe.sample_steps,
@@ -230,9 +230,7 @@ def run_omega_policy_ablation(recipe: ExperimentRecipe, out_dir: str | None = No
     for seed in recipe.seeds:
         arms = {}
         for arm_name, policy in (("uniform", "uniform"), ("fixed_endpoints", "fixed-endpoints")):
-            enc, g = _train_arm(
-                recipe, seed, (4, 4, 2), "dual", "encoder", dataset, omega_policy=policy
-            )
+            enc, g = _train_arm(recipe, seed, (4, 4, 2), "dual", dataset, omega_policy=policy)
             random_psnr = training.evaluate_retrieval(
                 enc, g, eval_ds, seed=recipe.eval_seed, n_eval=recipe.n_eval,
                 sample_steps=recipe.sample_steps,

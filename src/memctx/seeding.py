@@ -12,11 +12,17 @@ import numpy as np
 __all__ = ["stream"]
 
 
-def stream(root_seed, *path: int) -> np.random.Generator:
+def stream(root_seed, *path) -> np.random.Generator:
     """Derive an independent Philox stream from (root_seed, *path).
 
-    ``root_seed`` may itself be a tuple of ints (a previously split seed).
+    ``root_seed`` and any path element may themselves be (nested) tuples
+    of ints, such as a previously split seed; they are flattened in order.
     """
-    root = list(root_seed) if isinstance(root_seed, (tuple, list)) else [root_seed]
-    entropy = [int(r) for r in root] + [int(p) for p in path]
+    entropy = _flatten((root_seed, *path))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _flatten(seed) -> list:
+    if isinstance(seed, (tuple, list)):
+        return [i for part in seed for i in _flatten(part)]
+    return [int(seed)]

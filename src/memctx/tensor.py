@@ -19,8 +19,6 @@ __all__ = [
     "tensor",
     "zeros",
     "backward",
-    "elementwise",
-    "reduce",
     "concat",
     "set_default_dtype",
     "default_dtype",
@@ -438,42 +436,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=requires_grad)
-
-
-def elementwise(op_kind: str, a: Tensor, b=None) -> Tensor:
-    """Named elementwise dispatch: add, sub, mul, scale, silu, square."""
-    a = Tensor._coerce(a)
-    if _st().debug:
-        _check_finite(a.data, f"elementwise {op_kind} input a")
-        if isinstance(b, Tensor):
-            _check_finite(b.data, f"elementwise {op_kind} input b")
-    if op_kind == "add":
-        return a + b
-    if op_kind == "sub":
-        return a - b
-    if op_kind == "mul":
-        return a * b
-    if op_kind == "scale":
-        return a.scale(b)
-    if op_kind == "silu":
-        return a.silu()
-    if op_kind == "square":
-        return a.square()
-    raise ValueError(f"unknown elementwise op {op_kind!r}")
-
-
-def reduce(op_kind: str, a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    """Named reduction dispatch: sum, mean, max.  Empty axes = identity copy."""
-    a = Tensor._coerce(a)
-    if axes is not None and not isinstance(axes, int) and len(tuple(axes)) == 0:
-        return a.reshape(a.shape)
-    if op_kind == "sum":
-        return a.sum(axis=axes, keepdims=keepdims)
-    if op_kind == "mean":
-        return a.mean(axis=axes, keepdims=keepdims)
-    if op_kind == "max":
-        return a.max(axis=axes, keepdims=keepdims)
-    raise ValueError(f"unknown reduction {op_kind!r}")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import data, diffusion, metrics, nn, seeding
 from .compressor import CompressionRate, EncoderModel
-from .dit import DiTModel, large_patchifier_variant
+from .dit import DiTModel
 from .tensor import backward, no_grad
 
 __all__ = [
@@ -34,33 +34,20 @@ def build_models(
     seed: int,
     rate=(4, 4, 2),
     variant: str = "dual",
-    arch: str = "encoder",
     chunk_len: int = 8,
     model_dim: int = 64,
     n_blocks: int = 4,
     n_heads: int = 4,
-    cross_attn: bool = False,
 ):
-    """Construct an (encoder, dit) pair for one experiment arm.
-
-    ``arch='large_patchifier'`` builds no encoder; history enters the DiT
-    through an enlarged patchify kernel of the same total reduction.
-    """
-    r = CompressionRate(*rate)
+    """Construct an (encoder, dit) pair for one experiment arm."""
     g = DiTModel(
-        seeding.stream(seed, 0xD17),
-        inner_dim=model_dim,
-        n_blocks=n_blocks,
-        n_heads=n_heads,
-        cross_attn=cross_attn,
+        seeding.stream(seed, 0xD17), inner_dim=model_dim, n_blocks=n_blocks, n_heads=n_heads
     )
-    if arch == "large_patchifier":
-        kernel = (r.r_t, r.r_h, r.r_w)
-        large_patchifier_variant(g, kernel, r, seeding.stream(seed, 0xD18))
-        return None, g
+    # the patchifier draws from its own stream, so its seeded reports stay reproducible
+    stream = 0xD18 if variant == "large_patchifier" else 0xE6C
     enc = EncoderModel(
-        r,
-        seeding.stream(seed, 0xE6C),
+        CompressionRate(*rate),
+        seeding.stream(seed, stream),
         model_dim=model_dim,
         chunk_len=chunk_len,
         variant=variant,
@@ -69,11 +56,8 @@ def build_models(
 
 
 def _all_params(enc, g):
-    params = list(g.parameters())
-    if enc is not None:
-        enc.materialize_pos(DESK_GEOMETRY[1], DESK_GEOMETRY[2])
-        params += enc.parameters()
-    return params
+    enc.materialize_pos(DESK_GEOMETRY[1], DESK_GEOMETRY[2])
+    return g.parameters() + enc.parameters()
 
 
 def pretrain_retrieval(
@@ -102,14 +86,9 @@ def pretrain_retrieval(
         h = np.stack([dataset[i][0] for i in idx])
         cond = np.asarray([dataset[i][1] for i in idx])
         omega = data.sample_omega(t_h, (seed, 0x03E6, step), policy=omega_policy)
-        if enc is not None:
-            loss = diffusion.retrieval_loss(
-                g, enc, h, omega, cond, seed=(seed, 0x105, step), timestep_dist=timestep_dist
-            )
-        else:
-            loss = _large_patchifier_retrieval_loss(
-                g, h, omega, cond, seed=(seed, 0x105, step), timestep_dist=timestep_dist
-            )
+        loss = diffusion.retrieval_loss(
+            g, enc, h, omega, cond, seed=(seed, 0x105, step), timestep_dist=timestep_dist
+        )
         if not np.isfinite(loss.item()):
             raise FloatingPointError(f"training diverged at step {step} (loss={loss.item()})")
         if lr_schedule is not None:
@@ -122,26 +101,6 @@ def pretrain_retrieval(
         if on_step is not None:
             on_step(step + 1, float(loss.item()))
     return opt, losses
-
-
-def _large_patchifier_retrieval_loss(g, h, omega, cond, seed, timestep_dist=None):
-    """Retrieval objective for the enlarged-patchifier arm (no encoder)."""
-    import dataclasses as _dc
-
-    dist = timestep_dist or diffusion.TimestepDistribution()
-    rng = seeding.stream(seed, 0x2E72)
-    target = h[:, list(omega.indices)]
-    masked = diffusion._mask_history(h, omega, rng)
-    eps = rng.standard_normal(target.shape).astype(h.dtype)
-    t = dist.sample(rng, size=h.shape[0])
-    x_t = (1.0 - t[:, None, None, None, None]) * target + t[:, None, None, None, None] * eps
-    pred = g.predict_velocity(
-        x_t, t, cond, frame_indices=list(omega.indices), raw_history=masked
-    )
-    from .tensor import Tensor
-
-    resid = pred - Tensor((eps - target).astype(h.dtype))
-    return resid.square().mean()
 
 
 def finetune_next_clip(
@@ -237,18 +196,16 @@ def evaluate_retrieval(
         masked_hist = diffusion.mask_history(lat, omega, (seed, 0xE7A3, k))
         targets = sorted(omega.indices)[:max_targets]
         with no_grad():
-            ctx = enc.compress(masked_hist) if enc is not None else None
-            recon = diffusion.sample(
-                g,
-                ctx,
-                cond,
-                (len(targets),) + lat.shape[1:],
-                seed=(seed, 0xE7A4, k),
-                steps=sample_steps,
-                frame_indices=targets,
-            ) if enc is not None else _large_patchifier_sample(
-                g, masked_hist, cond, targets, lat.shape, (seed, 0xE7A4, k), sample_steps
-            )
+            ctx = enc.compress(masked_hist)
+        recon = diffusion.sample(
+            g,
+            ctx,
+            cond,
+            (len(targets),) + lat.shape[1:],
+            seed=(seed, 0xE7A4, k),
+            steps=sample_steps,
+            frame_indices=targets,
+        )
         scores.append(metrics.psnr(recon, lat[targets]))
         ssim_scores.append(metrics.ssim(recon, lat[targets], window=7))
         if with_baselines:
@@ -265,19 +222,6 @@ def evaluate_retrieval(
         result["copy_nearest_psnr"] = float(np.mean(base_a))
         result["dataset_mean_psnr"] = float(np.mean(base_b))
     return result
-
-
-def _large_patchifier_sample(g, masked_hist, cond, targets, lat_shape, seed, steps):
-    rng = seeding.stream(seed, 0x5A3B)
-    x = rng.standard_normal((len(targets),) + lat_shape[1:]).astype(np.float32)
-    dt = 1.0 / steps
-    for i in range(steps):
-        t = 1.0 - i * dt
-        v = g.predict_velocity(
-            x[None], t, cond, frame_indices=targets, raw_history=masked_hist[None]
-        ).numpy()[0]
-        x = x - dt * v
-    return x
 
 
 def evaluate_retrieval_baselines(dataset, seed: int, n_eval: int = 6, max_targets: int = 4):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ def test_config_rejects_unknown_key():
         config.validate_config({"trainer": {}})
     with pytest.raises(config.ConfigError, match="unknown"):
         config.validate_config({"training": {"step": 10}})
+
+
+def test_config_rejects_removed_dit_keys():
+    for key, value in (("arch", "large_patchifier"), ("cross_attn", False)):
+        with pytest.raises(config.ConfigError, match="unknown config key"):
+            config.validate_config({"dit": {key: value}})
+    cfg = config.validate_config({"encoder": {"variant": "large_patchifier"}})
+    assert cfg["encoder"]["variant"] == "large_patchifier"
 
 
 def test_config_field_validation():
@@ -209,3 +218,51 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_experiment_unknown_recipe(capsys):
     assert cli.main(["experiment", "nope"]) == cli.EXIT_CONFIG
+
+
+def test_cli_large_patchifier_pretrain_finetune_rollout(tmp_path, capsys):
+    cfg_path = _tiny_cfg(tmp_path, encoder={"variant": "large_patchifier"})
+    out = tmp_path / "out"
+    pretrained = str(out / "pretrain.mcck")
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, _, _, _ = checkpoint.load_checkpoint(pretrained)
+    assert params["enc.patch_proj.w"].shape == (64, 2 * 4 * 4 * 4)
+    assert not any(name.startswith("enc.conv") for name in params)
+    assert cli.main(["finetune", cfg_path, "--pretrained", pretrained]) == cli.EXIT_OK
+    assert cli.main(["rollout", cfg_path, str(out / "finetune.mcck")]) == cli.EXIT_OK
+    assert data.load_latents(str(out / "rollout.mctx")).shape[0] == 16
+
+
+def test_cli_resume_digest_ignores_step_budget_only(tmp_path):
+    """Raising training.steps on resume is no config change; changing training.lr is."""
+    cfg_path = _tiny_cfg(tmp_path, training={"steps": 2})
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    ckpt = str(tmp_path / "first.mcck")
+    os.replace(str(tmp_path / "out" / "pretrain.mcck"), ckpt)
+
+    longer = _tiny_cfg(tmp_path, training={"steps": 3}, output={"dir": str(tmp_path / "more")})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["pretrain", longer, "--resume", ckpt]) == cli.EXIT_OK
+    assert not [w for w in caught if "different config" in str(w.message)]
+
+    changed = _tiny_cfg(tmp_path, training={"steps": 3, "lr": 1e-3})
+    with pytest.warns(UserWarning, match="different config"):
+        assert cli.main(["pretrain", changed, "--resume", ckpt]) == cli.EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    cfg_path = _tiny_cfg(tmp)
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    return cfg_path, open(str(tmp / "out" / "pretrain.mcck"), "rb").read()
+
+
+@pytest.mark.parametrize("cut", [20, 5000, -1], ids=["header", "param_table", "last_byte"])
+def test_cli_truncated_checkpoint_is_config_error(trained_checkpoint, tmp_path, capsys, cut):
+    cfg_path, blob = trained_checkpoint
+    short = tmp_path / "short.mcck"
+    short.write_bytes(blob[:cut])
+    assert cli.main(["rollout", cfg_path, str(short)]) == cli.EXIT_CONFIG
+    assert "truncated" in capsys.readouterr().err

@@ -204,12 +204,11 @@ def test_sampler_exact_on_constant_field():
 
 def test_sampler_deterministic():
     enc, g = _models()
-    import memctx.compressor as compressor
     from memctx.tensor import no_grad
 
     hist = np.random.default_rng(11).normal(size=(24, 8, 8, 4)).astype(np.float32)
     with no_grad():
-        ctx = compressor.compress(enc, hist)
+        ctx = enc.compress(hist)
         a = diffusion.sample(g, ctx, c=2, shape=(2, 8, 8, 4), seed=5, frame_indices=[3, 9])
         b = diffusion.sample(g, ctx, c=2, shape=(2, 8, 8, 4), seed=5, frame_indices=[3, 9])
     assert np.array_equal(a, b)

@@ -5,7 +5,7 @@ import pytest
 
 from memctx import seeding, training
 from memctx.compressor import CompressionRate
-from memctx.dit import DiTModel, large_patchifier_variant
+from memctx.dit import DiTModel
 from memctx.tensor import Tensor, no_grad
 
 
@@ -112,8 +112,6 @@ def test_forward_validation():
         g.predict_velocity(_clip(0), 0.0, c=0)
     with pytest.raises(ValueError, match="frame index"):
         g.predict_velocity(_clip(0), 0.5, c=0, frame_indices=[1, 2, 3])
-    with pytest.raises(ValueError, match="cross-attention"):
-        g.predict_velocity(_clip(0), 0.5, c=0, encoder_penultimate=Tensor(np.zeros((1, 4, 64))))
 
 
 def test_context_changes_output_after_head_unlock():
@@ -147,49 +145,26 @@ def test_lora_is_exact_identity_at_enable():
         g.enable_lora(rank=4, rng=seeding.stream(3, 0xAB))
 
 
-def test_cross_attention_is_exact_noop_at_init():
-    """The zero-initialized cross-attention enhancement adds exactly nothing."""
-    enc, g = training.build_models(2, cross_attn=True)
-    g.out_proj.weight.data[:] = np.random.default_rng(13).normal(0, 0.05, g.out_proj.weight.shape)
-    hist = np.random.default_rng(14).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    x = _clip(15)
-    kv = Tensor(np.random.default_rng(16).normal(size=(1, 6, 64)).astype(np.float32))
-    with no_grad():
-        ctx = enc.compress(hist)
-        plain = g.predict_velocity(x, 0.6, 1, ctx=ctx, frame_indices=[3, 8]).numpy()
-        enhanced = g.predict_velocity(
-            x, 0.6, 1, ctx=ctx, frame_indices=[3, 8], encoder_penultimate=kv
-        ).numpy()
-    assert np.array_equal(plain, enhanced)
-
-
-# -- enlarged-patchifier variant -------------------------------------------------------
+# -- enlarged-patchifier encoder ------------------------------------------------------
 
 
 def test_large_patchifier_token_budget_matches_rate():
-    _, g = training.build_models(3, arch="large_patchifier", rate=(4, 4, 2))
-    kernel, proj = g.hist_patch
-    assert int(np.prod(kernel)) == CompressionRate(4, 4, 2).volume
+    """Rate-sized blocks times one linear map, one token per block, in provenance order."""
+    enc, _ = training.build_models(3, rate=(4, 4, 2), variant="large_patchifier")
     hist = np.random.default_rng(17).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    from memctx.dit import _kernel_patchify
-
     with no_grad():
-        tokens = _kernel_patchify(hist, kernel, proj)
-    assert tokens.shape[1] == (24 // kernel[0]) * (8 // kernel[1]) * (8 // kernel[2])
-
-
-def test_large_patchifier_volume_mismatch_rejected():
-    g = _model()
-    with pytest.raises(ValueError, match="reduces by"):
-        large_patchifier_variant(g, (2, 2, 2), CompressionRate(4, 4, 2), seeding.stream(0, 1))
-
-
-def test_large_patchifier_forward_runs():
-    _, g = training.build_models(4, arch="large_patchifier", rate=(4, 4, 2))
-    hist = np.random.default_rng(18).normal(size=(1, 24, 8, 8, 4)).astype(np.float32)
-    with no_grad():
-        v = g.predict_velocity(_clip(19), 0.5, 0, frame_indices=[2, 7], raw_history=hist)
-    assert v.shape == (1, 2, 8, 8, 4)
+        ctx = enc.compress(hist)
+    kt, kh, kw = 2, 4, 4  # (r_t, r_h, r_w)
+    blocks = (
+        hist.reshape(24 // kt, kt, 8 // kh, kh, 8 // kw, kw, 4)
+        .transpose(0, 2, 4, 1, 3, 5, 6)
+        .reshape(-1, kt * kh * kw * 4)
+    )
+    oracle = blocks @ enc.patch_proj.weight.numpy().T + enc.patch_proj.bias.numpy()
+    assert ctx.tokens.shape == (1, enc.token_count(24, 8, 8), 64)
+    assert ctx.length == 24 * 8 * 8 // CompressionRate(4, 4, 2).volume
+    assert np.allclose(ctx.tokens.numpy()[0], oracle, atol=1e-6)
+    assert enc.parameters() == [enc.patch_proj.weight, enc.patch_proj.bias]
 
 
 # -- multi-encoder context positioning -----------------------------------------------

@@ -97,3 +97,10 @@ def test_empty_session_errors():
         sess.step()
     with pytest.raises(ValueError):
         sess.run(0)
+
+
+def test_tuple_seeded_session_runs():
+    """Experiment recipes seed sessions with a (seed, stream) tuple."""
+    sess_a, _ = _session(seed=(3, 0x2011))
+    sess_b, _ = _session(seed=(3, 0x2011))
+    assert np.array_equal(sess_a.run(1)[0], sess_b.run(1)[0])

@@ -10,9 +10,7 @@ from memctx.tensor import (
     backward,
     concat,
     default_dtype,
-    elementwise,
     no_grad,
-    reduce,
     set_debug_checks,
     tensor,
     using_dtype,
@@ -220,18 +218,6 @@ def test_zeros_and_tensor_helpers():
     z = zeros((2, 3), requires_grad=True)
     assert z.shape == (2, 3) and z.requires_grad
     assert tensor([1.0, 2.0]).shape == (2,)
-
-
-def test_elementwise_dispatcher_matches_methods():
-    a = Tensor(RNG.standard_normal((3, 3)))
-    b = Tensor(RNG.standard_normal((3, 3)))
-    np.testing.assert_allclose(elementwise("add", a, b).numpy(), a.numpy() + b.numpy())
-    np.testing.assert_allclose(elementwise("mul", a, b).numpy(), a.numpy() * b.numpy())
-
-
-def test_reduce_dispatcher_empty_axes_is_identity():
-    a = Tensor(RNG.standard_normal((3, 3)))
-    np.testing.assert_allclose(reduce("sum", a, axes=()).numpy(), a.numpy())
 
 
 def test_reduce_invalid_axis_raises():
