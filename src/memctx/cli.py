@@ -3,8 +3,9 @@
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
 unknown key, a value out of range), a missing file, an unknown experiment
 recipe, or a checkpoint that does not fit (bad magic, unsupported version,
-truncated file, unknown dtype, missing or mis-shaped parameters); 3 for a
-runtime or numeric failure: diverged training, or any other ValueError or
+truncated file, unknown dtype, missing or mis-shaped parameters or optimizer
+state); 3 for a runtime or numeric failure: diverged training, a rollout past
+the DiT's temporal position table, or any other ValueError or
 ArithmeticError.  All commands are deterministic given config + seed;
 checkpoints are written atomically and training can resume from them.
 """
@@ -81,7 +82,10 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
         checkpoint.restore_into(named, params)
         if opt_arrays is not None:
             optimizer = training.nn.Adam(training._all_params(enc, g), lr=tr["lr"])
-            optimizer.load_state_arrays(opt_arrays)
+            try:
+                optimizer.load_state_arrays(opt_arrays)
+            except (KeyError, ValueError) as e:
+                raise checkpoint.CheckpointMismatch(f"{resume} does not fit this model: {e}") from None
     log_path = os.path.join(out_dir, out_name + ".log")
     log_lines = []
     eval_ds = None

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import nn
-from .tensor import Tensor, concat
+from .tensor import Tensor, as_default_dtype, concat, default_dtype
 
 __all__ = [
     "CompressionRate",
@@ -129,7 +129,8 @@ class EncoderModel:
             self.convs.append(nn.Conv3dLayer(c_in, c_out, kernel, stride, padding, rng))
             c_in = c_out
         self.attn = nn.AttentionLayer(c_in, heads, rng)
-        self._pos_rng_state = rng.normal(0.0, 0.02, size=(65536,))  # fixed pool for pos embeds
+        # fixed pool for pos embeds
+        self._pos_rng_state = rng.normal(0.0, 0.02, size=(65536,)).astype(default_dtype())
         self.hr_proj = nn.Linear(c_in, model_dim, rng)
         self.lr_proj = nn.Linear(latent_channels, model_dim, rng)
         self._pos_params = {}
@@ -163,7 +164,7 @@ class EncoderModel:
 
     def compress_chunk(self, chunk: Tensor) -> Tensor:
         """Compress one (N, chunk_len, H, W, C) chunk into (N, L_chunk, D) tokens."""
-        chunk = chunk if isinstance(chunk, Tensor) else Tensor(chunk)
+        chunk = as_default_dtype(chunk)
         n, t, h, w, c = chunk.shape
         if t != self.chunk_len:
             raise ValueError(f"chunk temporal extent {t} != chunk length {self.chunk_len}")
@@ -200,7 +201,7 @@ class EncoderModel:
 
     def compress(self, history) -> CompressedContext:
         """Compress a full (T, H, W, C) or (N, T, H, W, C) latent history."""
-        x = history if isinstance(history, Tensor) else Tensor(np.asarray(history))
+        x = as_default_dtype(history)
         if x.ndim == 4:
             x = x.reshape((1,) + x.shape)
         self._check_geometry(x.shape)
@@ -238,7 +239,7 @@ class EncoderModel:
 
     def compress_streaming(self, prior: CompressedContext | None, new_chunk) -> CompressedContext:
         """Extend a compressed context by one chunk without recomputation."""
-        chunk = new_chunk if isinstance(new_chunk, Tensor) else Tensor(np.asarray(new_chunk))
+        chunk = as_default_dtype(new_chunk)
         if chunk.ndim == 4:
             chunk = chunk.reshape((1,) + chunk.shape)
         if chunk.shape[1] != self.chunk_len:
@@ -271,24 +272,28 @@ class EncoderModel:
         if self.variant == "large_patchifier":
             proj = self.patch_proj
             return {f"{prefix}.patch_proj.w": proj.weight, f"{prefix}.patch_proj.b": proj.bias}
+        # only what compress_chunk reads: the constructor draws every branch,
+        # so each variant's seeded values match the dual encoder's
         out = {}
-        for i, conv in enumerate(self.convs):
-            out[f"{prefix}.conv{i}.w"] = conv.weight
-            out[f"{prefix}.conv{i}.b"] = conv.bias
-        for name, lin in (("q", self.attn.wq), ("k", self.attn.wk), ("v", self.attn.wv), ("o", self.attn.wo)):
-            out[f"{prefix}.attn.{name}.w"] = lin.weight
-            out[f"{prefix}.attn.{name}.b"] = lin.bias
-        out[f"{prefix}.hr_proj.w"] = self.hr_proj.weight
-        out[f"{prefix}.hr_proj.b"] = self.hr_proj.bias
-        out[f"{prefix}.lr_proj.w"] = self.lr_proj.weight
-        out[f"{prefix}.lr_proj.b"] = self.lr_proj.bias
+        if self.variant != "only_lr":
+            for i, conv in enumerate(self.convs):
+                out[f"{prefix}.conv{i}.w"] = conv.weight
+                out[f"{prefix}.conv{i}.b"] = conv.bias
+            for name, lin in (("q", self.attn.wq), ("k", self.attn.wk), ("v", self.attn.wv), ("o", self.attn.wo)):
+                out[f"{prefix}.attn.{name}.w"] = lin.weight
+                out[f"{prefix}.attn.{name}.b"] = lin.bias
+            out[f"{prefix}.hr_proj.w"] = self.hr_proj.weight
+            out[f"{prefix}.hr_proj.b"] = self.hr_proj.bias
+        if self.variant != "without_lr":
+            out[f"{prefix}.lr_proj.w"] = self.lr_proj.weight
+            out[f"{prefix}.lr_proj.b"] = self.lr_proj.bias
         for key, p in self._pos_params.items():
             out[f"{prefix}.pos.{key}"] = p
         return out
 
     def materialize_pos(self, h: int, w: int):
         """Create the chunk positional table for a geometry ahead of checkpointing."""
-        if self.variant != "large_patchifier":
+        if self.variant in ("dual", "without_lr"):
             self._chunk_pos(self.token_count(self.chunk_len, h, w))
 
 

@@ -29,7 +29,6 @@ DEFAULTS = {
         "rate": [4, 4, 2],
         "variant": "dual",
         "chunk_len": 8,
-        "model_dim": 64,
     },
     "dit": {
         "inner_dim": 64,
@@ -77,7 +76,6 @@ _VALIDATORS = {
     ),
     "encoder.variant": lambda v: v in VARIANTS,
     "encoder.chunk_len": lambda v: isinstance(v, int) and v >= 1,
-    "encoder.model_dim": lambda v: isinstance(v, int) and v >= 8,
     "dit.inner_dim": lambda v: isinstance(v, int) and v >= 8,
     "dit.blocks": lambda v: isinstance(v, int) and v >= 1,
     "dit.heads": lambda v: isinstance(v, int) and v >= 1,
@@ -121,7 +119,7 @@ def _merge(defaults, user, path=""):
             out[key] = json.loads(json.dumps(dval)) if isinstance(dval, (dict, list)) else dval
     unknown = set(user) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown config key {path}{sorted(unknown)[0]!r}")
+        raise ConfigError(f"unknown config key {path + sorted(unknown)[0]!r}")
     return out
 
 

@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from . import seeding
 from .data import FrameIndexSet
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, as_default_dtype, default_dtype, no_grad
 
 __all__ = [
     "FlowSample",
@@ -125,7 +125,7 @@ def retrieval_loss(
     if freeze_encoder:
         ctx = dataclasses.replace(ctx, tokens=ctx.tokens.detach())
     pred = g.predict_velocity(x_t, t, c, ctx=ctx, frame_indices=list(omega.indices))
-    resid = pred - Tensor((eps - target).astype(h.dtype))
+    resid = pred - as_default_dtype(eps - target)
     return resid.square().mean()
 
 
@@ -171,7 +171,7 @@ def finetune_loss(
         window_latents=window_latents,
         window_frame_indices=window_frame_indices,
     )
-    resid = pred - Tensor((eps - x0).astype(h.dtype))
+    resid = pred - as_default_dtype(eps - x0)
     return resid.square().mean()
 
 
@@ -190,7 +190,7 @@ def sample(
     if steps < 1:
         raise ValueError("need at least one integration step")
     rng = seeding.stream(seed, 0x5A3B)
-    x = rng.standard_normal(shape).astype(np.float32)
+    x = rng.standard_normal(shape).astype(default_dtype())
     dt = 1.0 / steps
     with no_grad():
         for i in range(steps):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .compressor import CompressedContext
-from .tensor import Tensor, concat
+from .tensor import Tensor, as_default_dtype, concat, default_dtype
 
 __all__ = ["DiTModel"]
 
@@ -55,8 +55,8 @@ class _Block:
 
 class _LayerNormParams:
     def __init__(self, dim):
-        self.gain = Tensor(np.ones(dim), requires_grad=True)
-        self.shift = Tensor(np.zeros(dim), requires_grad=True)
+        self.gain = Tensor(np.ones(dim, dtype=default_dtype()), requires_grad=True)
+        self.shift = Tensor(np.zeros(dim, dtype=default_dtype()), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return nn.layernorm(x, self.gain, self.shift)
@@ -127,7 +127,7 @@ class DiTModel:
 
     def patchify(self, x: Tensor) -> Tensor:
         """(N, T, H, W, C) -> (N, L, D) tokens, t-major ordering."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+        x = as_default_dtype(x)
         n = x.shape[0]
         gt, gh, gw = self._grid(x.shape)
         pt, ph, pw = self.patch
@@ -158,13 +158,13 @@ class DiTModel:
         t_idx, s_idx, e_idx = [], [], []
         for enc_id, _chunk, t0, _t1, hi, wi in ctx.provenance:
             rate = ctx.rates[min(enc_id, len(ctx.rates) - 1)]
-            t_idx.append(min(int(t0), self.max_frames - 1))
+            t_idx.append(int(t0))
             hp = min(int(hi) * rate.r_h // ph, gh - 1)
             wp = min(int(wi) * rate.r_w // pw, gw - 1)
             s_idx.append(hp * gw + wp)
             e_idx.append(int(enc_id))
         return (
-            self.temporal_emb(np.asarray(t_idx))
+            self._temporal(t_idx)
             + self.spatial_emb(np.asarray(s_idx))
             + self.ctx_emb(np.asarray(e_idx))
         )
@@ -178,7 +178,18 @@ class DiTModel:
             raise ValueError("need one global frame index per target frame")
         t_idx = np.repeat(np.asarray(frame_indices)[::pt], gh * gw)
         s_idx = np.tile(np.arange(gh * gw), gt)
-        return self.temporal_emb(t_idx) + self.spatial_emb(s_idx)
+        return self._temporal(t_idx) + self.spatial_emb(s_idx)
+
+    def _temporal(self, frames) -> Tensor:
+        """Temporal-table rows for global frame indices; refuses frames past the table."""
+        frames = np.asarray(frames, dtype=np.int64)
+        outside = frames[(frames < 0) | (frames >= self.max_frames)]
+        if outside.size:
+            raise ValueError(
+                f"frame {int(outside[0])} is outside the {self.max_frames}-frame temporal "
+                f"position table (frames 0 to {self.max_frames - 1})"
+            )
+        return self.temporal_emb(frames)
 
     # -- forward -------------------------------------------------------------
 
@@ -197,8 +208,9 @@ class DiTModel:
         ``frame_indices`` give the global time position of each target
         frame (retrieval targets sit at their history indices).  The
         optional window latents enter uncompressed through the patchifier.
+        Float inputs, the context tokens included, are cast to the default dtype.
         """
-        x_t = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t))
+        x_t = as_default_dtype(x_t)
         if x_t.ndim == 4:
             x_t = x_t.reshape((1,) + x_t.shape)
         n = x_t.shape[0]
@@ -211,7 +223,7 @@ class DiTModel:
         segments.append(self.cond_emb(c_idx).reshape(n, 1, self.inner_dim))
 
         if ctx is not None:
-            ctx_tokens = ctx.tokens
+            ctx_tokens = as_default_dtype(ctx.tokens)
             if ctx_tokens.ndim == 2:
                 ctx_tokens = ctx_tokens.reshape((1,) + ctx_tokens.shape)
             if ctx_tokens.shape[0] == 1 and n > 1:
@@ -219,7 +231,7 @@ class DiTModel:
             segments.append(ctx_tokens + self._ctx_pos(ctx, (x_t.shape[2], x_t.shape[3])))
 
         if window_latents is not None:
-            win = window_latents if isinstance(window_latents, Tensor) else Tensor(np.asarray(window_latents))
+            win = as_default_dtype(window_latents)
             if win.ndim == 4:
                 win = win.reshape((1,) + win.shape)
             win_tokens = self.patchify(win)

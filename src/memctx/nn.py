@@ -29,13 +29,18 @@ __all__ = [
 ]
 
 
+def _param(values) -> Tensor:
+    """A trainable leaf in the default dtype: float64 draws are rounded, not redrawn."""
+    return Tensor(np.asarray(values, dtype=default_dtype()), requires_grad=True)
+
+
 class Linear:
     """y = x @ W.T + b with W of shape (out, in)."""
 
     def __init__(self, in_dim, out_dim, rng, bias=True, init_scale=None):
         scale = init_scale if init_scale is not None else (1.0 / np.sqrt(in_dim))
-        self.weight = Tensor(rng.normal(0.0, scale, size=(out_dim, in_dim)), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
+        self.weight = _param(rng.normal(0.0, scale, size=(out_dim, in_dim)))
+        self.bias = _param(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = x @ self.weight.transpose(1, 0)
@@ -64,8 +69,8 @@ class LoraLinear:
             base.bias.requires_grad = False
         self.rank = rank
         self.alpha = float(alpha) if alpha is not None else 2.0 * rank
-        self.A = Tensor(np.zeros((out_dim, rank)), requires_grad=True)
-        self.B = Tensor(rng.normal(0.0, 0.02, size=(rank, in_dim)), requires_grad=True)
+        self.A = _param(np.zeros((out_dim, rank)))
+        self.B = _param(rng.normal(0.0, 0.02, size=(rank, in_dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
         y = x @ self.base.weight.transpose(1, 0)
@@ -88,11 +93,10 @@ class Conv3dLayer:
         self.stride = tuple(stride)
         self.padding = tuple(padding)
         fan_in = in_channels * int(np.prod(self.kernel))
-        self.weight = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out_channels, in_channels) + self.kernel),
-            requires_grad=True,
+        self.weight = _param(
+            rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out_channels, in_channels) + self.kernel)
         )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.bias = _param(np.zeros(out_channels))
 
     def output_extents(self, extents):
         out = []
@@ -251,7 +255,7 @@ class Embedding:
     """Learned lookup table of shape (vocab, dim)."""
 
     def __init__(self, vocab, dim, rng, scale=0.02):
-        self.table = Tensor(rng.normal(0.0, scale, size=(vocab, dim)), requires_grad=True)
+        self.table = _param(rng.normal(0.0, scale, size=(vocab, dim)))
 
     def __call__(self, idx) -> Tensor:
         return self.table.index_select(np.asarray(idx, dtype=np.int64))
@@ -261,12 +265,15 @@ class Embedding:
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
-    """Classic sin/cos embedding of scalar timesteps; returns (N, dim)."""
+    """Classic sin/cos embedding of scalar timesteps; returns (N, dim) in the default dtype.
+
+    Angles are computed in float64 and rounded once at the end.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     ang = t[:, None] * freqs[None, :] * 1000.0
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(default_dtype())
 
 
 class Adam:
@@ -307,6 +314,11 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays):
+        """Restore the moments, cast to each parameter's dtype (older checkpoints hold float64)."""
+        for i, p in enumerate(self.params):
+            shape = arrays[f"adam.m.{i}"].shape
+            if shape != p.data.shape:
+                raise ValueError(f"optimizer state {i} has shape {shape}, its parameter {p.data.shape}")
         self.step_count = int(arrays["adam.step"][0])
-        self.m = [arrays[f"adam.m.{i}"].copy() for i in range(len(self.params))]
-        self.v = [arrays[f"adam.v.{i}"].copy() for i in range(len(self.params))]
+        self.m = [arrays[f"adam.m.{i}"].astype(p.data.dtype) for i, p in enumerate(self.params)]
+        self.v = [arrays[f"adam.v.{i}"].astype(p.data.dtype) for i, p in enumerate(self.params)]

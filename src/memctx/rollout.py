@@ -13,7 +13,7 @@ import numpy as np
 from . import diffusion
 from .compressor import CompressedContext
 from .metrics import psnr
-from .tensor import no_grad
+from .tensor import default_dtype, no_grad
 
 __all__ = ["RolloutSession"]
 
@@ -44,7 +44,7 @@ class RolloutSession:
         self.ctx: CompressedContext | None = None
         self.steps_taken = 0
         if seed_clip is not None:
-            self._append(np.asarray(seed_clip, dtype=np.float32))
+            self._append(np.asarray(seed_clip, dtype=default_dtype()))
 
     # -- state ------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ __all__ = [
     "Tensor",
     "tensor",
     "zeros",
+    "as_default_dtype",
     "backward",
     "concat",
     "set_default_dtype",
@@ -40,7 +41,16 @@ def _st():
 
 
 def set_default_dtype(name: str) -> None:
-    """Select 'float32' (default) or 'float64' (gradient-check headroom)."""
+    """Select the dtype models are built and run in: 'float32' (default) or 'float64'.
+
+    Parameters and sinusoidal tables are created in it, and model entry
+    points (``DiTModel.predict_velocity``, ``EncoderModel.compress`` and
+    ``compress_streaming``, ``diffusion.sample``) cast their float inputs to
+    it with :func:`as_default_dtype`, so every activation follows.  Set it
+    before building a model: existing parameters keep their dtype.
+    ``Tensor(x)`` keeps a float array's dtype.
+    Use float64 (``using_dtype("float64")``) for gradient-check headroom.
+    """
     if name not in ("float32", "float64"):
         raise ValueError(f"unsupported dtype {name!r}")
     _st().dtype = np.dtype(name).type
@@ -221,6 +231,13 @@ class Tensor:
     def __neg__(self):
         return Tensor._make(-self.data, (self,), lambda g: (-g,))
 
+    def astype(self, dtype) -> "Tensor":
+        """Differentiable cast; the tensor itself when it already has ``dtype``."""
+        if self.dtype == dtype:
+            return self
+        src = self.dtype
+        return Tensor._make(self.data.astype(dtype), (self,), lambda g: (g.astype(src),))
+
     def scale(self, s: float) -> "Tensor":
         s = float(s)
         return Tensor._make(self.data * s, (self,), lambda g: (g * s,))
@@ -350,7 +367,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             mask = (src == expanded)
             # ties split gradient evenly; a strict-max input routes to one slot
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            counts = mask.sum(axis=axis, keepdims=axis is not None, dtype=g.dtype)
             return (mask * (g / counts),)
 
         return Tensor._make(np.asarray(data), (self,), vjp)
@@ -432,6 +449,14 @@ def backward(loss: Tensor) -> None:
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
+
+
+def as_default_dtype(x) -> Tensor:
+    """``x`` as a Tensor in the default dtype: arrays are converted, Tensors cast differentiably.
+
+    Model entry points pass their float inputs through this.
+    """
+    return Tensor._coerce(x).astype(default_dtype())
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -35,6 +35,14 @@ def test_config_rejects_removed_dit_keys():
     assert cfg["encoder"]["variant"] == "large_patchifier"
 
 
+def test_cli_rejects_encoder_model_dim(tmp_path, capsys):
+    """The encoder is as wide as dit.inner_dim; a separate width key would be ignored."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"encoder": {"model_dim": 32}}))
+    assert cli.main(["pretrain", str(path)]) == cli.EXIT_CONFIG
+    assert "unknown config key 'encoder.model_dim'" in capsys.readouterr().err
+
+
 def test_config_field_validation():
     with pytest.raises(config.ConfigError, match="training.steps"):
         config.validate_config({"training": {"steps": 0}})
@@ -266,3 +274,41 @@ def test_cli_truncated_checkpoint_is_config_error(trained_checkpoint, tmp_path, 
     short.write_bytes(blob[:cut])
     assert cli.main(["rollout", cfg_path, str(short)]) == cli.EXIT_CONFIG
     assert "truncated" in capsys.readouterr().err
+
+
+def test_cli_rollout_past_the_temporal_table_is_runtime_error(tmp_path, capsys):
+    """24 clips reach frame 192, one past the DiT's temporal table: exit 3, no traceback."""
+    cfg_path = _tiny_cfg(tmp_path, training={"steps": 1}, rollout={"n_steps": 24})
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    capsys.readouterr()
+    ckpt = str(tmp_path / "out" / "pretrain.mcck")
+    assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "192-frame temporal position table" in err
+    assert "Traceback" not in err
+
+
+def test_resume_from_float64_checkpoint_is_float32(tmp_path):
+    """Checkpoints written with float64 parameters and moments resume in the default dtype."""
+    cfg_path = _tiny_cfg(tmp_path, training={"steps": 2})
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    ckpt = str(tmp_path / "out" / "pretrain.mcck")
+    params, step, opt, _ = checkpoint.load_checkpoint(ckpt)
+    assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}
+    old = str(tmp_path / "float64.mcck")
+    checkpoint.save_checkpoint(
+        old,
+        {k: a.astype(np.float64) for k, a in params.items()},
+        config.load_config(cfg_path),
+        step,
+        {k: a.astype(np.float64) for k, a in opt.items()},
+    )
+
+    longer = _tiny_cfg(tmp_path, training={"steps": 3}, output={"dir": str(tmp_path / "resumed")})
+    assert cli.main(["pretrain", longer, "--resume", old]) == cli.EXIT_OK
+    params, step, opt, _ = checkpoint.load_checkpoint(str(tmp_path / "resumed" / "pretrain.mcck"))
+    assert step == 3
+    assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}
+    moments = [a for k, a in opt.items() if k.startswith(("adam.m.", "adam.v."))]
+    assert len(moments) == 2 * len(params)
+    assert {a.dtype for a in moments} == {np.dtype(np.float32)}

@@ -190,3 +190,18 @@ def test_tokens_carry_gradients():
     backward(ctx.tokens.square().mean())
     grads = [p.grad for p in enc.parameters()]
     assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
+
+
+@pytest.mark.parametrize("variant", ["dual", "only_lr", "without_lr", "large_patchifier"])
+def test_every_named_parameter_receives_a_gradient(variant):
+    """Checkpoints and Adam list only what the variant reads: one retrieval
+    backward reaches every named parameter, encoder and DiT alike."""
+    from memctx import cli, data, diffusion, training
+    from memctx.tensor import backward
+
+    enc, g = training.build_models(0, variant=variant, model_dim=16, n_blocks=1, n_heads=2)
+    named = cli._named_params(enc, g)
+    history = _history(8, batch=2)
+    omega = data.sample_omega(history.shape[1], (0, 1))
+    backward(diffusion.retrieval_loss(g, enc, history, omega, [0, 1], seed=2))
+    assert [name for name, p in named.items() if p.grad is None] == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memctx import seeding, training
-from memctx.compressor import CompressionRate
+from memctx.compressor import CompressedContext, CompressionRate
 from memctx.dit import DiTModel
 from memctx.tensor import Tensor, no_grad
 
@@ -182,3 +182,19 @@ def test_ctx_positions_accept_combined_contexts():
         ctx = combine_contexts([enc_a.compress(hist), enc_b.compress(hist)])
         v = g.predict_velocity(_clip(22), 0.5, 0, ctx=ctx, frame_indices=[1, 6])
     assert v.shape == (1, 2, 8, 8, 4)
+
+
+def test_frames_past_the_temporal_table_are_refused():
+    """Positions past the 192-row table raise instead of failing to index or aliasing."""
+    g = _model(inner_dim=16, n_blocks=1, n_heads=2)
+    x = _clip(30)
+    with no_grad(), pytest.raises(ValueError, match="192-frame temporal position table"):
+        g.predict_velocity(x, 0.5, c=0, frame_indices=[191, 192])
+    ctx = CompressedContext(
+        tokens=Tensor(np.zeros((1, 1, 16), np.float32)),
+        provenance=[(0, 24, 192, 194, 0, 0)],
+        rates=(CompressionRate(4, 4, 2),),
+        span_frames=200,
+    )
+    with no_grad(), pytest.raises(ValueError, match="frame 192 is outside"):
+        g.predict_velocity(x, 0.5, c=0, ctx=ctx, frame_indices=[0, 1])

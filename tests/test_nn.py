@@ -385,3 +385,16 @@ def test_adam_state_round_trip_resumes_identically():
         backward(((p - noise) * (p - noise)).sum())
         opt.step()
     np.testing.assert_array_equal(p.data, full)
+
+
+def test_adam_state_load_casts_moments_and_checks_shapes():
+    p = Tensor(np.ones(3, np.float32), requires_grad=True)
+    opt = nn.Adam([p])
+    state = {"adam.step": np.array([2.0]), "adam.m.0": np.full(3, 0.5), "adam.v.0": np.full(3, 0.25)}
+    opt.load_state_arrays(state)
+    assert opt.step_count == 2
+    assert opt.m[0].dtype == opt.v[0].dtype == np.float32
+    np.testing.assert_array_equal(opt.v[0], np.full(3, 0.25, np.float32))
+    state["adam.m.0"] = np.zeros(4)
+    with pytest.raises(ValueError, match="optimizer state 0 has shape"):
+        opt.load_state_arrays(state)

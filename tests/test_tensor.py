@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from memctx.tensor import (
     Tensor,
+    as_default_dtype,
     backward,
     concat,
     default_dtype,
@@ -198,6 +199,24 @@ def test_default_dtype_switch_round_trip():
     with using_dtype("float64"):
         assert Tensor(np.ones(2, dtype=np.int64)).dtype == np.float64
     assert Tensor(np.ones(2, dtype=np.int64)).dtype == np.float32
+
+
+def test_as_default_dtype_casts_and_routes_gradients_back():
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    y = as_default_dtype(x)
+    assert y.dtype == np.float32
+    backward((y * y).sum())
+    assert x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+    with using_dtype("float64"):
+        assert as_default_dtype(x) is x
+        assert as_default_dtype(np.ones(2, np.float32)).dtype == np.float64
+
+
+def test_float32_gradients_stay_float32():
+    x = Tensor(RNG.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+    backward(x.max(axis=1).sum() + x.max() + x.mean(axis=0).sum())
+    assert x.grad.dtype == np.float32
 
 
 def test_invalid_dtype_rejected():
