@@ -43,7 +43,7 @@ def main():
     train_ds = training.make_dataset(100, 64)
     eval_ds = training.make_dataset(200, 4)
     enc, g = training.build_models(0, rate=(4, 4, 2))
-    opt = nn.Adam(training._all_params(enc, g), lr=3e-3)
+    opt = nn.Adam(training.named_params(enc, g), lr=3e-3)
     dist = diffusion.TimestepDistribution(mu=2.0, sigma=0.8)
 
     base = training.evaluate_retrieval_baselines(eval_ds, seed=9, n_eval=4)

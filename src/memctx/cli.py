@@ -30,11 +30,6 @@ def _load(path: str) -> dict:
     return config_mod.load_config(path)
 
 
-def _named_params(enc, g) -> dict:
-    enc.materialize_pos(data.DESK_LATENT[1], data.DESK_LATENT[2])
-    return {**g.named_parameters(), **enc.named_parameters()}
-
-
 def _build(cfg):
     enc, g = training.build_models(
         cfg["seed"],
@@ -69,7 +64,7 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     enc, g = _build(cfg)
-    named = _named_params(enc, g)
+    named = training.named_params(enc, g)
     dataset = _dataset(cfg)
     tr = cfg["training"]
     optimizer = None
@@ -81,7 +76,7 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
         params, start_step, opt_arrays, digest_ok = checkpoint.load_checkpoint(resume, cfg)
         checkpoint.restore_into(named, params)
         if opt_arrays is not None:
-            optimizer = training.nn.Adam(training._all_params(enc, g), lr=tr["lr"])
+            optimizer = training.nn.Adam(named, lr=tr["lr"])
             try:
                 optimizer.load_state_arrays(opt_arrays)
             except (KeyError, ValueError) as e:
@@ -148,7 +143,7 @@ def cmd_rollout(args) -> int:
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     enc, g = _build(cfg)
-    named = _named_params(enc, g)
+    named = training.named_params(enc, g)
     params, _, _, _ = checkpoint.load_checkpoint(args.checkpoint, cfg)
     checkpoint.restore_into(named, params)
     dataset = _dataset(cfg)

@@ -155,19 +155,15 @@ class DiTModel:
         h_lat, w_lat = latent_hw
         _, ph, pw = self.patch
         gh, gw = h_lat // ph, w_lat // pw
-        t_idx, s_idx, e_idx = [], [], []
-        for enc_id, _chunk, t0, _t1, hi, wi in ctx.provenance:
-            rate = ctx.rates[min(enc_id, len(ctx.rates) - 1)]
-            t_idx.append(int(t0))
-            hp = min(int(hi) * rate.r_h // ph, gh - 1)
-            wp = min(int(wi) * rate.r_w // pw, gw - 1)
-            s_idx.append(hp * gw + wp)
-            e_idx.append(int(enc_id))
-        return (
-            self._temporal(t_idx)
-            + self.spatial_emb(np.asarray(s_idx))
-            + self.ctx_emb(np.asarray(e_idx))
-        )
+        prov = np.asarray(ctx.provenance, dtype=np.int64).reshape(-1, 6)
+        enc_id, t0, hi, wi = prov[:, 0], prov[:, 2], prov[:, 4], prov[:, 5]
+        # encoders past the rate list reuse its last rate
+        which = np.minimum(enc_id, len(ctx.rates) - 1)
+        r_h = np.asarray([r.r_h for r in ctx.rates])[which]
+        r_w = np.asarray([r.r_w for r in ctx.rates])[which]
+        hp = np.minimum(hi * r_h // ph, gh - 1)
+        wp = np.minimum(wi * r_w // pw, gw - 1)
+        return self._temporal(t0) + self.spatial_emb(hp * gw + wp) + self.ctx_emb(enc_id)
 
     def _target_pos(self, shape, frame_indices) -> Tensor:
         gt, gh, gw = self._grid(shape)

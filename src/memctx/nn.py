@@ -97,6 +97,7 @@ class Conv3dLayer:
             rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(out_channels, in_channels) + self.kernel)
         )
         self.bias = _param(np.zeros(out_channels))
+        self._plans = {}  # input (T, H, W) -> (output extents, padded extents, gather index)
 
     def output_extents(self, extents):
         out = []
@@ -110,6 +111,25 @@ class Conv3dLayer:
             out.append(m)
         return tuple(out)
 
+    def _plan(self, extents):
+        """Output extents, padded extents and the im2col gather index for one input geometry.
+
+        The index has shape (M, C·K), M = T'·H'·W' output positions and
+        K = kt·kh·kw kernel taps; entry [m, c·K + tap] is the flat position in
+        the padded (C, Tp, Hp, Wp) volume that tap reads for channel c at m,
+        so the columns come out in ``weight.reshape(O, -1)``'s order.
+        """
+        plan = self._plans.get(extents)
+        if plan is None:
+            out_ext = self.output_extents(extents)
+            padded = tuple(n + 2 * p for n, p in zip(extents, self.padding))
+            starts = _flat_offsets(padded, [np.arange(m) * s for m, s in zip(out_ext, self.stride)])
+            taps = _flat_offsets(padded, [np.arange(k) for k in self.kernel])
+            chans = np.arange(self.in_channels) * int(np.prod(padded))
+            idx = starts[:, None, None] + chans[None, :, None] + taps[None, None, :]
+            plan = self._plans[extents] = (out_ext, padded, idx.reshape(len(starts), -1))
+        return plan
+
     def __call__(self, x: Tensor) -> Tensor:
         return conv3d_forward(self, x)
 
@@ -117,44 +137,65 @@ class Conv3dLayer:
         return [self.weight, self.bias]
 
 
+def _flat_offsets(extents, coords):
+    """Row-major flat offsets in a volume of ``extents`` for the grid of per-axis ``coords``."""
+    _, h, w = extents
+    t_, h_, w_ = coords
+    return ((t_[:, None, None] * h + h_[None, :, None]) * w + w_[None, None, :]).ravel()
+
+
 def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
+    """Strided 3D cross-correlation as one gather and one GEMM (im2col).
+
+    The layer caches, per input extents, a gather index into the flattened
+    zero-padded input (see ``Conv3dLayer._plan``).  The forward pass writes
+    the input into a zero buffer, gathers the (N·M, C·K) column matrix in one
+    ``np.take`` and multiplies it by ``weight.reshape(O, -1).T`` in a single
+    GEMM.  Backward forms the weight gradient as one GEMM over the N·M rows
+    and the bias gradient as one sum.  The input gradient is built only when
+    ``x`` required a gradient at forward time (a data chunk never does), by
+    scattering the column gradient back through the same index one kernel
+    tap at a time in (i, j, k) order; within a tap the positions are
+    distinct, so it sums in the same order as a per-tap strided-slice scatter.
+
+    Numerics: the GEMM shapes decide BLAS's blocking, so forward outputs and
+    weight gradients can differ from a differently shaped product at the
+    dtype's rounding level; input gradients do not depend on that blocking.
+    """
     if x.ndim != 5:
         raise ValueError(f"conv3d expects (N, C, T, H, W), got shape {x.shape}")
     if x.shape[1] != layer.in_channels:
         raise ValueError(f"conv3d channel mismatch: input {x.shape[1]}, layer {layer.in_channels}")
-    out_ext = layer.output_extents(x.shape[2:])
-    kt, kh, kw = layer.kernel
-    st, sh, sw = layer.stride
+    n, c, t, h, wd = x.shape
+    out_ext, padded, idx = layer._plan((t, h, wd))
     pt, ph, pw = layer.padding
     w, b = layer.weight, layer.bias
+    o = layer.out_channels
+    m = idx.shape[0]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))
-    win = win[:, :, ::st, ::sh, ::sw]  # (N, C, T', H', W', kt, kh, kw)
-    n = x.shape[0]
-    cols = np.ascontiguousarray(np.moveaxis(win, 1, 4)).reshape(
-        n, *out_ext, layer.in_channels * kt * kh * kw
-    )
-    wmat = w.data.reshape(layer.out_channels, -1)
-    out = cols @ wmat.T + b.data
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))  # (N, O, T', H', W')
+    xp = np.zeros((n, c) + padded, dtype=x.dtype)
+    xp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd] = x.data
+    cols = np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * m, -1)  # (N·M, C·K)
+    wmat = w.data.reshape(o, -1)
+    out = cols @ wmat.T
+    out += b.data
+    out = np.ascontiguousarray(out.reshape(n, m, o).transpose(0, 2, 1)).reshape((n, o) + out_ext)
+    input_grad = x.requires_grad
 
     def vjp(g):
-        gtok = np.moveaxis(g, 1, -1)  # (N, T', H', W', O)
-        gw = np.tensordot(gtok, cols, axes=([0, 1, 2, 3], [0, 1, 2, 3])).reshape(w.shape)
-        gb = gtok.sum(axis=(0, 1, 2, 3))
-        # scatter into the padded input, one kernel offset at a time
-        gcols = (gtok @ wmat).reshape(n, *out_ext, layer.in_channels, kt, kh, kw)
-        gcols = np.moveaxis(gcols, 4, 1)  # (N, C, T', H', W', kt, kh, kw)
-        gxp = np.zeros_like(xp)
-        tt, hh, ww = out_ext
-        for i in range(kt):
-            for j in range(kh):
-                for k in range(kw):
-                    gxp[:, :, i : i + st * tt : st, j : j + sh * hh : sh, k : k + sw * ww : sw] += (
-                        gcols[..., i, j, k]
-                    )
-        gx = gxp[:, :, pt : pt + x.shape[2], ph : ph + x.shape[3], pw : pw + x.shape[4]]
+        gmat = g.reshape(n, o, m).transpose(0, 2, 1).reshape(n * m, o)
+        gw = (gmat.T @ cols).reshape(w.shape)
+        gb = g.sum(axis=(0, 2, 3, 4))
+        if not input_grad:
+            return (None, gw, gb)
+        gcols = (gmat @ wmat).reshape(n, m, -1)
+        n_taps = gcols.shape[-1] // c
+        volume = c * int(np.prod(padded))
+        rows = np.arange(n)[:, None, None] * volume
+        gxp = np.zeros(n * volume, dtype=x.dtype)
+        for tap in range(n_taps):
+            gxp[(rows + idx[:, tap::n_taps]).ravel()] += gcols[:, :, tap::n_taps].ravel()
+        gx = gxp.reshape((n, c) + padded)[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
         return (np.ascontiguousarray(gx), gw, gb)
 
     return Tensor._make(out, (x, w, b), vjp)
@@ -277,10 +318,17 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 class Adam:
-    """Standard Adam with in-place updates on parameter data."""
+    """Standard Adam with in-place updates on parameter data.
+
+    ``params`` is a name -> parameter mapping, or a sequence of parameters
+    named by their position; checkpointed moments are keyed by those names.
+    """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
-        self.params = [p for p in params if p.requires_grad]
+        items = params.items() if isinstance(params, dict) else enumerate(params)
+        named = [(str(name), p) for name, p in items if p.requires_grad]
+        self.names = [name for name, _ in named]
+        self.params = [p for _, p in named]
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
@@ -306,19 +354,28 @@ class Adam:
             p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
 
     def state_arrays(self):
-        """Flat name->array mapping for checkpointing."""
+        """Flat name->array mapping for checkpointing: ``adam.m.<name>``, ``adam.v.<name>``."""
         out = {"adam.step": np.asarray([self.step_count], dtype=np.float64)}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"adam.m.{i}"] = m
-            out[f"adam.v.{i}"] = v
+        for name, m, v in zip(self.names, self.m, self.v):
+            out[f"adam.m.{name}"] = m
+            out[f"adam.v.{name}"] = v
         return out
 
     def load_state_arrays(self, arrays):
-        """Restore the moments, cast to each parameter's dtype (older checkpoints hold float64)."""
-        for i, p in enumerate(self.params):
-            shape = arrays[f"adam.m.{i}"].shape
+        """Restore the moments by parameter name, cast to each parameter's dtype.
+
+        Raises ``ValueError`` unless the state names exactly this optimizer's
+        parameters, each moment with its parameter's shape.
+        """
+        saved = {k[len("adam.m."):] for k in arrays if k.startswith("adam.m.")}
+        missing = [name for name in self.names if name not in saved]
+        extra = sorted(saved - set(self.names))
+        if missing or extra:
+            raise ValueError(f"optimizer state lacks {missing[:3]} and has unknown {extra[:3]}")
+        for name, p in zip(self.names, self.params):
+            shape = arrays[f"adam.m.{name}"].shape
             if shape != p.data.shape:
-                raise ValueError(f"optimizer state {i} has shape {shape}, its parameter {p.data.shape}")
+                raise ValueError(f"optimizer state {name} has shape {shape}, its parameter {p.data.shape}")
         self.step_count = int(arrays["adam.step"][0])
-        self.m = [arrays[f"adam.m.{i}"].astype(p.data.dtype) for i, p in enumerate(self.params)]
-        self.v = [arrays[f"adam.v.{i}"].astype(p.data.dtype) for i, p in enumerate(self.params)]
+        self.m = [arrays[f"adam.m.{n}"].astype(p.data.dtype) for n, p in zip(self.names, self.params)]
+        self.v = [arrays[f"adam.v.{n}"].astype(p.data.dtype) for n, p in zip(self.names, self.params)]

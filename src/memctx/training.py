@@ -55,9 +55,10 @@ def build_models(
     return enc, g
 
 
-def _all_params(enc, g):
+def named_params(enc, g) -> dict:
+    """Every parameter by its checkpoint name, the desk chunk-position table included."""
     enc.materialize_pos(DESK_GEOMETRY[1], DESK_GEOMETRY[2])
-    return g.parameters() + enc.parameters()
+    return {**g.named_parameters(), **enc.named_parameters()}
 
 
 def pretrain_retrieval(
@@ -77,7 +78,7 @@ def pretrain_retrieval(
     lr_schedule=None,
 ):
     """Train on the frame-retrieval objective; returns (optimizer, loss_log)."""
-    opt = optimizer or nn.Adam(_all_params(enc, g), lr=lr)
+    opt = optimizer or nn.Adam(named_params(enc, g), lr=lr)
     losses = []
     t_h = dataset[0][0].shape[0]
     for step in range(start_step, steps):
@@ -121,7 +122,7 @@ def finetune_next_clip(
     lr_schedule=None,
 ):
     """Train the next-clip objective on (history, future) splits of scenes."""
-    opt = optimizer or nn.Adam(_all_params(enc, g), lr=lr)
+    opt = optimizer or nn.Adam(named_params(enc, g), lr=lr)
     losses = []
     t_total = dataset[0][0].shape[0]
     n_chunks = t_total // chunk_len

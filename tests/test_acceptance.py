@@ -251,7 +251,7 @@ def test_identical_config_and_seed_give_byte_identical_reports(tmp_path):
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     enc, g = training.build_models(9)
-    named = cli._named_params(enc, g)
+    named = training.named_params(enc, g)
     path = str(tmp_path / "model.mcck")
     checkpoint.save_checkpoint(path, named, config={"x": 1}, step=12)
     arrays, step, opt, digest_ok = checkpoint.load_checkpoint(path, config={"x": 1})

@@ -116,11 +116,11 @@ def test_restore_into_shape_checked():
 
 def test_restore_into_round_trips_model(tmp_path):
     enc, g = training.build_models(0)
-    named = cli._named_params(enc, g)
+    named = training.named_params(enc, g)
     path = str(tmp_path / "model.mcck")
     checkpoint.save_checkpoint(path, named, {"c": 1}, step=3)
     enc2, g2 = training.build_models(1)  # different init
-    named2 = cli._named_params(enc2, g2)
+    named2 = training.named_params(enc2, g2)
     loaded, _, _, _ = checkpoint.load_checkpoint(path)
     checkpoint.restore_into(named2, loaded)
     for name in named:
@@ -312,3 +312,30 @@ def test_resume_from_float64_checkpoint_is_float32(tmp_path):
     moments = [a for k, a in opt.items() if k.startswith(("adam.m.", "adam.v."))]
     assert len(moments) == 2 * len(params)
     assert {a.dtype for a in moments} == {np.dtype(np.float32)}
+
+
+def test_cli_resume_refuses_optimizer_state_under_other_names(tmp_path, capsys):
+    """Moments are keyed by parameter name: position-keyed state (as older
+    checkpoints wrote it) and state naming a parameter the model lacks both exit 2."""
+    cfg_path = _tiny_cfg(tmp_path, training={"steps": 2})
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, step, opt, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    assert {k[len("adam.m."):] for k in opt if k.startswith("adam.m.")} == set(params)
+
+    names = list(training.named_params(*cli._build(config.load_config(cfg_path))))
+    positional = {"adam.step": opt["adam.step"]}
+    for i, name in enumerate(names):
+        positional[f"adam.m.{i}"] = opt[f"adam.m.{name}"]
+        positional[f"adam.v.{i}"] = opt[f"adam.v.{name}"]
+    renamed = dict(opt)
+    renamed["adam.m.enc.conv9.w"] = renamed.pop("adam.m.enc.conv0.w")
+    renamed["adam.v.enc.conv9.w"] = renamed.pop("adam.v.enc.conv0.w")
+
+    longer = _tiny_cfg(tmp_path, training={"steps": 3})
+    for label, state in (("positional", positional), ("renamed", renamed)):
+        path = str(tmp_path / f"{label}.mcck")
+        checkpoint.save_checkpoint(path, params, config.load_config(cfg_path), step, state)
+        capsys.readouterr()
+        assert cli.main(["pretrain", longer, "--resume", path]) == cli.EXIT_CONFIG, label
+        err = capsys.readouterr().err
+        assert "does not fit this model" in err and "Traceback" not in err

@@ -196,11 +196,11 @@ def test_tokens_carry_gradients():
 def test_every_named_parameter_receives_a_gradient(variant):
     """Checkpoints and Adam list only what the variant reads: one retrieval
     backward reaches every named parameter, encoder and DiT alike."""
-    from memctx import cli, data, diffusion, training
+    from memctx import data, diffusion, training
     from memctx.tensor import backward
 
     enc, g = training.build_models(0, variant=variant, model_dim=16, n_blocks=1, n_heads=2)
-    named = cli._named_params(enc, g)
+    named = training.named_params(enc, g)
     history = _history(8, batch=2)
     omega = data.sample_omega(history.shape[1], (0, 1))
     backward(diffusion.retrieval_loss(g, enc, history, omega, [0, 1], seed=2))

@@ -184,6 +184,37 @@ def test_ctx_positions_accept_combined_contexts():
     assert v.shape == (1, 2, 8, 8, 4)
 
 
+def _loop_ctx_pos(g, ctx, latent_hw):
+    """Per-token oracle for ``DiTModel._ctx_pos``."""
+    _, ph, pw = g.patch
+    gh, gw = latent_hw[0] // ph, latent_hw[1] // pw
+    t_idx, s_idx, e_idx = [], [], []
+    for enc_id, _chunk, t0, _t1, hi, wi in ctx.provenance:
+        rate = ctx.rates[min(enc_id, len(ctx.rates) - 1)]
+        t_idx.append(t0)
+        s_idx.append(min(hi * rate.r_h // ph, gh - 1) * gw + min(wi * rate.r_w // pw, gw - 1))
+        e_idx.append(enc_id)
+    return g.temporal_emb(t_idx) + g.spatial_emb(s_idx) + g.ctx_emb(e_idx)
+
+
+def test_ctx_positions_equal_the_per_token_loop_bitwise():
+    from memctx.compressor import EncoderModel, combine_contexts
+
+    hist = np.random.default_rng(23).normal(size=(24, 8, 8, 4)).astype(np.float32)
+    enc_a = EncoderModel(CompressionRate(4, 4, 2), seeding.stream(0, 0xE6C))
+    enc_b = EncoderModel(CompressionRate(2, 2, 2), seeding.stream(1, 0xE6C), encoder_id=1)
+    g = _model()
+    with no_grad():
+        ctx = combine_contexts([enc_a.compress(hist), enc_b.compress(hist)])
+        # an encoder id past the rate list and a block past the grid: both clamp
+        ctx.provenance = ctx.provenance + [(2, 0, 4, 6, 7, 7)]
+        got = g._ctx_pos(ctx, (8, 8)).numpy()
+        want = _loop_ctx_pos(g, ctx, (8, 8)).numpy()
+    assert got.shape == (len(ctx.provenance), g.inner_dim)
+    np.testing.assert_array_equal(got, want)
+    assert all(isinstance(rec, tuple) for rec in ctx.provenance)
+
+
 def test_frames_past_the_temporal_table_are_refused():
     """Positions past the 192-row table raise instead of failing to index or aliasing."""
     g = _model(inner_dim=16, n_blocks=1, n_heads=2)

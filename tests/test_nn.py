@@ -8,7 +8,7 @@ import pytest
 from memctx import nn
 from memctx.tensor import Tensor, backward, no_grad, set_debug_checks, using_dtype
 
-from test_tensor import check_grad
+from test_tensor import check_grad, finite_diff
 
 RNG = np.random.default_rng(1)
 
@@ -132,6 +132,70 @@ def test_conv3d_gradients_input_and_weights():
             w[idx] = orig
             fd = (hi - lo) / (2 * eps)
             assert abs(fd - analytic[idx]) / max(abs(fd), 1e-8) < 1e-5
+
+
+# (in, out, stride) of the encoder's four layers at rate 4x4x2; kernel 3, padding 1
+ENCODER_CONVS = [(4, 8, (2, 1, 1)), (8, 16, (1, 2, 2)), (16, 32, (1, 2, 2)), (32, 64, (1, 1, 1))]
+
+
+def test_conv3d_encoder_geometries_match_loop_oracle():
+    """The encoder's stack on an (N=2) desk chunk, each layer against the oracle."""
+    x = RNG.standard_normal((2, 4, 8, 8, 8)).astype(np.float32)
+    for c_in, c_out, stride in ENCODER_CONVS:
+        layer = nn.Conv3dLayer(c_in, c_out, (3, 3, 3), stride, (1, 1, 1), make_rng())
+        out = layer(Tensor(x)).numpy()
+        expect = conv3d_oracle(x, layer.weight.numpy(), layer.bias.numpy(), stride, (1, 1, 1))
+        np.testing.assert_allclose(out, expect, rtol=1e-4, atol=1e-5)
+        x = out
+
+
+def test_conv3d_strided_padded_gradients_match_finite_differences():
+    """Input, weight and bias gradients of a strided, padded layer, in float64."""
+    x = RNG.standard_normal((2, 2, 4, 5, 5))
+    with using_dtype("float64"):
+        layer = nn.Conv3dLayer(2, 3, (3, 3, 3), (2, 1, 2), (1, 0, 1), make_rng())
+        layer.bias.data[:] = RNG.standard_normal(3)
+    check_grad(lambda t: layer(t).square().mean(), x)
+
+    layer.weight.grad = layer.bias.grad = None  # check_grad's backward filled them
+    with using_dtype("float64"):
+        backward(layer(Tensor(x)).square().mean())
+        for param in (layer.weight, layer.bias):
+            def loss(arr, param=param):
+                saved = param.data
+                param.data = arr
+                try:
+                    return layer(Tensor(x)).square().mean().item()
+                finally:
+                    param.data = saved
+            numeric = finite_diff(loss, param.data.copy())
+            np.testing.assert_allclose(param.grad, numeric, rtol=1e-5, atol=1e-9)
+
+
+def test_conv3d_one_layer_serves_two_input_geometries():
+    layer = nn.Conv3dLayer(4, 8, (3, 3, 3), (1, 2, 2), (1, 1, 1), make_rng())
+    for hw in (8, 16, 8):
+        x = RNG.standard_normal((1, 4, 4, hw, hw)).astype(np.float32)
+        out = layer(Tensor(x)).numpy()
+        assert out.shape == (1, 8, 4, hw // 2, hw // 2)
+        expect = conv3d_oracle(x, layer.weight.numpy(), layer.bias.numpy(), (1, 2, 2), (1, 1, 1))
+        np.testing.assert_allclose(out, expect, rtol=1e-4, atol=1e-5)
+    assert sorted(layer._plans) == [(4, 8, 8), (4, 16, 16)]
+
+
+def test_conv3d_skips_the_input_gradient_of_a_constant_input():
+    """A data input gets no input gradient; the parameter gradients are unchanged."""
+    layer = nn.Conv3dLayer(4, 8, (3, 3, 3), (2, 1, 1), (1, 1, 1), make_rng())
+    x = RNG.standard_normal((2, 4, 8, 8, 8)).astype(np.float32)
+    g = RNG.standard_normal((2, 8, 4, 8, 8)).astype(np.float32)
+    grads = {}
+    for needs_grad in (True, False):
+        y = layer(Tensor(x, requires_grad=needs_grad))
+        gx, gw, gb = y._vjp(g)
+        assert (gx is None) != needs_grad
+        grads[needs_grad] = (gw, gb)
+    for with_x, without_x in zip(grads[True], grads[False]):
+        np.testing.assert_array_equal(with_x, without_x)
 
 
 def test_conv3d_rejects_wrong_rank_and_channels():
@@ -398,3 +462,38 @@ def test_adam_state_load_casts_moments_and_checks_shapes():
     state["adam.m.0"] = np.zeros(4)
     with pytest.raises(ValueError, match="optimizer state 0 has shape"):
         opt.load_state_arrays(state)
+
+
+def test_adam_state_follows_parameter_names_not_positions():
+    """Moments restore by name, so a resume that lists same-shaped parameters
+    in another order continues exactly like the uninterrupted run."""
+
+    def steps(params, opt, count):
+        for _ in range(count):
+            opt.zero_grad()
+            backward((params["a"] * params["a"]).sum() + (params["b"] * 3.0).sum())
+            opt.step()
+
+    params = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.full(3, -2.0), requires_grad=True)}
+    opt = nn.Adam(params, lr=0.1)
+    steps(params, opt, 3)
+    state = {k: v.copy() for k, v in opt.state_arrays().items()}
+    assert sorted(state) == ["adam.m.a", "adam.m.b", "adam.step", "adam.v.a", "adam.v.b"]
+    resumed = {name: Tensor(params[name].data.copy(), requires_grad=True) for name in ("b", "a")}
+    steps(params, opt, 2)
+
+    opt = nn.Adam(resumed, lr=0.1)
+    opt.load_state_arrays(state)
+    steps(resumed, opt, 2)
+    for name in params:
+        np.testing.assert_array_equal(resumed[name].data, params[name].data)
+
+
+def test_adam_state_must_name_exactly_its_parameters():
+    opt = nn.Adam({"a": Tensor(np.ones(2), requires_grad=True)})
+    state = opt.state_arrays()
+    missing = {k: v for k, v in state.items() if k != "adam.m.a"}
+    extra = {**state, "adam.m.c": np.zeros(2)}
+    for bad in (missing, extra):
+        with pytest.raises(ValueError, match="optimizer state lacks"):
+            opt.load_state_arrays(bad)
