@@ -1,13 +1,19 @@
 """Command-line harness: pretrain, finetune, rollout, eval, budget, experiment.
 
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
-unknown key, a value out of range), a missing file, an unknown experiment
-recipe, or a checkpoint that does not fit (bad magic, unsupported version,
-truncated file, unknown dtype, missing or mis-shaped parameters or optimizer
-state); 3 for a runtime or numeric failure: diverged training, a rollout past
-the DiT's temporal position table, or any other ValueError or
-ArithmeticError.  All commands are deterministic given config + seed;
-checkpoints are written atomically and training can resume from them.
+unknown key, a value out of range), a file that cannot be read or written
+(missing, a directory, no permission: any OSError), a corrupt latent file
+(bad magic, unsupported version, unknown dtype, truncated), two latent
+files ``eval`` cannot compare (another frame shape, or no frames), an
+unknown experiment recipe, a ``budget`` geometry that is not positive and
+finite or reduces to zero tokens, or a checkpoint that does not fit (bad
+magic, unsupported version, truncated file, unknown dtype, missing or
+mis-shaped parameters or optimizer state); 3 for a runtime or numeric
+failure: diverged training, a rollout past the DiT's temporal position
+table, or any other ValueError or ArithmeticError.  Argument errors that
+argparse reports (a missing or non-numeric argument) also exit 2.  All
+commands are deterministic given config + seed; checkpoints are written
+atomically and training can resume from them.
 """
 
 from __future__ import annotations
@@ -172,6 +178,8 @@ def cmd_rollout(args) -> int:
 def cmd_eval(args) -> int:
     a = data.load_latents(args.generated)
     b = data.load_latents(args.reference)
+    if a.shape[1:] != b.shape[1:] or 0 in (a.shape[0], b.shape[0]):
+        raise config_mod.ConfigError(f"cannot compare latents of shapes {a.shape} and {b.shape}")
     n = min(a.shape[0], b.shape[0])
     scores = {
         "psnr": metrics.psnr(a[:n], b[:n]),
@@ -186,6 +194,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_budget(args) -> int:
+    for flag in ("width", "height", "fps", "duration", "vae_spatial", "vae_temporal"):
+        value = getattr(args, flag)
+        if not 0 < value < float("inf"):
+            name = "--" + flag.replace("_", "-")
+            raise config_mod.ConfigError(f"{name} must be positive and finite, got {value}")
     spec = metrics.BudgetSpec(
         width=args.width,
         height=args.height,
@@ -196,10 +209,13 @@ def cmd_budget(args) -> int:
         compression_rates=((1, 1, 1),),
         window_frames=0,
     )
-    rep = metrics.context_length(spec)
-    print(f"uncompressed context length: {rep.uncompressed}")
     grid = [(1, 1, 1), (2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)]
-    rows = metrics.budget_table(spec, grid)
+    try:
+        rep = metrics.context_length(spec)
+        rows = metrics.budget_table(spec, grid)
+    except ValueError as e:  # a geometry smaller than one token on some axis
+        raise config_mod.ConfigError(str(e)) from None
+    print(f"uncompressed context length: {rep.uncompressed}")
     print(f"{'rate':>8} {'tokens':>12} {'reduction':>10}")
     for row in rows:
         print(f"{row['rate']:>8} {row['tokens']:>12} {row['reduction']:>10.1f}")
@@ -287,7 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (config_mod.ConfigError, checkpoint.CheckpointMismatch, FileNotFoundError) as e:
+    except (config_mod.ConfigError, checkpoint.CheckpointMismatch, data.LatentFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, ValueError, ArithmeticError) as e:

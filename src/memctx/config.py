@@ -156,7 +156,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as f:
             user = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not text
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be an object")

@@ -28,6 +28,7 @@ __all__ = [
     "make_latent_scene",
     "save_latents",
     "load_latents",
+    "LatentFileError",
     "VAE_RATES",
     "LATENT_CHANNELS",
     "DESK_PIXEL",
@@ -261,19 +262,34 @@ def save_latents(path: str, array: np.ndarray, meta: dict | None = None) -> None
             json.dump(meta, f, indent=2, sort_keys=True)
 
 
+class LatentFileError(ValueError):
+    """An MCTX file that is not a complete, well-formed latent array."""
+
+
+def _read_exact(f, n: int) -> bytes:
+    buf = f.read(n)
+    if len(buf) != n:
+        raise LatentFileError(f"latent file {f.name} is truncated at byte {f.tell()}")
+    return buf
+
+
 def load_latents(path: str) -> np.ndarray:
+    """Read an MCTX file; raises ``LatentFileError`` unless it is complete and well formed."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read_exact(f, 4)
         if magic != MCTX_MAGIC:
-            raise ValueError(f"bad dataset magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise LatentFileError(f"bad dataset magic {magic!r} in {path}")
+        (version,) = struct.unpack("<I", _read_exact(f, 4))
         if version != MCTX_VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        shape = struct.unpack("<4I", f.read(16))
-        (tag,) = struct.unpack("<I", f.read(4))
+            raise LatentFileError(f"unsupported dataset version {version}")
+        shape = struct.unpack("<4I", _read_exact(f, 16))
+        (tag,) = struct.unpack("<I", _read_exact(f, 4))
         if tag not in _DTYPE_TAGS:
-            raise ValueError(f"unknown dtype tag {tag}")
+            raise LatentFileError(f"unknown dtype tag {tag}")
         dtype = _DTYPE_TAGS[tag]
         count = int(np.prod(shape))
-        data = np.frombuffer(f.read(), dtype=dtype, count=count)
+        payload = f.read()
+        if len(payload) < count * np.dtype(dtype).itemsize:
+            raise LatentFileError(f"latent file {path} is truncated: its header gives shape {shape}")
+        data = np.frombuffer(payload, dtype=dtype, count=count)
     return data.reshape(shape).copy()

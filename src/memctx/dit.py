@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .compressor import CompressedContext
-from .tensor import Tensor, as_default_dtype, concat, default_dtype
+from .tensor import Tensor, _unbroadcast, as_default_dtype, concat, default_dtype
 
 __all__ = ["DiTModel"]
 
@@ -44,13 +44,35 @@ class _Block:
         n = mod.shape[0]
         mod = mod.reshape(n, 1, 6, dim)
         sh1, sc1, g1, sh2, sc2, g2 = (mod[:, :, i] for i in range(6))
-        h = self.ln1(x) * (sc1 + 1.0) + sh1
-        x = x + self.attn(h) * (g1 + 1.0)
-        h = self.ln2(x) * (sc2 + 1.0) + sh2
-        return x + self.fc2(self.fc1(h).silu()) * (g2 + 1.0)
+        x = x + _modulate(self.attn(_modulate(self.ln1(x), sc1, sh1)), g1)
+        return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), sc2, sh2)).silu()), g2)
 
     def modules(self):
         return [self.ln1, self.attn, self.ln2, self.fc1, self.fc2, self.mod]
+
+
+def _modulate(h: Tensor, scale: Tensor, shift: Tensor | None = None) -> Tensor:
+    """h·(scale + 1) + shift, with shift optional, as one tape node.
+
+    ``scale`` and ``shift`` broadcast against ``h``; the 1 enters as a
+    default-dtype array, as an operand of a composed op would.
+    """
+    s1 = scale.data + np.asarray(1.0, dtype=default_dtype())
+    y = h.data * s1
+    parents = (h, scale)
+    if shift is not None:
+        y = y + shift.data
+        parents += (shift,)
+    needs = [p.requires_grad for p in parents]
+
+    def vjp(g):
+        gh = g * s1 if needs[0] else None
+        gscale = _unbroadcast(g * h.data, scale.shape) if needs[1] else None
+        if shift is None:
+            return (gh, gscale)
+        return (gh, gscale, _unbroadcast(g, shift.shape) if needs[2] else None)
+
+    return Tensor._make(y, parents, vjp)
 
 
 class _LayerNormParams:

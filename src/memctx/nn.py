@@ -4,23 +4,27 @@ Linear maps (with optional low-rank adapters), strided 3D convolution,
 multi-head attention, layer normalization, learned embeddings, and the
 Adam optimizer used by every training loop.
 
-Softmax, layernorm and the attention core compute directly on arrays when
-no tape would be recorded (under ``no_grad``, or when nothing requires a
-gradient).  Those fused paths run the same numpy operations in the same
-order and dtypes as the taped ones, so their outputs are bitwise equal.
+The linear map, softmax, layernorm, the attention core and conv3d are
+fused kernels: each runs one array computation and records at most one
+tape node, whose backward is an analytic vector-Jacobian product.  Taped
+and no-tape calls (under ``no_grad``, or when nothing requires a
+gradient) share that computation, so their outputs are bitwise equal;
+a no-tape call only skips the node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _tracks, default_dtype
+from .tensor import Tensor, _tracks, _unbroadcast, default_dtype
 
 __all__ = [
     "Linear",
     "LoraLinear",
+    "linear",
     "Conv3dLayer",
     "AttentionLayer",
+    "attention",
     "Embedding",
     "layernorm",
     "softmax",
@@ -43,10 +47,7 @@ class Linear:
         self.bias = _param(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight.transpose(1, 0)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return linear(x, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -73,14 +74,41 @@ class LoraLinear:
         self.B = _param(rng.normal(0.0, 0.02, size=(rank, in_dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.base.weight.transpose(1, 0)
-        if self.base.bias is not None:
-            y = y + self.base.bias
-        low = (x @ self.B.transpose(1, 0)) @ self.A.transpose(1, 0)
+        # the base goes through the same kernel as an unwrapped Linear, so A = 0 is bitwise the base
+        y = linear(x, self.base.weight, self.base.bias)
+        low = linear(linear(x, self.B), self.A)
         return y + low.scale(self.alpha / self.rank)
 
     def parameters(self):
         return [self.A, self.B]
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w.T + b over the last axis of ``x``: one 2-D GEMM and one tape node.
+
+    Backward forms the weight gradient as one GEMM over all leading rows and
+    the bias gradient as one sum; each gradient is built only for an operand
+    that required one at forward time.
+    """
+    out_dim, in_dim = w.shape
+    if x.shape[-1] != in_dim:
+        raise ValueError(f"linear: input has {x.shape[-1]} features, weight expects {in_dim}")
+    x2 = x.data.reshape(-1, in_dim)
+    y = x2 @ w.data.T
+    if b is not None:
+        y = _into_first(np.add, y, b.data)
+    parents = (x, w) if b is None else (x, w, b)
+    needs = [p.requires_grad for p in parents]
+
+    def vjp(g):
+        g2 = g.reshape(-1, out_dim)
+        gx = (g2 @ w.data).reshape(x.shape) if needs[0] else None
+        gw = g2.T @ x2 if needs[1] else None
+        if b is None:
+            return (gx, gw)
+        return (gx, gw, g2.sum(axis=0) if needs[2] else None)
+
+    return Tensor._make(y.reshape(x.shape[:-1] + (out_dim,)), parents, vjp)
 
 
 class Conv3dLayer:
@@ -202,46 +230,84 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1, *, out: np.ndarray | None = None) -> Tensor:
-    """Softmax along ``axis``.
+    """Softmax along ``axis``: one tape node whose backward is y·(g − Σ g·y).
 
     ``out`` is an array of ``x``'s shape and dtype that a call recording no
     tape writes its result into; it may be ``x.data`` itself, which saves a
     buffer when the caller owns the logits.
     """
-    if _tracks((x,)):
-        if out is not None:
-            raise ValueError("softmax out= needs a call that records no tape")
-        shifted = x - x.max(axis=axis, keepdims=True).detach()
-        e = shifted.exp()
-        return e / e.sum(axis=axis, keepdims=True)
-    e = np.subtract(x.data, x.data.max(axis=axis, keepdims=True), out=out)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return Tensor._make(e, (x,), None)
+    if out is not None and _tracks((x,)):
+        raise ValueError("softmax out= needs a call that records no tape")
+    y = np.subtract(x.data, x.data.max(axis=axis, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return Tensor._make(y, (x,), lambda g: (_softmax_vjp(g, y, axis),))
+
+
+def _softmax_vjp(g, y, axis):
+    gy = g * y
+    gy -= y * gy.sum(axis=axis, keepdims=True)
+    return gy
 
 
 def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine; one tape node.
+
+    Backward keeps only the normalized input ``xhat`` and the per-row std.
+    """
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    if _tracks((x, gain, shift)):
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = xc.square().mean(axis=-1, keepdims=True)
-        return xc / (var + eps).sqrt() * gain + shift
-    y = x.data - x.data.mean(axis=-1, keepdims=True)
-    # eps enters as a default-dtype array, as Tensor._coerce makes it on the taped path
-    std = (y * y).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=default_dtype())
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # eps enters as a default-dtype array, as an operand of a composed op would
+    std = (xhat * xhat).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=default_dtype())
     np.sqrt(std, out=std)
-    y = _into_first(np.divide, y, std)
-    y = _into_first(np.multiply, y, gain.data)
-    y = _into_first(np.add, y, shift.data)
-    return Tensor._make(y, (x, gain, shift), None)
+    xhat = _into_first(np.divide, xhat, std)
+    y = _into_first(np.add, xhat * gain.data, shift.data)
+    needs = (x.requires_grad, gain.requires_grad, shift.requires_grad)
+
+    def vjp(g):
+        gx = None
+        if needs[0]:
+            gxhat = g * gain.data
+            gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
+            gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            gx /= std
+        ggain = _unbroadcast(g * xhat, gain.shape) if needs[1] else None
+        gshift = _unbroadcast(g, shift.shape) if needs[2] else None
+        return (gx, ggain, gshift)
+
+    return Tensor._make(y, (x, gain, shift), vjp)
 
 
 def _into_first(ufunc, a, b):
     """ufunc(a, b), written over ``a`` when that keeps the result dtype numpy would pick."""
     return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q·kᵀ/√d)·v over (N, heads, L, d) tensors as one tape node.
+
+    The (N, heads, Lq, Lk) score buffer is scaled in place and then
+    overwritten by its softmax, so the only activations kept for backward
+    are q, k, v and the probabilities.
+    """
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    p = q.data @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    p *= scale
+    softmax(Tensor._make(p, (), None), axis=-1, out=p)
+    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
+
+    def vjp(g):
+        gv = np.swapaxes(p, -1, -2) @ g if needs[2] else None
+        if not (needs[0] or needs[1]):
+            return (None, None, gv)
+        gs = _softmax_vjp(g @ np.swapaxes(v.data, -1, -2), p, -1)
+        gs *= scale
+        gq = gs @ k.data if needs[0] else None
+        gk = np.swapaxes(gs, -1, -2) @ q.data if needs[1] else None
+        return (gq, gk, gv)
+
+    return Tensor._make(p @ v.data, (q, k, v), vjp)
 
 
 class AttentionLayer:
@@ -274,16 +340,7 @@ class AttentionLayer:
         q = self._split(self.wq(q_tokens))
         k = self._split(self.wk(kv_tokens))
         v = self._split(self.wv(kv_tokens))
-        if _tracks((q, k)):
-            scores = (q @ k.transpose(0, 1, 3, 2)).scale(1.0 / np.sqrt(self.head_dim))
-            attn = softmax(scores, axis=-1)
-        else:
-            # one (N, heads, Lq, Lk) buffer: scaled by a Python float as .scale does,
-            # then overwritten by its softmax
-            data = q.data @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
-            data *= float(1.0 / np.sqrt(self.head_dim))
-            attn = softmax(Tensor._make(data, (q, k), None), axis=-1, out=data)
-        out = attn @ v  # (N, heads, Lq, hd)
+        out = attention(q, k, v)  # (N, heads, Lq, hd)
         n, _, lq, _ = out.shape
         out = out.transpose(0, 2, 1, 3).reshape(n, lq, self.model_dim)
         return self.wo(out)
@@ -341,24 +398,35 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """One update of every parameter with a gradient, moments and data in place."""
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
+        for m, v, p in zip(self.m, self.v, self.params):
             g = p.grad
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * (g * g)
-            mhat = self.m[i] / (1 - self.b1**t)
-            vhat = self.v[i] / (1 - self.b2**t)
-            p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+            if g is None:
+                continue
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            g2 = g * g
+            g2 *= 1 - self.b2
+            v += g2
+            denom = np.sqrt(v / (1 - self.b2**t))
+            denom += self.eps
+            update = m / (1 - self.b1**t)
+            update *= self.lr
+            update /= denom
+            p.data -= update.astype(p.data.dtype, copy=False)
 
     def state_arrays(self):
-        """Flat name->array mapping for checkpointing: ``adam.m.<name>``, ``adam.v.<name>``."""
+        """Flat name->array mapping for checkpointing: ``adam.m.<name>``, ``adam.v.<name>``.
+
+        The moments are copies: a later ``step`` updates the optimizer's own in place.
+        """
         out = {"adam.step": np.asarray([self.step_count], dtype=np.float64)}
         for name, m, v in zip(self.names, self.m, self.v):
-            out[f"adam.m.{name}"] = m
-            out[f"adam.v.{name}"] = v
+            out[f"adam.m.{name}"] = m.copy()
+            out[f"adam.v.{name}"] = v.copy()
         return out
 
     def load_state_arrays(self, arrays):

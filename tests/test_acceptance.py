@@ -76,6 +76,7 @@ OP_LOSSES = {
     "silu": lambda t: t.silu().square().mean(),
     "sqrt": lambda t: (t.square() + 1.0).sqrt().mean(),
     "matmul": lambda t: (t @ t.transpose(1, 0)).square().mean(),
+    "linear": lambda t: nn.linear(t, t, t[0]).square().mean(),
     "softmax": lambda t: nn.softmax(t, axis=-1).square().sum(),
     "layernorm": lambda t: nn.layernorm(
         t, Tensor(np.ones(t.shape[-1])), Tensor(np.zeros(t.shape[-1]))

@@ -224,6 +224,65 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["rollout", cfg_path, str(junk)]) == cli.EXIT_CONFIG
 
 
+def test_cli_directory_in_place_of_a_file_is_config_error(tmp_path, capsys):
+    """An OSError other than a missing file (here IsADirectoryError) exits 2, not with a traceback."""
+    assert cli.main(["pretrain", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert cli.main(["eval", str(tmp_path), str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_text_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "binary.json"
+    cfg.write_bytes(b"\xff\xfe\x00garbage")
+    assert cli.main(["pretrain", str(cfg)]) == cli.EXIT_CONFIG
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def _corrupt_latents(path, how):
+    data.save_latents(str(path), np.zeros((2, 4, 4, 4), np.float32))
+    raw = path.read_bytes()
+    path.write_bytes({"magic": b"NOPE" + raw[4:], "header": raw[:10], "payload": raw[:-4]}[how])
+
+
+@pytest.mark.parametrize("how", ["magic", "header", "payload"])
+def test_cli_eval_corrupt_latent_file_is_config_error(tmp_path, capsys, how):
+    good, bad = tmp_path / "good.mctx", tmp_path / "bad.mctx"
+    data.save_latents(str(good), np.zeros((2, 4, 4, 4), np.float32))
+    _corrupt_latents(bad, how)
+    assert cli.main(["eval", str(bad), str(good)]) == cli.EXIT_CONFIG
+    assert cli.main(["eval", str(good), str(bad)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("other_shape", [(2, 8, 8, 4), (0, 4, 4, 4)])
+def test_cli_eval_latents_it_cannot_compare_are_config_error(tmp_path, capsys, other_shape):
+    a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
+    data.save_latents(str(a), np.zeros((2, 4, 4, 4), np.float32))
+    data.save_latents(str(b), np.zeros(other_shape, np.float32))
+    assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_CONFIG
+    assert "cannot compare" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--width", "0"],
+        ["--height", "-480"],
+        ["--fps", "nan"],
+        ["--fps", "-24", "--duration", "-60"],  # the product alone would pass
+        ["--duration", "inf"],
+        ["--vae-spatial", "0"],
+        ["--vae-temporal", "-4"],
+        ["--width", "8"],  # positive, but less than one token wide
+    ],
+)
+def test_cli_budget_rejects_bad_geometry_as_config_error(args, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # flooring warnings on the way to the zero-token error
+        assert cli.main(["budget", *args]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_experiment_unknown_recipe(capsys):
     assert cli.main(["experiment", "nope"]) == cli.EXIT_CONFIG
 

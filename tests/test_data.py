@@ -155,6 +155,16 @@ def test_latents_bad_magic(tmp_path):
         data.load_latents(path)
 
 
+def test_latents_truncated_file_is_refused(tmp_path):
+    path = tmp_path / "clip.mctx"
+    data.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
+    raw = path.read_bytes()
+    for cut in (2, 12, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(data.LatentFileError, match="truncated"):
+            data.load_latents(str(path))
+
+
 def test_latents_rejects_non_4d(tmp_path):
     with pytest.raises(ValueError):
         data.save_latents(str(tmp_path / "x.mctx"), np.zeros((2, 2)))

@@ -5,8 +5,10 @@ import pytest
 
 from memctx import seeding, training
 from memctx.compressor import CompressedContext, CompressionRate
-from memctx.dit import DiTModel
+from memctx.dit import DiTModel, _modulate
 from memctx.tensor import Tensor, no_grad
+
+from test_tensor import check_grads, tape_nodes
 
 
 def _model(seed=0, **kw):
@@ -124,6 +126,31 @@ def test_context_changes_output_after_head_unlock():
         v1 = g.predict_velocity(x, 0.5, 0, ctx=enc.compress(h1), frame_indices=[0, 1]).numpy()
         v2 = g.predict_velocity(x, 0.5, 0, ctx=enc.compress(h2), frame_indices=[0, 1]).numpy()
     assert not np.array_equal(v1, v2)
+
+
+# -- adaLN modulation --------------------------------------------------------------
+
+
+def test_modulate_gradients_with_and_without_shift():
+    rng = np.random.default_rng(31)
+    h, scale, shift = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 1, 4))
+    w = Tensor(rng.normal(size=(2, 3, 4)))
+    check_grads(lambda h, sc, sh: (_modulate(h, sc, sh) * w).sum().square(), h, scale, shift)
+    check_grads(lambda h, sc: (_modulate(h, sc) * w).sum().square(), h, scale)
+
+
+def test_modulate_records_one_node_and_matches_the_composed_expression():
+    rng = np.random.default_rng(32)
+    h, scale, shift = (
+        Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in ((2, 3, 4), (2, 1, 4), (2, 1, 4))
+    )
+    for out, composed, leaves in (
+        (_modulate(h, scale, shift), h * (scale + 1.0) + shift, (h, scale, shift)),
+        (_modulate(h, scale), h * (scale + 1.0), (h, scale)),
+    ):
+        assert tape_nodes(out) == 1 and out._parents == leaves
+        assert out.dtype == composed.dtype
+        assert np.array_equal(out.numpy(), composed.numpy())
 
 
 # -- step-0 adapter identities ---------------------------------------------------------

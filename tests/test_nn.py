@@ -8,7 +8,7 @@ import pytest
 from memctx import nn
 from memctx.tensor import Tensor, backward, no_grad, set_debug_checks, using_dtype
 
-from test_tensor import check_grad, finite_diff
+from test_tensor import check_grad, check_grads, finite_diff, tape_nodes
 
 RNG = np.random.default_rng(1)
 
@@ -34,6 +34,50 @@ def test_linear_gradients():
     lin = nn.Linear(3, 2, make_rng())
     x = RNG.standard_normal((4, 3))
     check_grad(lambda t: lin(t).square().mean(), x)
+    # the kernel itself: input, weight and bias on 2-D and 3-D inputs, with and without bias
+    rng = np.random.default_rng(11)
+    w, b = rng.standard_normal((2, 3)), rng.standard_normal(2)
+    for x_shape in ((4, 3), (2, 5, 3)):
+        x = rng.standard_normal(x_shape)
+        probe = Tensor(rng.standard_normal(x_shape[:-1] + (2,)))
+        check_grads(lambda x, w, b: (nn.linear(x, w, b) * probe).square().sum(), x, w, b)
+        check_grads(lambda x, w: (nn.linear(x, w) * probe).square().sum(), x, w)
+
+
+def test_linear_builds_no_gradient_for_an_input_that_needs_none():
+    rng = np.random.default_rng(12)
+    w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    g = rng.standard_normal((2, 4, 2))
+    x = rng.standard_normal((2, 4, 3))
+    gx, gw, gb = nn.linear(Tensor(x), w, b)._vjp(g)
+    assert gx is None
+    _, gw_all, gb_all = nn.linear(Tensor(x, requires_grad=True), w, b)._vjp(g)
+    np.testing.assert_array_equal(gw, gw_all)
+    np.testing.assert_array_equal(gb, gb_all)
+    gx, gw, gb = nn.linear(Tensor(x, requires_grad=True), Tensor(w.data), Tensor(b.data))._vjp(g)
+    assert gx is not None and gw is None and gb is None
+
+
+# name -> (op, argument shapes) for the fused kernels of this module other than conv3d
+FUSED_OPS = {
+    "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
+    "softmax": (lambda x: nn.softmax(x, axis=0), [(3, 4)]),
+    "layernorm": (nn.layernorm, [(2, 3, 8), (8,), (8,)]),
+    "attention": (nn.attention, [(1, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_OPS))
+def test_each_fused_op_records_exactly_one_tape_node(name):
+    op, shapes = FUSED_OPS[name]
+    rng = np.random.default_rng(13)
+    leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    out = op(*leaves)
+    assert tape_nodes(out) == 1
+    assert out._parents == tuple(leaves)
+    with no_grad():
+        assert tape_nodes(op(*leaves)) == 0
 
 
 def test_lora_wrap_is_identity_at_step_zero():
@@ -230,7 +274,8 @@ def test_softmax_extreme_logits_stay_finite():
 
 def test_softmax_gradient():
     x = RNG.standard_normal((3, 5))
-    check_grad(lambda t: (nn.softmax(t) * nn.softmax(t)).mean(), x)
+    for axis in (-1, 0):
+        check_grad(lambda t: (nn.softmax(t, axis=axis) * nn.softmax(t, axis=axis)).mean(), x)
 
 
 def test_layernorm_normalizes_last_axis():
@@ -252,6 +297,11 @@ def test_layernorm_gradient():
     # scale-invariant, which degenerates the finite-difference signal
     w = Tensor(np.asarray(RNG.standard_normal((2, 8))))
     check_grad(lambda t: (nn.layernorm(t, g, s) * w).sum().square(), x)
+    # gain and shift too, on a 3-D input
+    rng = np.random.default_rng(14)
+    x, gain, shift = rng.standard_normal((2, 3, 8)), rng.standard_normal(8), rng.standard_normal(8)
+    w = Tensor(rng.standard_normal((2, 3, 8)))
+    check_grads(lambda x, g, s: (nn.layernorm(x, g, s) * w).sum().square(), x, gain, shift)
 
 
 def test_layernorm_eps_must_be_positive():
@@ -364,6 +414,13 @@ def test_attention_gradient():
     check_grad(lambda t: layer(t).square().mean(), x)
 
 
+def test_attention_core_gradients_with_more_keys_than_queries():
+    rng = np.random.default_rng(15)
+    q, k, v = (rng.standard_normal((2, 2, lq, 3)) for lq in (3, 5, 5))
+    w = Tensor(rng.standard_normal((2, 2, 3, 3)))
+    check_grads(lambda q, k, v: (nn.attention(q, k, v) * w).sum().square(), q, k, v)
+
+
 def test_attention_rejects_dim_mismatch_and_empty():
     layer = nn.AttentionLayer(8, 2, make_rng())
     with pytest.raises(ValueError):
@@ -417,6 +474,58 @@ def test_adam_converges_on_quadratic():
         backward((p * p).sum())
         opt.step()
     assert np.all(np.abs(p.data) < 1e-2)
+
+
+def _adam_oracle(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place update, one rebinding expression per moment."""
+    data = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * (g * g)
+            mhat = m[i] / (1 - b1**t)
+            vhat = v[i] / (1 - b2**t)
+            data[i] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(data[i].dtype)
+    return data, m, v
+
+
+def test_adam_in_place_steps_equal_the_out_of_place_formula_bitwise():
+    rng = np.random.default_rng(8)
+    shapes = [(3, 4), (5,), (2, 2, 3)]
+    start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    grads_per_step = [
+        [None if (step + i) % 3 == 0 else rng.standard_normal(s).astype(np.float32) for i, s in enumerate(shapes)]
+        for step in range(5)
+    ]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = nn.Adam(params, lr=0.03)
+    for grads in grads_per_step:
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+    data, m, v = _adam_oracle(start, grads_per_step, lr=0.03)
+    for i, p in enumerate(params):
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, data[i])
+        np.testing.assert_array_equal(opt.m[i], m[i])
+        np.testing.assert_array_equal(opt.v[i], v[i])
+
+
+def test_adam_state_arrays_are_not_rewritten_by_later_steps():
+    p = Tensor(np.ones(4, np.float32), requires_grad=True)
+    opt = nn.Adam({"p": p}, lr=0.1)
+    p.grad = np.full(4, 0.5, np.float32)
+    opt.step()
+    state = opt.state_arrays()
+    snapshot = {k: a.copy() for k, a in state.items()}
+    p.grad = np.full(4, -2.0, np.float32)
+    opt.step()
+    for k, a in state.items():
+        np.testing.assert_array_equal(a, snapshot[k], err_msg=k)
 
 
 def test_adam_state_round_trip_resumes_identically():

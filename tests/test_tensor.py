@@ -50,6 +50,33 @@ def check_grad(make_loss, x, tol=1e-5):
     assert rel.max() < tol, f"max rel err {rel.max():.3e}"
 
 
+def check_grads(make_loss, *arrays, tol=1e-5):
+    """``check_grad`` for a loss of several arrays: each argument's gradient, in 64-bit."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    with using_dtype("float64"):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        backward(make_loss(*leaves))
+        for i, leaf in enumerate(leaves):
+            def loss_of(arr, i=i):
+                return make_loss(*(Tensor(arr if j == i else a) for j, a in enumerate(arrays))).item()
+
+            numeric = finite_diff(loss_of, arrays[i].copy())
+            denom = np.maximum(np.maximum(np.abs(leaf.grad), np.abs(numeric)), 1e-8)
+            rel = np.abs(leaf.grad - numeric) / denom
+            assert rel.max() < tol, f"argument {i}: max rel err {rel.max():.3e}"
+
+
+def tape_nodes(out):
+    """Recorded (non-leaf) nodes reachable from ``out``."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return sum(node._vjp is not None for node in seen.values())
+
+
 UNARY_CASES = {
     "neg": lambda t: (-t).square().mean(),
     "square": lambda t: t.square().mean(),
