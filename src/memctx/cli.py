@@ -75,9 +75,9 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
     tr = cfg["training"]
     optimizer = None
     start_step = 0
-    if init_from:  # weights only; step counter and optimizer start fresh
+    if init_from:  # weights only; step counter, optimizer and adapters the checkpoint lacks start fresh
         params, _, _, _ = checkpoint.load_checkpoint(init_from, cfg)
-        checkpoint.restore_into(named, params)
+        checkpoint.restore_into({k: p for k, p in named.items() if k in params or ".lora." not in k}, params)
     if resume:
         params, start_step, opt_arrays, digest_ok = checkpoint.load_checkpoint(resume, cfg)
         checkpoint.restore_into(named, params)

@@ -3,8 +3,11 @@
 Patchifies a noisy latent clip into tokens, prepends a condition token
 and the compressed history context (plus optional uncompressed window
 tokens), runs joint self-attention blocks, and unpatchifies the target
-segment into a velocity prediction.  All linear maps can be wrapped with
-low-rank adapters for fine-tuning.
+segment into a velocity prediction.  The velocity reads only the target
+rows, so the last block queries only the target tokens: its keys and
+values still cover the whole sequence.  All linear maps can be wrapped
+with low-rank adapters for fine-tuning; parameters are named by their
+place in the model, adapters beside their frozen bases.
 """
 
 from __future__ import annotations
@@ -38,17 +41,29 @@ class _Block:
         self.mod = nn.Linear(dim, 6 * dim, rng)
         self.mod.weight.data[:] = 0.0
 
-    def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, temb: Tensor, n_query: int | None = None) -> Tensor:
+        """The block over every token, or with ``n_query`` over the last ``n_query`` only.
+
+        Keys and values read every token either way; a query-limited block
+        returns just its query rows.
+        """
         dim = x.shape[-1]
         mod = self.mod(temb.silu())  # (N, 6*dim)
         n = mod.shape[0]
         mod = mod.reshape(n, 1, 6, dim)
         sh1, sc1, g1, sh2, sc2, g2 = (mod[:, :, i] for i in range(6))
-        x = x + _modulate(self.attn(_modulate(self.ln1(x), sc1, sh1)), g1)
+        h = _modulate(self.ln1(x), sc1, sh1)
+        q = h
+        if n_query is not None:
+            x, q = x[:, -n_query:], h[:, -n_query:]
+        x = x + _modulate(self.attn(q, h), g1)
         return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), sc2, sh2)).silu()), g2)
 
-    def modules(self):
-        return [self.ln1, self.attn, self.ln2, self.fc1, self.fc2, self.mod]
+    def named_modules(self):
+        return {
+            "ln1": self.ln1, "attn": self.attn, "ln2": self.ln2,
+            "fc1": self.fc1, "fc2": self.fc2, "mod": self.mod,
+        }
 
 
 def _modulate(h: Tensor, scale: Tensor, shift: Tensor | None = None) -> Tensor:
@@ -83,8 +98,8 @@ class _LayerNormParams:
     def __call__(self, x: Tensor) -> Tensor:
         return nn.layernorm(x, self.gain, self.shift)
 
-    def parameters(self):
-        return [self.gain, self.shift]
+    def named_parameters(self, prefix):
+        return {f"{prefix}.gain": self.gain, f"{prefix}.shift": self.shift}
 
 
 class DiTModel:
@@ -263,10 +278,10 @@ class DiTModel:
         temb = self.t_fc2(self.t_fc1(temb).silu())
         tokens = tokens + temb.reshape(n, 1, self.inner_dim)
 
-        for block in self.blocks:
+        # the velocity reads only the target rows, so the last block queries only those
+        for block in self.blocks[:-1]:
             tokens = block(tokens, temb)
-        l_tgt = tgt_tokens.shape[1]
-        out = self.ln_out(tokens[:, -l_tgt:])
+        out = self.ln_out(self.blocks[-1](tokens, temb, n_query=tgt_tokens.shape[1]))
         return self._unpatchify(self.out_proj(out), x_t.shape)
 
     # -- variants -------------------------------------------------------------
@@ -292,19 +307,29 @@ class DiTModel:
         return slots
 
     def parameters(self):
-        params = self.patch_proj.parameters() + self.cond_emb.parameters()
-        params += self.t_fc1.parameters() + self.t_fc2.parameters()
-        params += self.temporal_emb.parameters() + self.spatial_emb.parameters()
-        params += self.ctx_emb.parameters()
-        for b in self.blocks:
-            for m in b.modules():
-                params += m.parameters()
-        params += self.ln_out.parameters() + self.out_proj.parameters()
-        return params
+        return list(self.named_parameters().values())
 
     def named_parameters(self, prefix="dit"):
+        """Every parameter by its place in the model, e.g. ``dit.blocks.0.attn.wq.w``.
+
+        A LoRA-wrapped map keeps its base weights' names (frozen) and adds
+        ``….lora.A`` and ``….lora.B``, so a plain checkpoint names the same
+        base weights as a wrapped model.
+        """
+        modules = {
+            "patch_proj": self.patch_proj,
+            "cond_emb": self.cond_emb,
+            "t_fc1": self.t_fc1,
+            "t_fc2": self.t_fc2,
+            "temporal_emb": self.temporal_emb,
+            "spatial_emb": self.spatial_emb,
+            "ctx_emb": self.ctx_emb,
+        }
+        for i, b in enumerate(self.blocks):
+            modules.update({f"blocks.{i}.{key}": m for key, m in b.named_modules().items()})
+        modules.update(ln_out=self.ln_out, out_proj=self.out_proj)
         out = {}
-        for i, p in enumerate(self.parameters()):
-            out[f"{prefix}.p{i:03d}"] = p
+        for key, m in modules.items():
+            out.update(m.named_parameters(f"{prefix}.{key}"))
         return out
 

@@ -9,7 +9,9 @@ fused kernels: each runs one array computation and records at most one
 tape node, whose backward is an analytic vector-Jacobian product.  Taped
 and no-tape calls (under ``no_grad``, or when nothing requires a
 gradient) share that computation, so their outputs are bitwise equal;
-a no-tape call only skips the node.
+a no-tape call only skips the node.  The attention core normalises after
+p·v: it divides the (Lq, d) output by the row sums of exp(s − max s)
+rather than the (Lq, Lk) scores, so it needs no call to ``softmax``.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+    def named_parameters(self, prefix):
+        return {f"{prefix}.w": self.weight, **({f"{prefix}.b": self.bias} if self.bias is not None else {})}
 
 
 class LoraLinear:
@@ -79,8 +81,9 @@ class LoraLinear:
         low = linear(linear(x, self.B), self.A)
         return y + low.scale(self.alpha / self.rank)
 
-    def parameters(self):
-        return [self.A, self.B]
+    def named_parameters(self, prefix):
+        """The frozen base under the names it had unwrapped, then the adapters."""
+        return {**self.base.named_parameters(prefix), f"{prefix}.lora.A": self.A, f"{prefix}.lora.B": self.B}
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -160,9 +163,6 @@ class Conv3dLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv3d_forward(self, x)
-
-    def parameters(self):
-        return [self.weight, self.bias]
 
 
 def _flat_offsets(extents, coords):
@@ -287,17 +287,24 @@ def _into_first(ufunc, a, b):
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q·kᵀ/√d)·v over (N, heads, L, d) tensors as one tape node.
 
-    The (N, heads, Lq, Lk) score buffer is scaled in place and then
-    overwritten by its softmax, so the only activations kept for backward
-    are q, k, v and the probabilities.
+    ``q`` is scaled by 1/√d before the product, and the (N, heads, Lq, Lk)
+    score buffer is overwritten by e = exp(s − max s); the output is
+    (e·v) / Σe, so the division touches the (Lq, d) output rather than the
+    scores.  Backward keeps q, k, v, e and Σe, and turns e into the
+    probabilities in place before the softmax VJP.
     """
     scale = float(1.0 / np.sqrt(q.shape[-1]))
-    p = q.data @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
-    p *= scale
-    softmax(Tensor._make(p, (), None), axis=-1, out=p)
+    e = (q.data * scale) @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    denom = e.sum(axis=-1, keepdims=True)
+    out = e @ v.data
+    out /= denom
     needs = (q.requires_grad, k.requires_grad, v.requires_grad)
 
     def vjp(g):
+        p = e  # the tape is consumed once, so the buffer can become the probabilities
+        p /= denom
         gv = np.swapaxes(p, -1, -2) @ g if needs[2] else None
         if not (needs[0] or needs[1]):
             return (None, None, gv)
@@ -307,7 +314,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         gk = np.swapaxes(gs, -1, -2) @ q.data if needs[1] else None
         return (gq, gk, gv)
 
-    return Tensor._make(p @ v.data, (q, k, v), vjp)
+    return Tensor._make(out, (q, k, v), vjp)
 
 
 class AttentionLayer:
@@ -345,8 +352,11 @@ class AttentionLayer:
         out = out.transpose(0, 2, 1, 3).reshape(n, lq, self.model_dim)
         return self.wo(out)
 
-    def parameters(self):
-        return self.wq.parameters() + self.wk.parameters() + self.wv.parameters() + self.wo.parameters()
+    def named_parameters(self, prefix):
+        out = {}
+        for key in ("wq", "wk", "wv", "wo"):
+            out.update(getattr(self, key).named_parameters(f"{prefix}.{key}"))
+        return out
 
 
 class Embedding:
@@ -358,8 +368,8 @@ class Embedding:
     def __call__(self, idx) -> Tensor:
         return self.table.index_select(np.asarray(idx, dtype=np.int64))
 
-    def parameters(self):
-        return [self.table]
+    def named_parameters(self, prefix):
+        return {f"{prefix}.table": self.table}
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:

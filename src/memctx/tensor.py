@@ -284,10 +284,19 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         data = self.data[key]
         shape = self.shape
+        # a basic index never selects a position twice, so its gradient is a plain write
+        parts = key if isinstance(key, tuple) else (key,)
+        basic = all(
+            isinstance(k, (slice, type(Ellipsis), type(None), int, np.integer)) and not isinstance(k, bool)
+            for k in parts
+        )
 
         def vjp(g):
             full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             return (full,)
 
         return Tensor._make(np.ascontiguousarray(data), (self,), vjp)

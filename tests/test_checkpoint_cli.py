@@ -186,6 +186,40 @@ def test_cli_finetune_from_pretrained(tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "out" / "finetune.mcck"))
 
 
+def test_cli_lora_finetune_from_plain_pretrain_checkpoint(tmp_path, capsys):
+    """A LoRA fine-tune loads a plain pretrain checkpoint: base weights keep their names,
+    the adapters start fresh, and the frozen bases come out as they went in."""
+    assert cli.main(["pretrain", _tiny_cfg(tmp_path)]) == cli.EXIT_OK
+    pretrain_path = str(tmp_path / "out" / "pretrain.mcck")
+    pretrained, _, _, _ = checkpoint.load_checkpoint(pretrain_path)
+    cfg_path = _tiny_cfg(tmp_path, dit={"lora_rank": 4})
+    assert cli.main(["finetune", cfg_path, "--pretrained", pretrain_path]) == cli.EXIT_OK
+    tuned, _, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "finetune.mcck"))
+    wrapped = [name[: -len(".lora.A")] for name in tuned if name.endswith(".lora.A")]
+    assert "dit.blocks.0.attn.wq" in wrapped and len(wrapped) == 4 + 7 * 4
+    for base in wrapped:
+        for suffix in (".w", ".b"):
+            assert np.array_equal(tuned[base + suffix], pretrained[base + suffix]), base + suffix
+    assert set(tuned) - set(pretrained) == {f"{b}.lora.{m}" for b in wrapped for m in "AB"}
+    assert cli.main(["rollout", cfg_path, str(tmp_path / "out" / "finetune.mcck")]) == cli.EXIT_OK
+
+
+def test_cli_refuses_position_named_dit_checkpoint(tmp_path, capsys):
+    """Checkpoints that named DiT parameters by position (``dit.p000`` …) no longer load."""
+    cfg_path = _tiny_cfg(tmp_path)
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, step, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    dit_names = [name for name in params if name.startswith("dit.")]
+    old = {name: a for name, a in params.items() if not name.startswith("dit.")}
+    old.update({f"dit.p{i:03d}": params[name] for i, name in enumerate(dit_names)})
+    path = str(tmp_path / "old.mcck")
+    checkpoint.save_checkpoint(path, old, config.load_config(cfg_path), step)
+    capsys.readouterr()
+    assert cli.main(["finetune", cfg_path, "--pretrained", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "missing parameters" in err and "Traceback" not in err
+
+
 def test_cli_resume_matches_straight_run(tmp_path):
     """3 steps straight == 2 steps + checkpointed resume for 1 more, bitwise."""
     cfg_a = _tiny_cfg(tmp_path, output={"dir": str(tmp_path / "a")})

@@ -6,7 +6,7 @@ import pytest
 from memctx import seeding, training
 from memctx.compressor import CompressedContext, CompressionRate
 from memctx.dit import DiTModel, _modulate
-from memctx.tensor import Tensor, no_grad
+from memctx.tensor import Tensor, backward, no_grad, using_dtype
 
 from test_tensor import check_grads, tape_nodes
 
@@ -106,6 +106,52 @@ def test_no_grad_forward_equals_taped_forward_bitwise():
     assert taped.requires_grad and not fused.requires_grad
     assert np.any(fused.numpy() != 0.0)
     assert np.array_equal(fused.numpy(), taped.numpy())
+
+
+class _JointLastBlock:
+    """The last block run on every token, then sliced: the reference for a query-limited block."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def __call__(self, x, temb, n_query=None):
+        out = self.block(x, temb)
+        return out if n_query is None else out[:, -n_query:]
+
+
+@pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_target_only_last_block_matches_the_joint_forward(dtype, tol):
+    """Querying only the target rows in the last block changes velocities and every
+    parameter's gradient by rounding only; batch 2 with a context and a window."""
+    with using_dtype(dtype):
+        enc, g = training.build_models(0)
+        rng = np.random.default_rng(24)
+        g.out_proj.weight.data[:] = rng.normal(0, 0.05, g.out_proj.weight.shape)
+        for block in g.blocks:
+            block.mod.weight.data[:] = rng.normal(0, 0.05, block.mod.weight.shape)
+        named = training.named_params(enc, g)
+        hist = rng.normal(size=(24, 8, 8, 4))
+        x = _clip(25, n=2)
+        probe = Tensor(rng.normal(size=x.shape))
+
+        def forward_and_grads():
+            for p in named.values():
+                p.grad = None
+            v = g.predict_velocity(
+                x, [0.4, 0.9], c=[1, 2], ctx=enc.compress(hist), frame_indices=[4, 9],
+                window_latents=np.stack([hist[-2:]] * 2), window_frame_indices=[22, 23],
+            )
+            backward((v * probe).sum())
+            return v.numpy(), {name: p.grad for name, p in named.items()}
+
+        v, grads = forward_and_grads()
+        g.blocks[-1] = _JointLastBlock(g.blocks[-1])
+        v_joint, grads_joint = forward_and_grads()
+    assert v.dtype == np.dtype(dtype) and np.abs(v).max() > 0.1
+    np.testing.assert_allclose(v, v_joint, rtol=tol, atol=tol)
+    assert all(grads_joint[name] is not None for name in named)
+    for name in named:
+        np.testing.assert_allclose(grads[name], grads_joint[name], rtol=tol, atol=tol, err_msg=name)
 
 
 def test_forward_validation():

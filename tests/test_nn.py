@@ -1,6 +1,7 @@
 """Neural layers: looped-oracle forwards and finite-difference gradients."""
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,47 @@ def test_attention_core_gradients_with_more_keys_than_queries():
     q, k, v = (rng.standard_normal((2, 2, lq, 3)) for lq in (3, 5, 5))
     w = Tensor(rng.standard_normal((2, 2, 3, 3)))
     check_grads(lambda q, k, v: (nn.attention(q, k, v) * w).sum().square(), q, k, v)
+
+
+def _composed_attention(q, k, v):
+    """softmax(q·kᵀ/√d)·v from separate taped ops: the reference for the fused core."""
+    scores = q.matmul(k.transpose(0, 1, 3, 2)).scale(float(1.0 / np.sqrt(q.shape[-1])))
+    return nn.softmax(scores).matmul(v)
+
+
+@pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
+def test_attention_core_at_inexact_scale_matches_composed_softmax(dtype, tol):
+    """At head dim 8, 1/√8 is inexact, so scaling q differs from scaling the scores by rounding only."""
+    rng = np.random.default_rng(16)
+    arrays = [rng.standard_normal((2, 2, lq, 8)) for lq in (4, 7, 7)]
+    w = rng.standard_normal((2, 2, 4, 8))
+    results = []
+    with using_dtype(dtype):
+        for fn in (nn.attention, _composed_attention):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*leaves)
+            backward((out * Tensor(w)).sum())
+            results.append([out.numpy()] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("dtype,tol", [("float64", 1e-9), ("float32", 1e-3)])
+def test_attention_core_stays_finite_at_logits_near_1e3(dtype, tol):
+    rng = np.random.default_rng(17)
+    q = rng.standard_normal((1, 2, 5, 4))
+    k = rng.standard_normal((1, 2, 6, 4))
+    q *= 2e3 / np.abs(q @ k.transpose(0, 1, 3, 2)).max()  # logits q·kᵀ/2 reach ±1e3
+    v = rng.standard_normal((1, 2, 6, 4))
+    with using_dtype(dtype), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = nn.attention(*leaves)
+        backward(out.square().sum())
+    assert all(np.all(np.isfinite(a)) for a in [out.numpy()] + [t.grad for t in leaves])
+    logits = q @ k.transpose(0, 1, 3, 2) / 2.0
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    np.testing.assert_allclose(out.numpy(), (p / p.sum(axis=-1, keepdims=True)) @ v, atol=tol)
 
 
 def test_attention_rejects_dim_mismatch_and_empty():

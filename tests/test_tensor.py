@@ -161,6 +161,36 @@ def test_getitem_gradient_scatters_with_duplicate_indices():
     check_grad(lambda t: t.index_select(idx).square().mean(), x)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        np.s_[1:3],
+        np.s_[::-2],
+        np.s_[4:0:-1, 1],
+        2,
+        np.int64(-1),
+        np.s_[..., 0],
+        np.s_[:, None, 1:],
+        np.s_[:, :, -2],
+        np.array([1, 1, 3]),
+        np.s_[[0, 0, 4], 1:],
+    ],
+    ids=[
+        "slice", "neg_step", "neg_step_int", "int", "np_int",
+        "ellipsis", "newaxis", "last_axis", "array", "mixed",
+    ],
+)
+def test_getitem_gradient_equals_add_at_scatter(key):
+    """Basic indices write the gradient, advanced ones accumulate it; both match np.add.at."""
+    x = np.random.default_rng(41).standard_normal((5, 3, 4))
+    t = Tensor(x, requires_grad=True)
+    w = np.random.default_rng(42).standard_normal(x[key].shape)
+    backward((t[key] * Tensor(w)).sum())
+    expect = np.zeros_like(x)
+    np.add.at(expect, key, w)
+    assert np.array_equal(t.grad, expect)
+
+
 def test_max_gradient_at_tie_splits_evenly():
     with using_dtype("float64"):
         t = Tensor(np.array([2.0, 2.0, 1.0]), requires_grad=True)
