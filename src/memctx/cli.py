@@ -1,19 +1,21 @@
 """Command-line harness: pretrain, finetune, rollout, eval, budget, experiment.
 
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
-unknown key, a value out of range), a file that cannot be read or written
-(missing, a directory, no permission: any OSError), a corrupt latent file
-(bad magic, unsupported version, unknown dtype, truncated), two latent
-files ``eval`` cannot compare (another frame shape, or no frames), an
-unknown experiment recipe, a ``budget`` geometry that is not positive and
-finite or reduces to zero tokens, or a checkpoint that does not fit (bad
-magic, unsupported version, truncated file, unknown dtype, missing or
-mis-shaped parameters or optimizer state); 3 for a runtime or numeric
-failure: diverged training, a rollout past the DiT's temporal position
-table, or any other ValueError or ArithmeticError.  Argument errors that
-argparse reports (a missing or non-numeric argument) also exit 2.  All
-commands are deterministic given config + seed; checkpoints are written
-atomically and training can resume from them.
+unknown key, a value out of range or not finite, a DiT width its heads or
+position code cannot split, a condition code outside the vocabulary), a
+file that cannot be read or written (missing, a directory, no permission:
+any OSError), a corrupt latent file (bad magic, unsupported version,
+unknown dtype, truncated), two latent files ``eval`` cannot compare
+(another frame shape, or no frames), an unknown experiment recipe, a
+``budget`` geometry that is not positive and finite or reduces to zero
+tokens, or a checkpoint that does not fit (bad magic, unsupported
+version, truncated file, unknown dtype, missing or mis-shaped parameters
+or optimizer state); 3 for a runtime or numeric failure: diverged
+training, a rollout past the DiT's temporal position table, or any other
+ValueError or ArithmeticError.  Argument errors that argparse reports (a
+missing or non-numeric argument) also exit 2.  All commands are
+deterministic given config + seed; checkpoints are written atomically and
+training can resume from them.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _load(path: str) -> dict:
-    return config_mod.load_config(path)
-
-
 def _build(cfg):
     enc, g = training.build_models(
         cfg["seed"],
@@ -45,6 +43,7 @@ def _build(cfg):
         model_dim=cfg["dit"]["inner_dim"],
         n_blocks=cfg["dit"]["blocks"],
         n_heads=cfg["dit"]["heads"],
+        vocab=cfg["dataset"]["vocab"],
     )
     if cfg["dit"]["lora_rank"] > 0:
         g.enable_lora(cfg["dit"]["lora_rank"], seeding.stream(cfg["seed"], 0x10BA))
@@ -76,7 +75,8 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
     optimizer = None
     start_step = 0
     if init_from:  # weights only; step counter, optimizer and adapters the checkpoint lacks start fresh
-        params, _, _, _ = checkpoint.load_checkpoint(init_from, cfg)
+        # no digest check: a fine-tune config differs from its pretrain one by design (the LoRA rank)
+        params, _, _, _ = checkpoint.load_checkpoint(init_from)
         checkpoint.restore_into({k: p for k, p in named.items() if k in params or ".lora." not in k}, params)
     if resume:
         params, start_step, opt_arrays, digest_ok = checkpoint.load_checkpoint(resume, cfg)
@@ -109,20 +109,18 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
         seed=cfg["seed"],
         batch=tr["batch"],
         lr=tr["lr"],
-        log_every=tr["log_every"],
         optimizer=optimizer,
         start_step=start_step,
         on_step=on_step,
     )
     if objective == "retrieval":
-        opt, _ = training.pretrain_retrieval(
+        opt = training.pretrain_retrieval(
             enc, g, dataset, omega_policy=tr["omega_policy"],
             timestep_dist=_timestep_dist(cfg), **kwargs,
         )
     else:
-        opt, _ = training.finetune_next_clip(
-            enc, g, dataset, chunk_len=cfg["encoder"]["chunk_len"],
-            freeze_encoder=tr["freeze_encoder"],
+        opt = training.finetune_next_clip(
+            enc, g, dataset, freeze_encoder=tr["freeze_encoder"],
             window_frames=cfg["rollout"]["window_frames"], **kwargs,
         )
     ckpt_path = os.path.join(out_dir, out_name + ".mcck")
@@ -135,17 +133,17 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load(args.config)
+    cfg = config_mod.load_config(args.config)
     return _train_command(cfg, args.resume, "retrieval", "pretrain")
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load(args.config)
+    cfg = config_mod.load_config(args.config)
     return _train_command(cfg, args.resume, "next_clip", "finetune", init_from=args.pretrained)
 
 
 def cmd_rollout(args) -> int:
-    cfg = _load(args.config)
+    cfg = config_mod.load_config(args.config)
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     enc, g = _build(cfg)

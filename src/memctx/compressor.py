@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import nn
+from .data import DESK_LATENT
 from .tensor import Tensor, as_default_dtype, concat, default_dtype
 
 __all__ = [
@@ -129,23 +130,16 @@ class EncoderModel:
             self.convs.append(nn.Conv3dLayer(c_in, c_out, kernel, stride, padding, rng))
             c_in = c_out
         self.attn = nn.AttentionLayer(c_in, heads, rng)
-        # fixed pool for pos embeds
-        self._pos_rng_state = rng.normal(0.0, 0.02, size=(65536,)).astype(default_dtype())
+        # every variant draws the same pool, so the parameters drawn after it keep their values
+        pool = rng.normal(0.0, 0.02, size=(65536,)).astype(default_dtype())
+        if variant != "only_lr":
+            # one learned position row per token of a desk-grid chunk, shared across chunks
+            n_pos = self.token_count(chunk_len, DESK_LATENT[1], DESK_LATENT[2])
+            if n_pos * c_in > pool.size:
+                raise ValueError(f"a desk-grid chunk of {n_pos} tokens exceeds the position pool")
+            self.pos = Tensor(pool[: n_pos * c_in].reshape(n_pos, c_in).copy(), requires_grad=True)
         self.hr_proj = nn.Linear(c_in, model_dim, rng)
         self.lr_proj = nn.Linear(latent_channels, model_dim, rng)
-        self._pos_params = {}
-
-    def _chunk_pos(self, n_tokens: int) -> Tensor:
-        """Learned per-slot embedding shared across chunks (keyed by grid size)."""
-        if n_tokens not in self._pos_params:
-            dim = self.attn.model_dim
-            flat = self._pos_rng_state[: n_tokens * dim]
-            if flat.size < n_tokens * dim:
-                raise ValueError("chunk token grid exceeds positional embedding pool")
-            self._pos_params[n_tokens] = Tensor(
-                flat.reshape(n_tokens, dim).copy(), requires_grad=True
-            )
-        return self._pos_params[n_tokens]
 
     # -- forward ---------------------------------------------------------------
 
@@ -185,11 +179,16 @@ class EncoderModel:
 
         hr_tokens = None
         if self.variant != "only_lr":
+            if l_chunk != self.pos.shape[0]:
+                raise ValueError(
+                    f"chunk of {l_chunk} tokens does not match the {self.pos.shape[0]}-token "
+                    f"position table of the {DESK_LATENT[1]}x{DESK_LATENT[2]} desk grid"
+                )
             x = chunk.transpose(0, 4, 1, 2, 3)  # (N, C, T, H, W)
             for conv in self.convs:
                 x = conv(x).silu()
             feat = x.transpose(0, 2, 3, 4, 1).reshape(n, l_chunk, self.attn.model_dim)
-            feat = feat + self._chunk_pos(l_chunk)
+            feat = feat + self.pos
             feat = feat + self.attn(feat)
             hr_tokens = self.hr_proj(feat)
 
@@ -282,19 +281,13 @@ class EncoderModel:
             for name, lin in (("q", self.attn.wq), ("k", self.attn.wk), ("v", self.attn.wv), ("o", self.attn.wo)):
                 out[f"{prefix}.attn.{name}.w"] = lin.weight
                 out[f"{prefix}.attn.{name}.b"] = lin.bias
+            out[f"{prefix}.pos"] = self.pos
             out[f"{prefix}.hr_proj.w"] = self.hr_proj.weight
             out[f"{prefix}.hr_proj.b"] = self.hr_proj.bias
         if self.variant != "without_lr":
             out[f"{prefix}.lr_proj.w"] = self.lr_proj.weight
             out[f"{prefix}.lr_proj.b"] = self.lr_proj.bias
-        for key, p in self._pos_params.items():
-            out[f"{prefix}.pos.{key}"] = p
         return out
-
-    def materialize_pos(self, h: int, w: int):
-        """Create the chunk positional table for a geometry ahead of checkpointing."""
-        if self.variant in ("dual", "without_lr"):
-            self._chunk_pos(self.token_count(self.chunk_len, h, w))
 
 
 def combine_contexts(contexts) -> CompressedContext:

@@ -1,12 +1,15 @@
 """Run configuration: a strict JSON document with nested blocks.
 
-Unknown keys are rejected with their field path; cross-field
-divisibility constraints are validated before any compute starts.
+Unknown keys are rejected with their field path; numbers must be finite
+(``NaN`` and ``Infinity`` are refused); cross-field constraints (the
+divisibility of the desk geometry and of the DiT's width, and condition
+codes inside the vocabulary) are validated before any compute starts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .compressor import VARIANTS
 
@@ -80,13 +83,13 @@ _VALIDATORS = {
     "dit.blocks": lambda v: isinstance(v, int) and v >= 1,
     "dit.heads": lambda v: isinstance(v, int) and v >= 1,
     "dit.lora_rank": lambda v: isinstance(v, int) and v >= 0,
-    "diffusion.mu": lambda v: isinstance(v, (int, float)),
-    "diffusion.sigma": lambda v: isinstance(v, (int, float)) and v > 0,
-    "diffusion.shift": lambda v: isinstance(v, (int, float)) and v > 0,
+    "diffusion.mu": lambda v: isinstance(v, (int, float)) and math.isfinite(v),
+    "diffusion.sigma": lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
+    "diffusion.shift": lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
     "diffusion.sample_steps": lambda v: isinstance(v, int) and v >= 1,
     "training.steps": lambda v: isinstance(v, int) and v >= 1,
     "training.batch": lambda v: isinstance(v, int) and v >= 1,
-    "training.lr": lambda v: isinstance(v, (int, float)) and v > 0,
+    "training.lr": lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
     "training.omega_policy": lambda v: v in ("uniform", "fixed-endpoints"),
     "training.freeze_encoder": lambda v: isinstance(v, bool),
     "training.log_every": lambda v: isinstance(v, int) and v >= 1,
@@ -149,6 +152,15 @@ def validate_config(user: dict) -> dict:
         raise ConfigError(f"latent length {t} not divisible by chunk_len {cfg['encoder']['chunk_len']}")
     if h % r_h or w % r_w:
         raise ConfigError(f"latent extents ({h}, {w}) not divisible by spatial rates ({r_h}, {r_w})")
+    # attention splits the width across heads; the spatial position code splits it into
+    # row and column halves, each a sin/cos pair
+    dim, heads = cfg["dit"]["inner_dim"], cfg["dit"]["heads"]
+    if dim % heads or dim % 4:
+        raise ConfigError(f"dit.inner_dim {dim} must be a multiple of 4 and of dit.heads {heads}")
+    vocab = cfg["dataset"]["vocab"]
+    for _, code in cfg["rollout"]["condition_schedule"]:
+        if not 0 <= code < vocab:
+            raise ConfigError(f"rollout.condition_schedule code {code} is outside [0, {vocab})")
     return cfg
 
 

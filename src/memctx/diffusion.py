@@ -96,7 +96,6 @@ def retrieval_loss(
     c,
     seed: int,
     timestep_dist: TimestepDistribution | None = None,
-    freeze_encoder: bool = False,
 ) -> Tensor:
     """Frame-retrieval objective.
 
@@ -122,8 +121,6 @@ def retrieval_loss(
     x_t = (1.0 - t[:, None, None, None, None]) * target + t[:, None, None, None, None] * eps
 
     ctx = phi.compress(masked)
-    if freeze_encoder:
-        ctx = dataclasses.replace(ctx, tokens=ctx.tokens.detach())
     pred = g.predict_velocity(x_t, t, c, ctx=ctx, frame_indices=list(omega.indices))
     resid = pred - as_default_dtype(eps - target)
     return resid.square().mean()

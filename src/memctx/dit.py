@@ -286,12 +286,12 @@ class DiTModel:
 
     # -- variants -------------------------------------------------------------
 
-    def enable_lora(self, rank: int, rng, alpha=None) -> None:
+    def enable_lora(self, rank: int, rng) -> None:
         """Wrap every linear map with an adapter; bases freeze in place."""
         if self._lora:
             raise ValueError("LoRA already enabled")
         for holder, attr in self._linear_slots():
-            holder.__dict__[attr] = nn.LoraLinear(holder.__dict__[attr], rank, rng, alpha)
+            holder.__dict__[attr] = nn.LoraLinear(holder.__dict__[attr], rank, rng)
         self._lora = True
 
     def _linear_slots(self):

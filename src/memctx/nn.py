@@ -43,35 +43,31 @@ def _param(values) -> Tensor:
 class Linear:
     """y = x @ W.T + b with W of shape (out, in)."""
 
-    def __init__(self, in_dim, out_dim, rng, bias=True, init_scale=None):
-        scale = init_scale if init_scale is not None else (1.0 / np.sqrt(in_dim))
-        self.weight = _param(rng.normal(0.0, scale, size=(out_dim, in_dim)))
-        self.bias = _param(np.zeros(out_dim)) if bias else None
+    def __init__(self, in_dim, out_dim, rng):
+        self.weight = _param(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim)))
+        self.bias = _param(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
     def named_parameters(self, prefix):
-        return {f"{prefix}.w": self.weight, **({f"{prefix}.b": self.bias} if self.bias is not None else {})}
+        return {f"{prefix}.w": self.weight, f"{prefix}.b": self.bias}
 
 
 class LoraLinear:
-    """Frozen base linear plus trainable low-rank residual (alpha/r)·A·B.
+    """Frozen base linear plus trainable low-rank residual (alpha/r)·A·B, with alpha = 2r.
 
     A is (out, r) zero-initialized so the wrapped map equals the base at
     step 0; B is (r, in) with small Gaussian init.
     """
 
-    def __init__(self, base: Linear, rank: int, rng, alpha: float | None = None):
+    def __init__(self, base: Linear, rank: int, rng):
         if rank <= 0:
             raise ValueError(f"LoRA rank must be positive, got {rank}")
         out_dim, in_dim = base.weight.shape
         self.base = base
         base.weight.requires_grad = False
-        if base.bias is not None:
-            base.bias.requires_grad = False
-        self.rank = rank
-        self.alpha = float(alpha) if alpha is not None else 2.0 * rank
+        base.bias.requires_grad = False
         self.A = _param(np.zeros((out_dim, rank)))
         self.B = _param(rng.normal(0.0, 0.02, size=(rank, in_dim)))
 
@@ -79,7 +75,7 @@ class LoraLinear:
         # the base goes through the same kernel as an unwrapped Linear, so A = 0 is bitwise the base
         y = linear(x, self.base.weight, self.base.bias)
         low = linear(linear(x, self.B), self.A)
-        return y + low.scale(self.alpha / self.rank)
+        return y + low.scale(2.0)
 
     def named_parameters(self, prefix):
         """The frozen base under the names it had unwrapped, then the adapters."""

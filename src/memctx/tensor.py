@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "zeros",
     "as_default_dtype",
     "backward",
     "concat",
@@ -158,9 +156,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -253,10 +248,6 @@ class Tensor:
         out = np.exp(self.data)
         return Tensor._make(out, (self,), lambda g: (g * out,))
 
-    def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._make(out, (self,), lambda g: (g * out * (1.0 - out),))
-
     def silu(self) -> "Tensor":
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out = self.data * sig
@@ -313,12 +304,6 @@ class Tensor:
             return (full,)
 
         return Tensor._make(data, (self,), vjp)
-
-    def pad(self, pad_width) -> "Tensor":
-        pw = tuple((int(a), int(b)) for a, b in pad_width)
-        data = np.pad(self.data, pw)
-        sl = tuple(slice(a, a + n) for (a, _), n in zip(pw, self.shape))
-        return Tensor._make(data, (self,), lambda g: (g[sl],))
 
     # -- contraction & reduction ----------------------------------------------
 
@@ -380,11 +365,6 @@ class Tensor:
             return (mask * (g / counts),)
 
         return Tensor._make(np.asarray(data), (self,), vjp)
-
-    # -- autodiff ------------------------------------------------------------
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _norm_axes(axis, ndim):
@@ -453,11 +433,7 @@ def backward(loss: Tensor) -> None:
         node._vjp = None  # consume
 
 
-# -- spec-facing dispatchers ---------------------------------------------------
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
+# -- free functions ------------------------------------------------------------
 
 
 def as_default_dtype(x) -> Tensor:
@@ -466,10 +442,6 @@ def as_default_dtype(x) -> Tensor:
     Model entry points pass their float inputs through this.
     """
     return Tensor._coerce(x).astype(default_dtype())
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=requires_grad)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

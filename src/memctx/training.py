@@ -38,10 +38,15 @@ def build_models(
     model_dim: int = 64,
     n_blocks: int = 4,
     n_heads: int = 4,
+    vocab: int = 16,
 ):
-    """Construct an (encoder, dit) pair for one experiment arm."""
+    """Construct an (encoder, dit) pair for one experiment arm; the DiT embeds ``vocab`` condition codes."""
     g = DiTModel(
-        seeding.stream(seed, 0xD17), inner_dim=model_dim, n_blocks=n_blocks, n_heads=n_heads
+        seeding.stream(seed, 0xD17),
+        inner_dim=model_dim,
+        n_blocks=n_blocks,
+        n_heads=n_heads,
+        cond_vocab=vocab,
     )
     # the patchifier draws from its own stream, so its seeded reports stay reproducible
     stream = 0xD18 if variant == "large_patchifier" else 0xE6C
@@ -56,9 +61,23 @@ def build_models(
 
 
 def named_params(enc, g) -> dict:
-    """Every parameter by its checkpoint name, the desk chunk-position table included."""
-    enc.materialize_pos(DESK_GEOMETRY[1], DESK_GEOMETRY[2])
+    """Every parameter by its checkpoint name."""
     return {**g.named_parameters(), **enc.named_parameters()}
+
+
+def _train(enc, g, batch_loss, steps, lr, optimizer, start_step, on_step):
+    """Step Adam on ``batch_loss(step)`` for steps ``start_step`` to ``steps``; returns the optimizer."""
+    opt = optimizer or nn.Adam(named_params(enc, g), lr=lr)
+    for step in range(start_step, steps):
+        loss = batch_loss(step)
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError(f"training diverged at step {step} (loss={loss.item()})")
+        opt.zero_grad()
+        backward(loss)  # looked up in this module per call: the benchmark's tracer wraps it here
+        opt.step()
+        if on_step is not None:
+            on_step(step + 1, float(loss.item()))
+    return opt
 
 
 def pretrain_retrieval(
@@ -71,37 +90,24 @@ def pretrain_retrieval(
     lr: float = 2e-3,
     omega_policy: str = "uniform",
     timestep_dist: diffusion.TimestepDistribution | None = None,
-    log_every: int = 50,
     optimizer: nn.Adam | None = None,
     start_step: int = 0,
     on_step=None,
-    lr_schedule=None,
 ):
-    """Train on the frame-retrieval objective; returns (optimizer, loss_log)."""
-    opt = optimizer or nn.Adam(named_params(enc, g), lr=lr)
-    losses = []
+    """Train on the frame-retrieval objective; returns the optimizer."""
     t_h = dataset[0][0].shape[0]
-    for step in range(start_step, steps):
+
+    def batch_loss(step):
         rng = seeding.stream(seed, 0x57E9, step)
         idx = rng.integers(0, len(dataset), size=batch)
         h = np.stack([dataset[i][0] for i in idx])
         cond = np.asarray([dataset[i][1] for i in idx])
         omega = data.sample_omega(t_h, (seed, 0x03E6, step), policy=omega_policy)
-        loss = diffusion.retrieval_loss(
+        return diffusion.retrieval_loss(
             g, enc, h, omega, cond, seed=(seed, 0x105, step), timestep_dist=timestep_dist
         )
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError(f"training diverged at step {step} (loss={loss.item()})")
-        if lr_schedule is not None:
-            opt.lr = lr_schedule(step + 1)
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        if (step + 1) % log_every == 0 or step == steps - 1:
-            losses.append((step + 1, float(loss.item())))
-        if on_step is not None:
-            on_step(step + 1, float(loss.item()))
-    return opt, losses
+
+    return _train(enc, g, batch_loss, steps, lr, optimizer, start_step, on_step)
 
 
 def finetune_next_clip(
@@ -112,21 +118,17 @@ def finetune_next_clip(
     seed: int,
     batch: int = 4,
     lr: float = 2e-3,
-    chunk_len: int = 8,
     freeze_encoder: bool = False,
     window_frames: int = 0,
-    log_every: int = 50,
     optimizer: nn.Adam | None = None,
     start_step: int = 0,
     on_step=None,
-    lr_schedule=None,
 ):
-    """Train the next-clip objective on (history, future) splits of scenes."""
-    opt = optimizer or nn.Adam(named_params(enc, g), lr=lr)
-    losses = []
-    t_total = dataset[0][0].shape[0]
-    n_chunks = t_total // chunk_len
-    for step in range(start_step, steps):
+    """Train the next-clip objective on (history, future) splits of scenes; returns the optimizer."""
+    chunk_len = enc.chunk_len
+    n_chunks = dataset[0][0].shape[0] // chunk_len
+
+    def batch_loss(step):
         rng = seeding.stream(seed, 0xF75, step)
         idx = rng.integers(0, len(dataset), size=batch)
         split = int(rng.integers(1, n_chunks))  # history = split chunks, future = next chunk
@@ -141,7 +143,7 @@ def finetune_next_clip(
             w = min(window_frames, h.shape[1])
             window = h[:, -w:]
             win_idx = list(range(h.shape[1] - w, h.shape[1]))
-        loss = diffusion.finetune_loss(
+        return diffusion.finetune_loss(
             g,
             enc,
             h,
@@ -152,18 +154,8 @@ def finetune_next_clip(
             window_latents=window,
             window_frame_indices=win_idx,
         )
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError(f"training diverged at step {step} (loss={loss.item()})")
-        if lr_schedule is not None:
-            opt.lr = lr_schedule(step + 1)
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        if (step + 1) % log_every == 0 or step == steps - 1:
-            losses.append((step + 1, float(loss.item())))
-        if on_step is not None:
-            on_step(step + 1, float(loss.item()))
-    return opt, losses
+
+    return _train(enc, g, batch_loss, steps, lr, optimizer, start_step, on_step)
 
 
 def evaluate_retrieval(
@@ -175,20 +167,16 @@ def evaluate_retrieval(
     positions: str = "random",
     max_targets: int = 4,
     sample_steps: int = 8,
-    with_baselines: bool = False,
 ):
     """Held-out retrieval PSNR under the training-style masking protocol.
 
     Per scene: draw an index set, mask the history (index-set frames kept
     clean, all others noised), compress, then sample reconstructions at the
     clean index positions — random positions (``positions='random'``) or
-    the final frame only (``positions='endpoint'``).  Baselines, when
-    requested, reconstruct the masked positions from the clean anchors.
+    the final frame only (``positions='endpoint'``).
     """
     scores = []
     ssim_scores = []
-    base_a = []
-    base_b = []
     for k in range(n_eval):
         lat, cond = dataset[k % len(dataset)]
         t_h = lat.shape[0]
@@ -209,20 +197,11 @@ def evaluate_retrieval(
         )
         scores.append(metrics.psnr(recon, lat[targets]))
         ssim_scores.append(metrics.ssim(recon, lat[targets], window=7))
-        if with_baselines:
-            base = metrics.retrieval_baselines(lat, omega)
-            midx = base["masked_indices"]
-            base_a.append(metrics.psnr(base["copy_nearest"], lat[midx]))
-            base_b.append(metrics.psnr(base["dataset_mean"], lat[midx]))
-    result = {
+    return {
         "psnr": float(np.mean(scores)),
         "ssim": float(np.mean(ssim_scores)),
         "per_scene": scores,
     }
-    if with_baselines:
-        result["copy_nearest_psnr"] = float(np.mean(base_a))
-        result["dataset_mean_psnr"] = float(np.mean(base_b))
-    return result
 
 
 def evaluate_retrieval_baselines(dataset, seed: int, n_eval: int = 6, max_targets: int = 4):

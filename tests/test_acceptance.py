@@ -72,7 +72,6 @@ OP_LOSSES = {
     "add_mul": lambda t: ((t + 2.0) * t).mean(),
     "sub_div": lambda t: ((t - 0.5) / (t.square() + 1.0)).mean(),
     "exp": lambda t: t.exp().mean(),
-    "sigmoid": lambda t: t.sigmoid().square().mean(),
     "silu": lambda t: t.silu().square().mean(),
     "sqrt": lambda t: (t.square() + 1.0).sqrt().mean(),
     "matmul": lambda t: (t @ t.transpose(1, 0)).square().mean(),

@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memctx import checkpoint, cli, config, data, training
-from memctx.tensor import Tensor
+from memctx.tensor import Tensor, no_grad
 
 
 # -- config ---------------------------------------------------------------------
@@ -50,6 +52,30 @@ def test_config_field_validation():
         config.validate_config({"encoder": {"rate": [3, 2, 1]}})
     with pytest.raises(config.ConfigError, match="chunk_len"):
         config.validate_config({"encoder": {"rate": [2, 2, 3]}})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(8, 96),
+    heads=st.integers(1, 8),
+    vocab=st.integers(1, 40),
+    codes=st.lists(st.integers(-2, 40), min_size=1, max_size=3),
+)
+def test_config_that_validates_builds(dim, heads, vocab, codes):
+    """A config either fails validation, or its models build and embed every condition code."""
+    user = {
+        "dit": {"inner_dim": dim, "heads": heads, "blocks": 1},
+        "dataset": {"vocab": vocab},
+        "rollout": {"condition_schedule": [[8 * i, code] for i, code in enumerate(codes)]},
+    }
+    try:
+        cfg = config.validate_config(user)
+    except config.ConfigError:
+        return
+    _, g = cli._build(cfg)
+    with no_grad():
+        rows = g.cond_emb(np.arange(vocab))
+    assert rows.shape == (vocab, dim)
 
 
 def test_load_config_bad_json(tmp_path):
@@ -193,7 +219,11 @@ def test_cli_lora_finetune_from_plain_pretrain_checkpoint(tmp_path, capsys):
     pretrain_path = str(tmp_path / "out" / "pretrain.mcck")
     pretrained, _, _, _ = checkpoint.load_checkpoint(pretrain_path)
     cfg_path = _tiny_cfg(tmp_path, dit={"lora_rank": 4})
-    assert cli.main(["finetune", cfg_path, "--pretrained", pretrain_path]) == cli.EXIT_OK
+    # a weights-only load checks names and shapes, not the config digest: no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["finetune", cfg_path, "--pretrained", pretrain_path]) == cli.EXIT_OK
+    assert [str(w.message) for w in caught] == []
     tuned, _, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "finetune.mcck"))
     wrapped = [name[: -len(".lora.A")] for name in tuned if name.endswith(".lora.A")]
     assert "dit.blocks.0.attn.wq" in wrapped and len(wrapped) == 4 + 7 * 4
@@ -218,6 +248,20 @@ def test_cli_refuses_position_named_dit_checkpoint(tmp_path, capsys):
     assert cli.main(["finetune", cfg_path, "--pretrained", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "missing parameters" in err and "Traceback" not in err
+
+
+def test_cli_refuses_grid_keyed_position_table_checkpoint(tmp_path, capsys):
+    """Checkpoints that keyed the chunk-position table by its token count (``enc.pos.16``) no longer load."""
+    cfg_path = _tiny_cfg(tmp_path)
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, step, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    params["enc.pos.16"] = params.pop("enc.pos")
+    path = str(tmp_path / "old.mcck")
+    checkpoint.save_checkpoint(path, params, config.load_config(cfg_path), step)
+    capsys.readouterr()
+    assert cli.main(["rollout", cfg_path, path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "missing parameters" in err and "enc.pos" in err and "Traceback" not in err
 
 
 def test_cli_resume_matches_straight_run(tmp_path):
@@ -256,6 +300,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     junk = tmp_path / "junk.mcck"
     junk.write_bytes(b"NOPE" + b"\x00" * 64)
     assert cli.main(["rollout", cfg_path, str(junk)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"dit": {"heads": 3}}, "dit.inner_dim 64 must be a multiple of 4 and of dit.heads 3"),
+        ({"dit": {"inner_dim": 10, "heads": 2}}, "dit.inner_dim 10 must be a multiple of 4"),
+        ({"rollout": {"condition_schedule": [[0, -1]]}}, "code -1 is outside [0, 16)"),
+        ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
+        ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
+        ({"diffusion": {"mu": float("nan")}}, "diffusion.mu: nan"),
+    ],
+    ids=["heads", "inner_dim", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu"],
+)
+def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, override, message):
+    """Each of these validated and then failed mid-run (or trained on a non-finite constant)."""
+    cfg_path = _tiny_cfg(tmp_path, **override)  # json writes inf and nan as Infinity and NaN
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_cli_condition_table_follows_the_dataset_vocabulary(tmp_path):
+    """A vocabulary past the default 16 codes trains and rolls out with its own codes."""
+    cfg_path = _tiny_cfg(tmp_path, dataset={"vocab": 64}, rollout={"condition_schedule": [[0, 63]]})
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    ckpt = str(tmp_path / "out" / "pretrain.mcck")
+    params, _, _, _ = checkpoint.load_checkpoint(ckpt)
+    assert params["dit.cond_emb.table"].shape == (64, 64)
+    assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_OK
 
 
 def test_cli_directory_in_place_of_a_file_is_config_error(tmp_path, capsys):

@@ -192,6 +192,20 @@ def test_tokens_carry_gradients():
     assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
 
+@pytest.mark.parametrize("variant", ["dual", "without_lr"])
+def test_chunk_position_table_is_built_for_the_desk_grid(variant):
+    """The table is a parameter from construction, one row per token of a desk-grid
+    chunk; a chunk on another grid is refused, not given a table nothing trains."""
+    enc = _encoder((4, 4, 2), variant=variant)
+    assert enc.named_parameters()["enc.pos"].shape == (16, 64)
+    with pytest.raises(ValueError, match="chunk of 64 tokens does not match the 16-token position table"):
+        enc.compress(_history(3, h=16, w=16))
+    with pytest.raises(ValueError, match="chunk of 64 tokens"):
+        enc.compress_streaming(None, _history(3, t=8, h=16, w=16))
+    with pytest.raises(ValueError, match="chunk of 1536 tokens exceeds the position pool"):
+        _encoder((1, 1, 1), variant=variant, chunk_len=24)
+
+
 @pytest.mark.parametrize("variant", ["dual", "only_lr", "without_lr", "large_patchifier"])
 def test_every_named_parameter_receives_a_gradient(variant):
     """Checkpoints and Adam list only what the variant reads: one retrieval

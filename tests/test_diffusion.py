@@ -135,15 +135,14 @@ def test_retrieval_loss_at_init_equals_target_second_moment():
     assert loss.item() == pytest.approx(expected, rel=1e-6)
 
 
-def test_retrieval_loss_freeze_encoder_blocks_grads():
+def test_finetune_loss_freeze_encoder_blocks_grads():
     enc, g = _models()
     # give the output head weight so gradients are nonzero at init
     g.out_proj.weight.data[:] = np.random.default_rng(7).normal(
         0, 0.05, size=g.out_proj.weight.shape
     )
     hist = np.random.default_rng(8).normal(size=(1, 24, 8, 8, 4)).astype(np.float32)
-    om = _omega(5)
-    loss = diffusion.retrieval_loss(g, enc, hist, om, c=[0], seed=13, freeze_encoder=True)
+    loss = diffusion.finetune_loss(g, enc, hist[:, :16], hist[:, 16:], c=[0], seed=13, freeze_encoder=True)
     backward(loss)
     assert all(p.grad is None or np.all(p.grad == 0) for p in enc.parameters())
     assert any(p.grad is not None and np.abs(p.grad).sum() > 0 for p in g.parameters())

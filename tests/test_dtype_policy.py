@@ -22,7 +22,6 @@ def _tape(loss):
 def _dtypes(variant, history):
     """Dtype name sets of everything the policy covers, for one freshly built variant."""
     enc, g = training.build_models(0, variant=variant, model_dim=16, n_blocks=1, n_heads=2)
-    enc.materialize_pos(8, 8)
     out = {"params": {p.dtype.name for p in g.parameters() + enc.parameters()}}
     omega = data.sample_omega(history.shape[1], (0, 1))
     loss = diffusion.retrieval_loss(g, enc, history, omega, [0, 1], seed=2)

@@ -2,6 +2,7 @@
 
 import contextlib
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from memctx.tensor import Tensor, backward, no_grad, set_debug_checks, using_dty
 
 from test_tensor import check_grad, check_grads, finite_diff, tape_nodes
 
-RNG = np.random.default_rng(1)
+RNG = None  # bound per test by _rng_per_test
+
+
+@pytest.fixture(autouse=True)
+def _rng_per_test(request):
+    """Seed RNG from the test's name, so its data does not depend on which tests ran before."""
+    global RNG
+    RNG = np.random.default_rng(zlib.crc32(request.node.name.encode()))
 
 # value tests run each forward twice: recording a tape, then on the fused no-tape path
 GRAD_MODES = (contextlib.nullcontext, no_grad)

@@ -1,5 +1,7 @@
 """Autodiff engine: oracles are finite differences and explicit numpy loops."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,17 @@ from memctx.tensor import (
     default_dtype,
     no_grad,
     set_debug_checks,
-    tensor,
     using_dtype,
-    zeros,
 )
 
-RNG = np.random.default_rng(0)
+RNG = None  # bound per test by _rng_per_test
+
+
+@pytest.fixture(autouse=True)
+def _rng_per_test(request):
+    """Seed RNG from the test's name, so its data does not depend on which tests ran before."""
+    global RNG
+    RNG = np.random.default_rng(zlib.crc32(request.node.name.encode()))
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -81,7 +88,6 @@ UNARY_CASES = {
     "neg": lambda t: (-t).square().mean(),
     "square": lambda t: t.square().mean(),
     "exp": lambda t: t.exp().mean(),
-    "sigmoid": lambda t: t.sigmoid().square().mean(),
     "silu": lambda t: t.silu().square().mean(),
     "sqrt_shifted": lambda t: (t.square() + 1.0).sqrt().mean(),
     "scale": lambda t: t.scale(3.5).square().mean(),
@@ -90,7 +96,6 @@ UNARY_CASES = {
     "sum_axis": lambda t: t.sum(axis=0).square().mean(),
     "mean_keepdims": lambda t: (t - t.mean(axis=1, keepdims=True)).square().mean(),
     "getitem": lambda t: t[1:3].square().mean(),
-    "pad": lambda t: t.pad(((1, 1), (0, 2))).square().mean(),
 }
 
 
@@ -215,7 +220,7 @@ def test_composite_expression_gradient():
     x = RNG.standard_normal((4, 4))
 
     def f(t):
-        y = (t.matmul(t.transpose(1, 0)) + 1.0).sigmoid()
+        y = (t.matmul(t.transpose(1, 0)) + 1.0).silu()
         return (y * y.exp()).mean()
 
     check_grad(f, x)
@@ -288,12 +293,6 @@ def test_debug_checks_catch_nonfinite():
             Tensor(np.array([1.0, np.inf]))
     finally:
         set_debug_checks(False)
-
-
-def test_zeros_and_tensor_helpers():
-    z = zeros((2, 3), requires_grad=True)
-    assert z.shape == (2, 3) and z.requires_grad
-    assert tensor([1.0, 2.0]).shape == (2,)
 
 
 def test_reduce_invalid_axis_raises():
