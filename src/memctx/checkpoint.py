@@ -12,11 +12,14 @@ import hashlib
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 
 MCCK_MAGIC = b"MCCK"
-MCCK_VERSION = 1
+# 2: the DiT reads context tokens as read-only memory; a version-1 checkpoint was
+# trained with context tokens as joint rows, so it is refused rather than loaded
+MCCK_VERSION = 2
 _DTYPES = {0: np.float32, 1: np.float64}
 _TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
@@ -107,8 +110,11 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str, config: dict | None = None, strict_digest: bool = False):
-    """Read a checkpoint; returns (params, step, optimizer_arrays, digest_ok)."""
+def load_checkpoint(path: str, config: dict | None = None):
+    """Read a checkpoint; returns (params, step, optimizer_arrays).
+
+    With ``config``, warns when the checkpoint was written under another one.
+    """
     with open(path, "rb") as f:
         magic = _read(f, 4)
         if magic != MCCK_MAGIC:
@@ -121,17 +127,9 @@ def load_checkpoint(path: str, config: dict | None = None, strict_digest: bool =
         params = _read_table(f)
         (has_opt,) = _unpack(f, "<B")
         opt = _read_table(f) if has_opt else None
-    digest_ok = True
-    if config is not None:
-        digest_ok = digest == config_digest(config)
-        if not digest_ok:
-            msg = f"checkpoint {path} was written under a different config"
-            if strict_digest:
-                raise CheckpointMismatch(msg)
-            import warnings
-
-            warnings.warn(msg, stacklevel=2)
-    return params, step, opt, digest_ok
+    if config is not None and digest != config_digest(config):
+        warnings.warn(f"checkpoint {path} was written under a different config", stacklevel=2)
+    return params, step, opt
 
 
 def restore_into(named_params: dict, arrays: dict) -> None:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
 unknown key, a value out of range or not finite, a DiT width its heads or
-position code cannot split, a condition code outside the vocabulary), a
-file that cannot be read or written (missing, a directory, no permission:
-any OSError), a corrupt latent file (bad magic, unsupported version,
+position code cannot split, a chunk-position table larger than its pool,
+a condition schedule not starting at frame 0 or a code outside the
+vocabulary), a file that cannot be read or written (missing, a directory,
+no permission: any OSError), a corrupt latent file (bad magic, unsupported version,
 unknown dtype, truncated), two latent files ``eval`` cannot compare
 (another frame shape, or no frames), an unknown experiment recipe, a
 ``budget`` geometry that is not positive and finite or reduces to zero
@@ -76,10 +77,10 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
     start_step = 0
     if init_from:  # weights only; step counter, optimizer and adapters the checkpoint lacks start fresh
         # no digest check: a fine-tune config differs from its pretrain one by design (the LoRA rank)
-        params, _, _, _ = checkpoint.load_checkpoint(init_from)
+        params, _, _ = checkpoint.load_checkpoint(init_from)
         checkpoint.restore_into({k: p for k, p in named.items() if k in params or ".lora." not in k}, params)
     if resume:
-        params, start_step, opt_arrays, digest_ok = checkpoint.load_checkpoint(resume, cfg)
+        params, start_step, opt_arrays = checkpoint.load_checkpoint(resume, cfg)
         checkpoint.restore_into(named, params)
         if opt_arrays is not None:
             optimizer = training.nn.Adam(named, lr=tr["lr"])
@@ -148,7 +149,7 @@ def cmd_rollout(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     enc, g = _build(cfg)
     named = training.named_params(enc, g)
-    params, _, _, _ = checkpoint.load_checkpoint(args.checkpoint, cfg)
+    params, _, _ = checkpoint.load_checkpoint(args.checkpoint, cfg)
     checkpoint.restore_into(named, params)
     dataset = _dataset(cfg)
     ro = cfg["rollout"]

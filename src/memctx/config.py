@@ -2,8 +2,9 @@
 
 Unknown keys are rejected with their field path; numbers must be finite
 (``NaN`` and ``Infinity`` are refused); cross-field constraints (the
-divisibility of the desk geometry and of the DiT's width, and condition
-codes inside the vocabulary) are validated before any compute starts.
+divisibility of the desk geometry and of the DiT's width, a chunk-position
+table that fits its pool, and a condition schedule that starts at frame 0
+with codes inside the vocabulary) are validated before any compute starts.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .compressor import VARIANTS
+from .compressor import CHANNELS, VARIANTS, CompressionRate, position_rows
 
 __all__ = ["ConfigError", "load_config", "validate_config", "DEFAULTS"]
 
@@ -152,13 +153,22 @@ def validate_config(user: dict) -> dict:
         raise ConfigError(f"latent length {t} not divisible by chunk_len {cfg['encoder']['chunk_len']}")
     if h % r_h or w % r_w:
         raise ConfigError(f"latent extents ({h}, {w}) not divisible by spatial rates ({r_h}, {r_w})")
+    if cfg["encoder"]["variant"] in ("dual", "without_lr"):  # the variants with a chunk-position table
+        try:
+            position_rows(CompressionRate(r_h, r_w, r_t), cfg["encoder"]["chunk_len"], CHANNELS[-1])
+        except ValueError as e:
+            raise ConfigError(f"encoder.chunk_len and encoder.rate: {e}") from None
     # attention splits the width across heads; the spatial position code splits it into
     # row and column halves, each a sin/cos pair
     dim, heads = cfg["dit"]["inner_dim"], cfg["dit"]["heads"]
     if dim % heads or dim % 4:
         raise ConfigError(f"dit.inner_dim {dim} must be a multiple of 4 and of dit.heads {heads}")
+    schedule = cfg["rollout"]["condition_schedule"]
+    first = min(start for start, _ in schedule)
+    if first != 0:
+        raise ConfigError(f"rollout.condition_schedule must start at frame 0, its earliest entry is at {first}")
     vocab = cfg["dataset"]["vocab"]
-    for _, code in cfg["rollout"]["condition_schedule"]:
+    for _, code in schedule:
         if not 0 <= code < vocab:
             raise ConfigError(f"rollout.condition_schedule code {code} is outside [0, {vocab})")
     return cfg

@@ -183,13 +183,18 @@ def sample(
     window_latents=None,
     window_frame_indices=None,
 ) -> np.ndarray:
-    """Deterministic Euler integration of the learned velocity from t=1 to 0."""
+    """Deterministic Euler integration of the learned velocity from t=1 to 0.
+
+    The context's memory does not depend on t, so it is built once, before
+    the loop, and every step reads it.
+    """
     if steps < 1:
         raise ValueError("need at least one integration step")
     rng = seeding.stream(seed, 0x5A3B)
     x = rng.standard_normal(shape).astype(default_dtype())
     dt = 1.0 / steps
     with no_grad():
+        memory = None if ctx is None else g.read_memory(ctx, shape[1:3])
         for i in range(steps):
             t = 1.0 - i * dt
             v = g.predict_velocity(
@@ -200,6 +205,7 @@ def sample(
                 frame_indices=frame_indices,
                 window_latents=window_latents,
                 window_frame_indices=window_frame_indices,
+                memory=memory,
             ).numpy()[0]
             x = x - dt * v
     return x

@@ -1,13 +1,18 @@
 """Toy diffusion transformer.
 
 Patchifies a noisy latent clip into tokens, prepends a condition token
-and the compressed history context (plus optional uncompressed window
-tokens), runs joint self-attention blocks, and unpatchifies the target
-segment into a velocity prediction.  The velocity reads only the target
-rows, so the last block queries only the target tokens: its keys and
-values still cover the whole sequence.  All linear maps can be wrapped
-with low-rank adapters for fine-tuning; parameters are named by their
-place in the model, adapters beside their frozen bases.
+(and optional uncompressed window tokens), runs self-attention blocks
+over those rows, and unpatchifies the target segment into a velocity
+prediction.  The compressed history context is read-only memory: each
+block reads the context tokens, plus their positions, through its own
+``ln1`` and key/value maps, and puts those keys and values in front of
+the keys and values of its rows.  No block queries, modulates or updates
+a context token, so the memory does not depend on the timestep and a
+sampler builds it once per clip (``DiTModel.read_memory``).  The velocity
+reads only the target rows, so the last block queries only the target
+tokens.  All linear maps can be wrapped with low-rank adapters for
+fine-tuning; parameters are named by their place in the model, adapters
+beside their frozen bases.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ __all__ = ["DiTModel"]
 
 
 class _Block:
-    """Transformer block with timestep modulation (adaLN-zero style).
+    """Transformer block with timestep modulation (adaLN-zero style) and a memory read.
 
     The timestep embedding produces per-block shift/scale/gate vectors;
     gates start at zero so an untrained block is the identity.  The
     multiplicative path matters: the optimal velocity carries a 1/t gain
-    that additive conditioning alone cannot express.
+    that additive conditioning alone cannot express.  Attention keys and
+    values cover the memory (this block's ``ln1`` and ``attn.wk``/``attn.wv``
+    of the context tokens, without the t-modulation) and then the block's
+    own rows; only the rows are queried and updated.
     """
 
     def __init__(self, dim, heads, rng):
@@ -41,11 +49,12 @@ class _Block:
         self.mod = nn.Linear(dim, 6 * dim, rng)
         self.mod.weight.data[:] = 0.0
 
-    def __call__(self, x: Tensor, temb: Tensor, n_query: int | None = None) -> Tensor:
-        """The block over every token, or with ``n_query`` over the last ``n_query`` only.
+    def __call__(self, x: Tensor, temb: Tensor, memory, n_query: int | None = None) -> Tensor:
+        """The block over every row, or with ``n_query`` over the last ``n_query`` only.
 
-        Keys and values read every token either way; a query-limited block
-        returns just its query rows.
+        ``memory`` is this block's (K, V) pair from ``DiTModel.read_memory``
+        or None.  Keys and values read the memory and every row either way;
+        a query-limited block returns just its query rows.
         """
         dim = x.shape[-1]
         mod = self.mod(temb.silu())  # (N, 6*dim)
@@ -56,7 +65,7 @@ class _Block:
         q = h
         if n_query is not None:
             x, q = x[:, -n_query:], h[:, -n_query:]
-        x = x + _modulate(self.attn(q, h), g1)
+        x = x + _modulate(self.attn(q, h, memory), g1)
         return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), sc2, sh2)).silu()), g2)
 
     def named_modules(self):
@@ -103,7 +112,7 @@ class _LayerNormParams:
 
 
 class DiTModel:
-    """Velocity predictor over [condition | context | window | target] tokens."""
+    """Velocity predictor over [condition | window | target] rows reading context memory."""
 
     def __init__(
         self,
@@ -226,6 +235,23 @@ class DiTModel:
 
     # -- forward -------------------------------------------------------------
 
+    def read_memory(self, ctx: CompressedContext, latent_hw) -> list:
+        """Every block's keys and values of the context tokens: the read-only memory.
+
+        ``ctx.tokens + _ctx_pos(ctx)`` goes through each block's own ``ln1``
+        (without the t-modulation) and its ``attn.wk``/``attn.wv``.  Nothing
+        here depends on the timestep, the condition or the target, so the
+        memory of a context is built once and read at every Euler step.
+        ``latent_hw`` is the target latents' (H, W), which places context
+        tokens on the target's spatial grid.  Returns one (K, V) pair of
+        (N, heads, L, head_dim) tensors per block.
+        """
+        tokens = as_default_dtype(ctx.tokens)
+        if tokens.ndim == 2:
+            tokens = tokens.reshape((1,) + tokens.shape)
+        mem = tokens + self._ctx_pos(ctx, latent_hw)
+        return [block.attn.keys_values(block.ln1(mem)) for block in self.blocks]
+
     def predict_velocity(
         self,
         x_t,
@@ -235,12 +261,16 @@ class DiTModel:
         frame_indices=None,
         window_latents=None,
         window_frame_indices=None,
+        memory=None,
     ) -> Tensor:
         """Predict the flow velocity for the target clip.
 
         ``frame_indices`` give the global time position of each target
         frame (retrieval targets sit at their history indices).  The
         optional window latents enter uncompressed through the patchifier.
+        ``memory`` is ``read_memory(ctx, …)`` built beforehand, as a sampler
+        does once per clip; when it is None the memory is built here from
+        ``ctx``.  A memory of batch 1 is shared by every sample of the batch.
         Float inputs, the context tokens included, are cast to the default dtype.
         """
         x_t = as_default_dtype(x_t)
@@ -251,37 +281,33 @@ class DiTModel:
         if np.any(t_arr <= 0) or np.any(t_arr > 1):
             raise ValueError("timestep must lie in (0, 1]")
 
-        segments = []
+        if memory is None and ctx is not None:
+            memory = self.read_memory(ctx, (x_t.shape[2], x_t.shape[3]))
+        if memory is None:
+            memory = [None] * len(self.blocks)
+        elif n > 1 and memory[0][0].shape[0] == 1:
+            memory = [(concat([k] * n, axis=0), concat([v] * n, axis=0)) for k, v in memory]
+
         c_idx = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
-        segments.append(self.cond_emb(c_idx).reshape(n, 1, self.inner_dim))
-
-        if ctx is not None:
-            ctx_tokens = as_default_dtype(ctx.tokens)
-            if ctx_tokens.ndim == 2:
-                ctx_tokens = ctx_tokens.reshape((1,) + ctx_tokens.shape)
-            if ctx_tokens.shape[0] == 1 and n > 1:
-                ctx_tokens = concat([ctx_tokens] * n, axis=0)
-            segments.append(ctx_tokens + self._ctx_pos(ctx, (x_t.shape[2], x_t.shape[3])))
-
+        segments = [self.cond_emb(c_idx).reshape(n, 1, self.inner_dim)]
         if window_latents is not None:
             win = as_default_dtype(window_latents)
             if win.ndim == 4:
                 win = win.reshape((1,) + win.shape)
             win_tokens = self.patchify(win)
             segments.append(win_tokens + self._target_pos(win.shape, window_frame_indices))
-
         tgt_tokens = self.patchify(x_t) + self._target_pos(x_t.shape, frame_indices)
         segments.append(tgt_tokens)
-        tokens = concat(segments, axis=1) if len(segments) > 1 else segments[0]
+        tokens = concat(segments, axis=1)
 
         temb = Tensor(nn.sinusoidal_embedding(t_arr, self.inner_dim))
         temb = self.t_fc2(self.t_fc1(temb).silu())
         tokens = tokens + temb.reshape(n, 1, self.inner_dim)
 
         # the velocity reads only the target rows, so the last block queries only those
-        for block in self.blocks[:-1]:
-            tokens = block(tokens, temb)
-        out = self.ln_out(self.blocks[-1](tokens, temb, n_query=tgt_tokens.shape[1]))
+        for block, kv in zip(self.blocks[:-1], memory):
+            tokens = block(tokens, temb, kv)
+        out = self.ln_out(self.blocks[-1](tokens, temb, memory[-1], n_query=tgt_tokens.shape[1]))
         return self._unpatchify(self.out_proj(out), x_t.shape)
 
     # -- variants -------------------------------------------------------------

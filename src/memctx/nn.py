@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _tracks, _unbroadcast, default_dtype
+from .tensor import Tensor, _tracks, _unbroadcast, concat, default_dtype
 
 __all__ = [
     "Linear",
@@ -331,7 +331,17 @@ class AttentionLayer:
         n, l, _ = x.shape
         return x.reshape(n, l, self.head_count, self.head_dim).transpose(0, 2, 1, 3)
 
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor | None = None) -> Tensor:
+    def keys_values(self, tokens: Tensor):
+        """Head-split keys and values of ``tokens``: two (N, heads, L, head_dim) tensors."""
+        return self._split(self.wk(tokens)), self._split(self.wv(tokens))
+
+    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor | None = None, memory=None) -> Tensor:
+        """Attention of ``q_tokens`` over ``kv_tokens`` (default: ``q_tokens`` itself).
+
+        ``memory`` is an optional (K, V) pair from ``keys_values``, put in
+        front of the keys and values of ``kv_tokens``: rows that are read but
+        never queried.
+        """
         kv_tokens = q_tokens if kv_tokens is None else kv_tokens
         if q_tokens.shape[-1] != self.model_dim or kv_tokens.shape[-1] != self.model_dim:
             raise ValueError(
@@ -341,8 +351,9 @@ class AttentionLayer:
         if q_tokens.shape[-2] == 0 or kv_tokens.shape[-2] == 0:
             raise ValueError("attention requires non-empty token sets")
         q = self._split(self.wq(q_tokens))
-        k = self._split(self.wk(kv_tokens))
-        v = self._split(self.wv(kv_tokens))
+        k, v = self.keys_values(kv_tokens)
+        if memory is not None:
+            k, v = concat([memory[0], k], axis=2), concat([memory[1], v], axis=2)
         out = attention(q, k, v)  # (N, heads, Lq, hd)
         n, _, lq, _ = out.shape
         out = out.transpose(0, 2, 1, 3).reshape(n, lq, self.model_dim)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memctx import checkpoint, cli, config, data, training
+from memctx import checkpoint, cli, compressor, config, data, training
 from memctx.tensor import Tensor, no_grad
 
 
@@ -60,22 +60,28 @@ def test_config_field_validation():
     heads=st.integers(1, 8),
     vocab=st.integers(1, 40),
     codes=st.lists(st.integers(-2, 40), min_size=1, max_size=3),
+    rate=st.tuples(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 4, 8]), st.integers(1, 4)),
+    chunk_len=st.sampled_from([1, 2, 4, 6, 8, 12, 24]),
+    variant=st.sampled_from(compressor.VARIANTS),
 )
-def test_config_that_validates_builds(dim, heads, vocab, codes):
+def test_config_that_validates_builds(dim, heads, vocab, codes, rate, chunk_len, variant):
     """A config either fails validation, or its models build and embed every condition code."""
     user = {
         "dit": {"inner_dim": dim, "heads": heads, "blocks": 1},
         "dataset": {"vocab": vocab},
+        "encoder": {"rate": list(rate), "chunk_len": chunk_len, "variant": variant},
         "rollout": {"condition_schedule": [[8 * i, code] for i, code in enumerate(codes)]},
     }
     try:
         cfg = config.validate_config(user)
     except config.ConfigError:
         return
-    _, g = cli._build(cfg)
+    enc, g = cli._build(cfg)
     with no_grad():
         rows = g.cond_emb(np.arange(vocab))
     assert rows.shape == (vocab, dim)
+    if variant in ("dual", "without_lr"):
+        assert enc.pos.shape[0] == enc.token_count(chunk_len, *data.DESK_LATENT[1:3])
 
 
 def test_load_config_bad_json(tmp_path):
@@ -103,8 +109,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     cfg = {"seed": 1, "lr": 0.01}
     opt_arrays = {"m.a.weight": np.ones((4, 3), np.float64), "step": np.float64(7.0)}
     checkpoint.save_checkpoint(path, params, cfg, step=42, optimizer_arrays=opt_arrays)
-    loaded, step, opt, digest_ok = checkpoint.load_checkpoint(path, cfg)
-    assert step == 42 and digest_ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the same config: no digest warning
+        loaded, step, opt = checkpoint.load_checkpoint(path, cfg)
+    assert step == 42
     for name, p in params.items():
         assert loaded[name].dtype == p.data.dtype
         assert np.array_equal(loaded[name], p.data)
@@ -115,10 +123,8 @@ def test_checkpoint_digest_mismatch(tmp_path):
     path = str(tmp_path / "m.mcck")
     checkpoint.save_checkpoint(path, _params(), {"seed": 1}, step=1)
     with pytest.warns(UserWarning, match="different config"):
-        _, _, _, ok = checkpoint.load_checkpoint(path, {"seed": 2})
-    assert not ok
-    with pytest.raises(checkpoint.CheckpointMismatch):
-        checkpoint.load_checkpoint(path, {"seed": 2}, strict_digest=True)
+        params, step, _ = checkpoint.load_checkpoint(path, {"seed": 2})
+    assert step == 1 and set(params) == set(_params())
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -147,7 +153,7 @@ def test_restore_into_round_trips_model(tmp_path):
     checkpoint.save_checkpoint(path, named, {"c": 1}, step=3)
     enc2, g2 = training.build_models(1)  # different init
     named2 = training.named_params(enc2, g2)
-    loaded, _, _, _ = checkpoint.load_checkpoint(path)
+    loaded, _, _ = checkpoint.load_checkpoint(path)
     checkpoint.restore_into(named2, loaded)
     for name in named:
         assert np.array_equal(named[name].data, named2[name].data), name
@@ -217,14 +223,14 @@ def test_cli_lora_finetune_from_plain_pretrain_checkpoint(tmp_path, capsys):
     the adapters start fresh, and the frozen bases come out as they went in."""
     assert cli.main(["pretrain", _tiny_cfg(tmp_path)]) == cli.EXIT_OK
     pretrain_path = str(tmp_path / "out" / "pretrain.mcck")
-    pretrained, _, _, _ = checkpoint.load_checkpoint(pretrain_path)
+    pretrained, _, _ = checkpoint.load_checkpoint(pretrain_path)
     cfg_path = _tiny_cfg(tmp_path, dit={"lora_rank": 4})
     # a weights-only load checks names and shapes, not the config digest: no warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(["finetune", cfg_path, "--pretrained", pretrain_path]) == cli.EXIT_OK
     assert [str(w.message) for w in caught] == []
-    tuned, _, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "finetune.mcck"))
+    tuned, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "finetune.mcck"))
     wrapped = [name[: -len(".lora.A")] for name in tuned if name.endswith(".lora.A")]
     assert "dit.blocks.0.attn.wq" in wrapped and len(wrapped) == 4 + 7 * 4
     for base in wrapped:
@@ -238,7 +244,7 @@ def test_cli_refuses_position_named_dit_checkpoint(tmp_path, capsys):
     """Checkpoints that named DiT parameters by position (``dit.p000`` …) no longer load."""
     cfg_path = _tiny_cfg(tmp_path)
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
-    params, step, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    params, step, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
     dit_names = [name for name in params if name.startswith("dit.")]
     old = {name: a for name, a in params.items() if not name.startswith("dit.")}
     old.update({f"dit.p{i:03d}": params[name] for i, name in enumerate(dit_names)})
@@ -254,7 +260,7 @@ def test_cli_refuses_grid_keyed_position_table_checkpoint(tmp_path, capsys):
     """Checkpoints that keyed the chunk-position table by its token count (``enc.pos.16``) no longer load."""
     cfg_path = _tiny_cfg(tmp_path)
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
-    params, step, _, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    params, step, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
     params["enc.pos.16"] = params.pop("enc.pos")
     path = str(tmp_path / "old.mcck")
     checkpoint.save_checkpoint(path, params, config.load_config(cfg_path), step)
@@ -281,8 +287,8 @@ def test_cli_resume_matches_straight_run(tmp_path):
     ckpt_b = str(tmp_path / "b" / "pretrain.mcck")
     assert cli.main(["pretrain", str(cfg_b), "--resume", ckpt_b]) == cli.EXIT_OK
 
-    pa, sa, _, _ = checkpoint.load_checkpoint(str(tmp_path / "a" / "pretrain.mcck"))
-    pb, sb, _, _ = checkpoint.load_checkpoint(ckpt_b)
+    pa, sa, _ = checkpoint.load_checkpoint(str(tmp_path / "a" / "pretrain.mcck"))
+    pb, sb, _ = checkpoint.load_checkpoint(ckpt_b)
     assert sa == sb == 3
     for name in pa:
         assert np.array_equal(pa[name], pb[name]), name
@@ -311,8 +317,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
         ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
         ({"diffusion": {"mu": float("nan")}}, "diffusion.mu: nan"),
+        ({"encoder": {"chunk_len": 24, "rate": [1, 1, 1]}}, "chunk of 1536 tokens exceeds the position pool"),
+        (
+            {"encoder": {"chunk_len": 24, "rate": [1, 1, 1], "variant": "without_lr"}},
+            "chunk of 1536 tokens exceeds the position pool",
+        ),
     ],
-    ids=["heads", "inner_dim", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu"],
+    ids=[
+        "heads", "inner_dim", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu",
+        "position_pool_dual", "position_pool_without_lr",
+    ],
 )
 def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, override, message):
     """Each of these validated and then failed mid-run (or trained on a non-finite constant)."""
@@ -322,12 +336,40 @@ def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, over
     assert message in err and "Traceback" not in err
 
 
+def test_cli_rollout_refuses_a_schedule_not_starting_at_frame_0(tmp_path, capsys):
+    """Such a schedule is a config error (exit 2) at validation, before the checkpoint loads."""
+    assert cli.main(["pretrain", _tiny_cfg(tmp_path)]) == cli.EXIT_OK
+    ckpt = str(tmp_path / "out" / "pretrain.mcck")
+    for schedule, first in (([[8, 0]], 8), ([[-1, 0]], -1), ([[16, 1], [8, 0]], 8)):
+        cfg_path = _tiny_cfg(tmp_path, rollout={"condition_schedule": schedule})
+        capsys.readouterr()
+        assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"must start at frame 0, its earliest entry is at {first}" in err and "Traceback" not in err
+
+
+def test_cli_refuses_a_version_1_checkpoint(tmp_path, capsys):
+    """Version 1 checkpoints were trained with context tokens as joint rows; they exit 2."""
+    cfg_path = _tiny_cfg(tmp_path)
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    blob = bytearray(open(str(tmp_path / "out" / "pretrain.mcck"), "rb").read())
+    assert blob[4:8] == (2).to_bytes(4, "little")
+    blob[4:8] = (1).to_bytes(4, "little")
+    old = tmp_path / "v1.mcck"
+    old.write_bytes(bytes(blob))
+    for argv in (["rollout", cfg_path, str(old)], ["finetune", cfg_path, "--pretrained", str(old)]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+
+
 def test_cli_condition_table_follows_the_dataset_vocabulary(tmp_path):
     """A vocabulary past the default 16 codes trains and rolls out with its own codes."""
     cfg_path = _tiny_cfg(tmp_path, dataset={"vocab": 64}, rollout={"condition_schedule": [[0, 63]]})
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
     ckpt = str(tmp_path / "out" / "pretrain.mcck")
-    params, _, _, _ = checkpoint.load_checkpoint(ckpt)
+    params, _, _ = checkpoint.load_checkpoint(ckpt)
     assert params["dit.cond_emb.table"].shape == (64, 64)
     assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_OK
 
@@ -400,7 +442,7 @@ def test_cli_large_patchifier_pretrain_finetune_rollout(tmp_path, capsys):
     out = tmp_path / "out"
     pretrained = str(out / "pretrain.mcck")
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
-    params, _, _, _ = checkpoint.load_checkpoint(pretrained)
+    params, _, _ = checkpoint.load_checkpoint(pretrained)
     assert params["enc.patch_proj.w"].shape == (64, 2 * 4 * 4 * 4)
     assert not any(name.startswith("enc.conv") for name in params)
     assert cli.main(["finetune", cfg_path, "--pretrained", pretrained]) == cli.EXIT_OK
@@ -460,7 +502,7 @@ def test_resume_from_float64_checkpoint_is_float32(tmp_path):
     cfg_path = _tiny_cfg(tmp_path, training={"steps": 2})
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
     ckpt = str(tmp_path / "out" / "pretrain.mcck")
-    params, step, opt, _ = checkpoint.load_checkpoint(ckpt)
+    params, step, opt = checkpoint.load_checkpoint(ckpt)
     assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}
     old = str(tmp_path / "float64.mcck")
     checkpoint.save_checkpoint(
@@ -473,7 +515,7 @@ def test_resume_from_float64_checkpoint_is_float32(tmp_path):
 
     longer = _tiny_cfg(tmp_path, training={"steps": 3}, output={"dir": str(tmp_path / "resumed")})
     assert cli.main(["pretrain", longer, "--resume", old]) == cli.EXIT_OK
-    params, step, opt, _ = checkpoint.load_checkpoint(str(tmp_path / "resumed" / "pretrain.mcck"))
+    params, step, opt = checkpoint.load_checkpoint(str(tmp_path / "resumed" / "pretrain.mcck"))
     assert step == 3
     assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}
     moments = [a for k, a in opt.items() if k.startswith(("adam.m.", "adam.v."))]
@@ -486,7 +528,7 @@ def test_cli_resume_refuses_optimizer_state_under_other_names(tmp_path, capsys):
     checkpoints wrote it) and state naming a parameter the model lacks both exit 2."""
     cfg_path = _tiny_cfg(tmp_path, training={"steps": 2})
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
-    params, step, opt, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    params, step, opt = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
     assert {k[len("adam.m."):] for k in opt if k.startswith("adam.m.")} == set(params)
 
     names = list(training.named_params(*cli._build(config.load_config(cfg_path))))

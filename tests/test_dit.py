@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memctx import seeding, training
+from memctx import data, diffusion, nn, seeding, training
 from memctx.compressor import CompressedContext, CompressionRate
 from memctx.dit import DiTModel, _modulate
 from memctx.tensor import Tensor, backward, no_grad, using_dtype
@@ -113,9 +113,10 @@ class _JointLastBlock:
 
     def __init__(self, block):
         self.block = block
+        self.ln1, self.attn = block.ln1, block.attn  # what the memory read uses
 
-    def __call__(self, x, temb, n_query=None):
-        out = self.block(x, temb)
+    def __call__(self, x, temb, memory, n_query=None):
+        out = self.block(x, temb, memory)
         return out if n_query is None else out[:, -n_query:]
 
 
@@ -302,3 +303,137 @@ def test_frames_past_the_temporal_table_are_refused():
     )
     with no_grad(), pytest.raises(ValueError, match="frame 192 is outside"):
         g.predict_velocity(x, 0.5, c=0, ctx=ctx, frame_indices=[0, 1])
+
+
+# -- read-only memory ------------------------------------------------------------------
+
+
+def _unlocked(seed=0, **kw):
+    """Models whose velocity head and modulation are off zero, so outputs and gradients are not trivial."""
+    enc, g = training.build_models(seed, **kw)
+    rng = np.random.default_rng(40 + seed)
+    g.out_proj.weight.data[:] = rng.normal(0, 0.05, g.out_proj.weight.shape)
+    for block in g.blocks:
+        block.mod.weight.data[:] = rng.normal(0, 0.05, block.mod.weight.shape)
+    return enc, g
+
+
+def _attention_calls(monkeypatch):
+    """Record (query rows, key/value rows, memory K and V) of every AttentionLayer call."""
+    calls = []
+    original = nn.AttentionLayer.__call__
+
+    def recording(self, q_tokens, kv_tokens=None, memory=None):
+        kv = q_tokens if kv_tokens is None else kv_tokens
+        calls.append((q_tokens.shape[1], kv.shape[1], memory))
+        return original(self, q_tokens, kv_tokens, memory)
+
+    monkeypatch.setattr(nn.AttentionLayer, "__call__", recording)
+    return calls
+
+
+def test_sample_with_the_hoisted_memory_equals_the_plain_euler_loop():
+    """Building the memory once per clip gives the clip an Euler loop that builds it every step gives, bitwise."""
+    enc, g = _unlocked()
+    hist = np.random.default_rng(41).normal(size=(24, 8, 8, 4)).astype(np.float32)
+    kw = dict(frame_indices=list(range(24, 32)), window_latents=hist[-2:], window_frame_indices=[22, 23])
+    with no_grad():
+        ctx = enc.compress(hist)
+        clip = diffusion.sample(g, ctx, 3, (8, 8, 8, 4), seed=7, steps=4, **kw)
+        x = seeding.stream(7, 0x5A3B).standard_normal((8, 8, 8, 4)).astype(np.float32)
+        for i in range(4):
+            x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, ctx=ctx, **kw).numpy()[0]
+    assert np.abs(clip).max() > 0
+    assert np.array_equal(clip, x)
+
+
+def test_read_memory_runs_once_per_clip_and_does_not_depend_on_t(monkeypatch):
+    enc, g = _unlocked()
+    hist = np.random.default_rng(42).normal(size=(16, 8, 8, 4)).astype(np.float32)
+    reads = []
+    original = DiTModel.read_memory
+
+    def counting(self, ctx, latent_hw):
+        reads.append(ctx.length)
+        return original(self, ctx, latent_hw)
+
+    with no_grad():
+        ctx = enc.compress(hist)
+    monkeypatch.setattr(DiTModel, "read_memory", counting)
+    calls = _attention_calls(monkeypatch)
+    with no_grad():
+        diffusion.sample(g, ctx, 0, (8, 8, 8, 4), seed=3, steps=8, frame_indices=list(range(16, 24)))
+    assert reads == [ctx.length]
+    assert len(calls) == 8 * len(g.blocks)
+    # every Euler step reads the same key/value tensors
+    for step in range(1, 8):
+        for b in range(len(g.blocks)):
+            assert calls[step * len(g.blocks) + b][2] is calls[b][2]
+    # a memory built inside predict_velocity at another t is bitwise the same
+    del calls[:]
+    with no_grad():
+        for t in (0.9, 0.2):
+            g.predict_velocity(_clip(43, t=8), t, 0, ctx=ctx, frame_indices=list(range(16, 24)))
+    for b in range(len(g.blocks)):
+        for i in (0, 1):
+            assert np.array_equal(calls[b][2][i].numpy(), calls[len(g.blocks) + b][2][i].numpy())
+
+
+@pytest.mark.parametrize("window", [0, 2])
+def test_no_block_queries_a_context_row(monkeypatch, window):
+    """Blocks query the condition, window and target rows (the last block the target only);
+    the context enters every block as memory keys and values alone."""
+    enc, g = _unlocked()
+    calls = _attention_calls(monkeypatch)
+    hist = np.random.default_rng(44).normal(size=(2, 24, 8, 8, 4)).astype(np.float32)
+    omega = data.sample_omega(24, (0, 1))
+    kw = {}
+    if window:
+        kw = dict(window_latents=hist[:, -window:], window_frame_indices=list(range(24 - window, 24)))
+    ctx = enc.compress(hist)
+    target = len(omega.indices) * 16  # 2x2 patches of an 8x8 frame
+    rows = 1 + window * 16 + target
+    x = np.zeros((2, len(omega.indices), 8, 8, 4), np.float32)
+    g.predict_velocity(x, [0.5, 0.7], [0, 1], ctx=ctx, frame_indices=list(omega.indices), **kw)
+    dit_calls = calls[-len(g.blocks):]
+    assert [q for q, _, _ in dit_calls] == [rows] * (len(g.blocks) - 1) + [target]
+    assert all(kv == rows for _, kv, _ in dit_calls)
+    for _, _, (k, v) in dit_calls:
+        assert k.shape == v.shape == (2, g.blocks[0].attn.head_count, ctx.length, g.blocks[0].attn.head_dim)
+
+
+def test_memory_gradients_reach_the_encoder_and_ln1():
+    """Float64 central differences on the retrieval loss: the only route from the encoder
+    to the loss is the memory keys and values, and ln1 feeds both rows and memory."""
+    with using_dtype("float64"):
+        enc, g = _unlocked(model_dim=16, n_blocks=2, n_heads=2)
+        hist = np.random.default_rng(45).normal(size=(2, 16, 8, 8, 4))
+        omega = data.sample_omega(16, (3, 1))
+
+        def loss():
+            return diffusion.retrieval_loss(g, enc, hist, omega, [0, 1], seed=5)
+
+        backward(loss())
+        probes = {
+            "enc.lr_proj.w": enc.lr_proj.weight,
+            "enc.conv0.w": enc.convs[0].weight,
+            "enc.pos": enc.pos,
+            "blocks.0.ln1.gain": g.blocks[0].ln1.gain,
+            "blocks.1.ln1.shift": g.blocks[1].ln1.shift,
+            "blocks.0.attn.wk.w": g.blocks[0].attn.wk.weight,
+            "blocks.1.attn.wv.b": g.blocks[1].attn.wv.bias,
+        }
+        rng = np.random.default_rng(46)
+        with no_grad():
+            for name, p in probes.items():
+                assert np.abs(p.grad).max() > 0, name
+                flat, gflat = p.data.reshape(-1), p.grad.reshape(-1)
+                for i in rng.choice(flat.size, size=3, replace=False):
+                    orig = flat[i]
+                    flat[i] = orig + 1e-6
+                    hi = loss().item()
+                    flat[i] = orig - 1e-6
+                    lo = loss().item()
+                    flat[i] = orig
+                    numeric = (hi - lo) / 2e-6
+                    assert abs(gflat[i] - numeric) <= 1e-5 * max(abs(gflat[i]), abs(numeric), 1e-8), (name, i)
