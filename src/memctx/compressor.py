@@ -7,18 +7,21 @@ transformer's inner dimension, a high-resolution branch runs a strided
 after projection.  The ``large_patchifier`` variant is the ablation
 baseline: a patchify kernel as large as the rate followed by one linear
 map.  All computation is chunk-local in time, so streaming chunk appends
-reproduce batch compression exactly.
+reproduce batch compression, bitwise when both run at the same batch size.
+A streamed append writes only the new chunk's rows into buffers that
+double their capacity, so its cost does not grow with the context.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import nn
 from .data import DESK_LATENT
-from .tensor import Tensor, as_default_dtype, concat, default_dtype
+from .tensor import Tensor, as_default_dtype, concat, default_dtype, no_grad
 
 __all__ = [
     "CompressionRate",
@@ -56,18 +59,111 @@ class CompressionRate:
         return f"{self.r_h}x{self.r_w}x{self.r_t}"
 
 
+class Provenance(Sequence):
+    """Read-only provenance records: ``(encoder_id, chunk, t0, t1, h, w)`` tuples
+    over an (L, 6) int64 array.
+
+    It behaves as the list of tuples it stands for: it compares equal to such
+    a list (a plain bool), and iterates and indexes as tuples of ints.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: np.ndarray):
+        records.flags.writeable = False
+        self.records = records
+
+    def __len__(self) -> int:
+        return self.records.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [tuple(r) for r in self.records[i].tolist()]
+        return tuple(self.records[i].tolist())
+
+    def __iter__(self):
+        return map(tuple, self.records.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Provenance):
+            return bool(np.array_equal(self.records, other.records))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 @dataclasses.dataclass
 class CompressedContext:
-    """Short token context plus per-token provenance."""
+    """Short token context plus per-token provenance.
+
+    ``provenance`` holds one ``(encoder_id, chunk, t0, t1, h, w)`` record per
+    token: a list of tuples, or the :class:`Provenance` view that ``compress``
+    and ``compress_streaming`` return.  A streamed context views a prefix of
+    token and record buffers shared along its stream; rows once written are
+    never written again, so a context, once returned, does not change.
+    """
 
     tokens: Tensor  # (N, L, D)
-    provenance: list  # one record per token: (encoder_id, chunk, t0, t1, h, w)
+    provenance: Sequence  # one record per token
     rates: tuple  # CompressionRate per contributing encoder
     span_frames: int  # history frames covered
+    _stream: _Stream | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def length(self) -> int:
         return self.tokens.shape[1]
+
+    @property
+    def records(self) -> np.ndarray:
+        """Provenance as an (L, 6) int64 array, without a copy for a :class:`Provenance`."""
+        if isinstance(self.provenance, Provenance):
+            return self.provenance.records
+        return np.asarray(self.provenance, dtype=np.int64).reshape(-1, 6)
+
+
+class _Stream:
+    """Buffers behind a run of streamed contexts: tokens (N, cap, D), records (cap, 6).
+
+    The first ``length`` rows are written; each context of the run views a
+    prefix of them.  Only the newest view may be extended in place, and an
+    append writes rows past every view, so no returned context changes.
+    Capacity doubles when full, so an append costs O(chunk) amortised.
+    """
+
+    def __init__(self, tokens: np.ndarray, records: np.ndarray):
+        self.tokens, self.records, self.length = tokens, records, records.shape[0]
+        self._view()
+
+    def _view(self) -> None:
+        """Make read-only views of the written rows the newest (tokens, Provenance)."""
+        tokens = self.tokens[:, : self.length]
+        tokens.flags.writeable = False
+        self.newest = (tokens, Provenance(self.records[: self.length]))
+
+    def extends(self, ctx: CompressedContext, tokens: np.ndarray) -> bool:
+        """Whether ``ctx`` is the newest view, by identity, and ``tokens`` fit the buffer."""
+        newest_tokens, newest_prov = self.newest
+        n, _, d = self.tokens.shape
+        return (
+            getattr(ctx.tokens, "data", None) is newest_tokens
+            and ctx.provenance is newest_prov
+            and tokens.dtype == self.tokens.dtype
+            and (tokens.shape[0], tokens.shape[2]) == (n, d)
+        )
+
+    def append(self, tokens: np.ndarray, records: np.ndarray) -> None:
+        start, end = self.length, self.length + records.shape[0]
+        if end > self.records.shape[0]:
+            cap = max(end, 2 * self.records.shape[0])
+            grown = np.empty((self.tokens.shape[0], cap, self.tokens.shape[2]), self.tokens.dtype)
+            grown[:, :start] = self.tokens[:, :start]
+            grown_records = np.empty((cap, 6), np.int64)
+            grown_records[:start] = self.records[:start]
+            self.tokens, self.records = grown, grown_records
+        self.tokens[:, start:end] = tokens
+        self.records[start:end] = records
+        self.length = end
+        self._view()
 
 
 def position_rows(rate: CompressionRate, chunk_len: int, width: int) -> int:
@@ -122,6 +218,7 @@ class EncoderModel:
         self.chunk_len = chunk_len
         self.variant = variant
         self.encoder_id = encoder_id
+        self._first_chunk_records: dict = {}  # (H, W) -> chunk 0's provenance records
         if variant == "large_patchifier":
             # one rate-sized block per token: its only parameter is this map
             self.patch_proj = nn.Linear(rate.volume * latent_channels, model_dim, rng)
@@ -220,40 +317,44 @@ class EncoderModel:
         if x.ndim == 4:
             x = x.reshape((1,) + x.shape)
         self._check_geometry(x.shape)
-        n, t = x.shape[0], x.shape[1]
-        chunks = []
-        provenance = []
-        for ci in range(t // self.chunk_len):
-            chunk = x[:, ci * self.chunk_len : (ci + 1) * self.chunk_len]
-            chunks.append(self.compress_chunk(chunk))
-            provenance.extend(self._chunk_provenance(ci, x.shape))
+        t = x.shape[1]
+        n_chunks = t // self.chunk_len
+        chunks = [
+            self.compress_chunk(x[:, ci * self.chunk_len : (ci + 1) * self.chunk_len])
+            for ci in range(n_chunks)
+        ]
         tokens = concat(chunks, axis=1) if len(chunks) > 1 else chunks[0]
+        records = np.concatenate([self._chunk_records(ci, x.shape) for ci in range(n_chunks)])
         return CompressedContext(
-            tokens=tokens, provenance=provenance, rates=(self.rate,), span_frames=t
+            tokens=tokens, provenance=Provenance(records), rates=(self.rate,), span_frames=t
         )
 
-    def _chunk_provenance(self, chunk_index: int, shape):
+    def _chunk_records(self, chunk_index: int, shape) -> np.ndarray:
+        """(L_chunk, 6) provenance records of one chunk, in its token order (t, h, w)."""
         _, _, h, w, _ = shape
-        rate = self.rate
-        recs = []
-        base_t = chunk_index * self.chunk_len
-        for ti in range(self.chunk_len // rate.r_t):
-            for hi in range(h // rate.r_h):
-                for wi in range(w // rate.r_w):
-                    recs.append(
-                        (
-                            self.encoder_id,
-                            chunk_index,
-                            base_t + ti * rate.r_t,
-                            base_t + (ti + 1) * rate.r_t,
-                            hi,
-                            wi,
-                        )
-                    )
-        return recs
+        first = self._first_chunk_records.get((h, w))
+        if first is None:
+            rate = self.rate
+            grid = (self.chunk_len // rate.r_t, h // rate.r_h, w // rate.r_w)
+            ti, hi, wi = np.indices(grid, dtype=np.int64).reshape(3, -1)
+            enc_id, chunk = np.full_like(ti, self.encoder_id), np.zeros_like(ti)
+            first = np.stack([enc_id, chunk, ti * rate.r_t, (ti + 1) * rate.r_t, hi, wi], axis=1)
+            self._first_chunk_records[(h, w)] = first
+        # chunk k's records are chunk 0's, k chunks later
+        return first + chunk_index * np.array([0, 1, self.chunk_len, self.chunk_len, 0, 0])
 
     def compress_streaming(self, prior: CompressedContext | None, new_chunk) -> CompressedContext:
-        """Extend a compressed context by one chunk without recomputation."""
+        """Extend a compressed context by one chunk without recompressing the others.
+
+        This is the inference write path: the chunk is compressed under
+        ``no_grad``, so the tokens never require grad (training compresses
+        through ``compress``).  Appending onto the newest context of a stream
+        writes only the new chunk's rows into the stream's doubling buffers,
+        so an append costs O(chunk), not O(context).  Any other prior (an
+        older context of the stream, one from ``compress`` or built by hand,
+        or one whose tokens or provenance were replaced) is first copied into
+        fresh buffers.  No context already returned is ever written.
+        """
         chunk = as_default_dtype(new_chunk)
         if chunk.ndim == 4:
             chunk = chunk.reshape((1,) + chunk.shape)
@@ -264,16 +365,27 @@ class EncoderModel:
         chunk_index = 0 if prior is None else prior.span_frames // self.chunk_len
         if prior is not None and prior.span_frames % self.chunk_len:
             raise ValueError("prior context is not chunk-aligned")
-        tokens = self.compress_chunk(chunk)
-        prov = self._chunk_provenance(chunk_index, chunk.shape)
+        with no_grad():
+            tokens = self.compress_chunk(chunk).data
+        records = self._chunk_records(chunk_index, chunk.shape)
         if prior is None:
-            return CompressedContext(tokens, prov, (self.rate,), chunk.shape[1])
-        return CompressedContext(
-            tokens=concat([prior.tokens, tokens], axis=1),
-            provenance=prior.provenance + prov,
-            rates=prior.rates,
-            span_frames=prior.span_frames + chunk.shape[1],
+            stream, rates, span = _Stream(tokens, records), (self.rate,), 0
+        else:
+            stream, rates, span = prior._stream, prior.rates, prior.span_frames
+            if stream is not None and stream.extends(prior, tokens):
+                stream.append(tokens, records)
+            else:
+                prior_tokens = Tensor._coerce(prior.tokens).data
+                stream = _Stream(
+                    np.concatenate([prior_tokens, tokens], axis=1),
+                    np.concatenate([prior.records, records]),
+                )
+        view_tokens, provenance = stream.newest
+        ctx = CompressedContext(
+            Tensor._make(view_tokens, (), None), provenance, rates, span + chunk.shape[1]
         )
+        ctx._stream = stream
+        return ctx
 
     # -- bookkeeping --------------------------------------------------------------
 

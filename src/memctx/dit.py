@@ -136,11 +136,13 @@ class DiTModel:
         self.cond_emb = nn.Embedding(cond_vocab, inner_dim, rng)
         self.t_fc1 = nn.Linear(inner_dim, inner_dim, rng)
         self.t_fc2 = nn.Linear(inner_dim, inner_dim, rng)
-        # sinusoidal-initialized (still learnable) position tables: nearby
-        # frames/slots start with correlated codes, so matching a target
-        # frame to the memory band covering it needs no per-index learning.
-        # Unit scale keeps position logits competitive with token content,
-        # which is what lets attention route by position early in training.
+        # sinusoidal-initialized (still learnable) position tables.  The codes
+        # are NOT smooth in index: nn.sinusoidal_embedding scales its angles
+        # by 1000 for diffusion timesteps in (0, 1], so on integer frames
+        # adjacent codes have cosine similarity 0.27, and frame 103 lies
+        # nearer frame 0 than frame 1 does; matching a target frame to the
+        # memory band covering it must be learned per index.  Unit scale
+        # keeps position logits competitive with token content.
         self.temporal_emb = nn.Embedding(max_frames, inner_dim, rng)
         self.temporal_emb.table.data[:] = nn.sinusoidal_embedding(
             np.arange(max_frames), inner_dim
@@ -201,7 +203,7 @@ class DiTModel:
         h_lat, w_lat = latent_hw
         _, ph, pw = self.patch
         gh, gw = h_lat // ph, w_lat // pw
-        prov = np.asarray(ctx.provenance, dtype=np.int64).reshape(-1, 6)
+        prov = ctx.records
         enc_id, t0, hi, wi = prov[:, 0], prov[:, 2], prov[:, 4], prov[:, 5]
         # encoders past the rate list reuse its last rate
         which = np.minimum(enc_id, len(ctx.rates) - 1)

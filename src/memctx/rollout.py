@@ -8,6 +8,8 @@ timestamp most recently precedes the current position.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from . import diffusion
@@ -114,19 +116,25 @@ class RolloutSession:
         return (self.clip_len,) + spatial
 
     def run(self, n_steps: int):
-        """Roll out n clips; returns (full video, per-step metric records)."""
+        """Roll out n clips; returns (full video, per-step metric records).
+
+        Each record carries the clip's ``latency_ms``, the wall time of its ``step()``.
+        """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         records = []
         for _ in range(n_steps):
             condition = self.active_condition()  # the condition this clip is generated with
+            start = time.perf_counter()
             clip = self.step()
+            latency_ms = (time.perf_counter() - start) * 1e3
             rec = {
                 "step": self.steps_taken,
                 "history_frames": self.generated_frames,
                 "context_length": self.ctx.length,
                 "condition": condition,
                 "consistency_psnr": psnr(clip, self.history[0][: clip.shape[0]]),
+                "latency_ms": latency_ms,
             }
             records.append(rec)
         return self.full_history(), records

@@ -1,16 +1,23 @@
 """Compression encoder: rates, variants, provenance, and streaming equality."""
 
+import copy
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memctx import seeding
 from memctx.compressor import (
+    VARIANTS,
     CompressedContext,
     CompressionRate,
     EncoderModel,
     combine_contexts,
 )
-from memctx.tensor import no_grad
+from memctx.tensor import Tensor, no_grad
 
 
 def _history(seed, t=24, h=8, w=8, c=4, batch=None):
@@ -148,6 +155,106 @@ def test_streaming_validation():
     bad = CompressedContext(ctx.tokens, ctx.provenance, ctx.rates, span_frames=5)
     with pytest.raises(ValueError, match="chunk-aligned"):
         enc.compress_streaming(bad, _history(0, t=8))
+
+
+def _snapshot(ctx):
+    return ctx.tokens.numpy().copy(), list(ctx.provenance), ctx.length
+
+
+def _loop_provenance(enc, n_chunks, h=8, w=8):
+    """Per-token oracle for the provenance records of ``n_chunks`` chunks."""
+    r = enc.rate
+    return [
+        (enc.encoder_id, ci, ci * enc.chunk_len + ti * r.r_t, ci * enc.chunk_len + (ti + 1) * r.r_t, hi, wi)
+        for ci in range(n_chunks)
+        for ti in range(enc.chunk_len // r.r_t)
+        for hi in range(h // r.r_h)
+        for wi in range(w // r.r_w)
+    ]
+
+
+def _assert_streams_like_batch(enc, ctx, history):
+    with no_grad():
+        batch = enc.compress(history)
+    assert ctx.provenance == batch.provenance == _loop_provenance(enc, history.shape[1] // enc.chunk_len)
+    assert ctx.span_frames == batch.span_frames
+    assert np.abs(ctx.tokens.numpy() - batch.tokens.numpy()).max() < 1e-6
+
+
+@given(
+    variant=st.sampled_from(VARIANTS),
+    rate=st.tuples(*[st.sampled_from((1, 2, 4, 8))] * 3),
+    n_chunks=st.integers(1, 12),
+    branch=st.integers(0, 11),
+    batch=st.sampled_from((1, 2)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_streamed_contexts_equal_batch_and_never_change(variant, rate, n_chunks, branch, batch, seed):
+    """Every context a stream returns equals batch compression of its history, and
+    stays bitwise unchanged through later appends: onto it, onto older or newer
+    contexts, twice onto the same prior, and onto a context with replaced tokens."""
+    enc = _encoder(rate, variant=variant, seed=seed % 7)
+    history = _history(seed, t=8 * n_chunks, batch=batch)
+    x, y = _history(seed + 1, t=8, batch=batch), _history(seed + 2, t=8, batch=batch)
+    chunks = [history[:, k * 8 : (k + 1) * 8] for k in range(n_chunks)]
+    branch %= n_chunks
+    returned = []
+    with no_grad():
+        ctx = None
+        for chunk in chunks:
+            ctx = enc.compress_streaming(ctx, chunk)
+            returned.append((ctx, _snapshot(ctx)))
+        prior = returned[branch][0]
+        from_x = enc.compress_streaming(prior, x)
+        from_y = enc.compress_streaming(prior, y)
+        replaced = dataclasses.replace(ctx, tokens=Tensor(ctx.tokens.numpy() + 1.0))
+        from_replaced = enc.compress_streaming(replaced, x)
+        assigned = copy.copy(ctx)  # unlike replace, a copy keeps every field
+        assigned.tokens = replaced.tokens
+        from_assigned = enc.compress_streaming(assigned, x)
+        returned += [(c, _snapshot(c)) for c in (from_x, from_y, from_replaced)]
+        onward = enc.compress_streaming(ctx, y)
+
+    for c, (tokens, provenance, length) in returned:
+        np.testing.assert_array_equal(c.tokens.numpy(), tokens)
+        assert c.provenance == provenance and c.length == length
+    head = history[:, : 8 * (branch + 1)]
+    _assert_streams_like_batch(enc, ctx, history)
+    _assert_streams_like_batch(enc, from_x, np.concatenate([head, x], axis=1))
+    _assert_streams_like_batch(enc, from_y, np.concatenate([head, y], axis=1))
+    _assert_streams_like_batch(enc, onward, np.concatenate([history, y], axis=1))
+    # the replaced tokens, not the buffer's, then chunk x's tokens (chunk-local, so as in from_x)
+    np.testing.assert_array_equal(from_replaced.tokens.numpy()[:, : ctx.length], replaced.tokens.numpy())
+    x_tokens = from_x.tokens.numpy()[:, prior.length :]
+    np.testing.assert_array_equal(from_replaced.tokens.numpy()[:, ctx.length :], x_tokens)
+    assert from_replaced.provenance == onward.provenance
+    np.testing.assert_array_equal(from_assigned.tokens.numpy(), from_replaced.tokens.numpy())
+
+
+def test_appending_to_the_newest_context_writes_only_the_chunk():
+    """An append onto the newest context shares its buffer; the buffer doubles, so a
+    512-chunk stream allocates at most ceil(log2 512) + 1 times."""
+    enc = _encoder((4, 4, 2), variant="only_lr")
+    chunk = _history(4, t=8)
+    with no_grad():
+        contexts = [enc.compress_streaming(None, chunk)]
+        for _ in range(511):
+            contexts.append(enc.compress_streaming(contexts[-1], chunk))
+    shared = [np.shares_memory(a.tokens.numpy(), b.tokens.numpy()) for a, b in zip(contexts, contexts[1:])]
+    allocations = 1 + shared.count(False)
+    assert allocations <= math.ceil(math.log2(512)) + 1
+    assert shared[-1]  # the last append wrote into the buffer the prior views
+    assert contexts[-1].length == 512 * 16
+
+
+def test_streamed_tokens_never_require_grad():
+    enc = _encoder((4, 4, 2))
+    ctx = enc.compress_streaming(None, _history(8, t=8))
+    assert not ctx.tokens.requires_grad
+    trained = enc.compress(_history(9, t=8))
+    assert trained.tokens.requires_grad
+    assert not enc.compress_streaming(trained, _history(10, t=8)).tokens.requires_grad
 
 
 # -- multi-encoder combination ------------------------------------------------------

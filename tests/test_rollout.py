@@ -33,6 +33,7 @@ def test_run_records():
     assert [r["step"] for r in records] == [1, 2]
     assert records[-1]["context_length"] == 48
     assert all(np.isfinite(r["consistency_psnr"]) for r in records)
+    assert all(np.isfinite(r["latency_ms"]) and r["latency_ms"] > 0 for r in records)
 
 
 def test_rollout_deterministic():
