@@ -7,13 +7,15 @@ a condition schedule not starting at frame 0 or a code outside the
 vocabulary), a file that cannot be read or written (missing, a directory,
 no permission: any OSError), a corrupt latent file (bad magic, unsupported version,
 unknown dtype, truncated), two latent files ``eval`` cannot compare
-(another frame shape, or no frames), an unknown experiment recipe, a
-``budget`` geometry that is not positive and finite or reduces to zero
-tokens, or a checkpoint that does not fit (bad magic, unsupported
-version, truncated file, unknown dtype, missing or mis-shaped parameters
-or optimizer state); 3 for a runtime or numeric failure: diverged
-training, a rollout past the DiT's temporal position table, or any other
-ValueError or ArithmeticError.  Argument errors that argparse reports (a
+(another frame shape, or no frames), an unknown experiment recipe, an
+``experiment`` with a negative seed or step budget or fewer than one
+scene (rejected before any training runs), a ``budget`` geometry that
+is not positive and finite or reduces to zero tokens, or a checkpoint
+that does not fit (bad magic, unsupported version, truncated file,
+unknown dtype, missing or mis-shaped parameters or optimizer state); 3
+for a runtime or numeric failure: diverged training, a rollout past the
+DiT's temporal position table, or any other ValueError or
+ArithmeticError.  Argument errors that argparse reports (a
 missing or non-numeric argument) also exit 2.  All commands are
 deterministic given config + seed; checkpoints are written atomically and
 training can resume from them.
@@ -231,13 +233,16 @@ def cmd_budget(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    recipe = experiments.ExperimentRecipe(
-        name=args.recipe,
-        seeds=tuple(args.seeds),
-        pretrain_steps=args.pretrain_steps,
-        finetune_steps=args.finetune_steps,
-        n_scenes=args.scenes,
-    )
+    try:
+        recipe = experiments.ExperimentRecipe(
+            name=args.recipe,
+            seeds=tuple(args.seeds),
+            pretrain_steps=args.pretrain_steps,
+            finetune_steps=args.finetune_steps,
+            n_scenes=args.scenes,
+        )
+    except ValueError as e:  # a negative seed or step budget, or no scenes
+        raise config_mod.ConfigError(str(e)) from None
     runner = {
         "compression": experiments.run_ablation_compression,
         "pretrain": experiments.run_pretrain_ablation,

@@ -389,9 +389,6 @@ class EncoderModel:
 
     # -- bookkeeping --------------------------------------------------------------
 
-    def token_count(self, t: int, h: int, w: int) -> int:
-        return (t // self.rate.r_t) * (h // self.rate.r_h) * (w // self.rate.r_w)
-
     def parameters(self):
         return list(self.named_parameters().values())
 

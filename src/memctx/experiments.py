@@ -73,8 +73,12 @@ class ExperimentRecipe:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("recipe needs at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         if self.pretrain_steps < 0 or self.finetune_steps < 0:
             raise ValueError("step budgets must be non-negative")
+        if self.n_scenes < 1:
+            raise ValueError(f"a recipe needs at least one scene, got {self.n_scenes}")
 
 
 def _train_arm(recipe, seed, rate, variant, dataset, omega_policy="uniform"):

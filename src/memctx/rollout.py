@@ -60,10 +60,20 @@ class RolloutSession:
         return np.concatenate(self.history, axis=0)
 
     def window_latents(self) -> np.ndarray | None:
-        """Most recent min(w, generated) latent frames, uncompressed."""
+        """Most recent min(w, generated) latent frames, uncompressed.
+
+        Reads only the trailing clips that cover the window, so its cost does
+        not grow with the history.
+        """
         if self.window_frames <= 0 or not self.history:
             return None
-        tail = self.full_history()
+        clips, frames = [], 0
+        for clip in reversed(self.history):
+            clips.append(clip)
+            frames += clip.shape[0]
+            if frames >= self.window_frames:
+                break
+        tail = np.concatenate(clips[::-1], axis=0)
         return tail[-min(self.window_frames, tail.shape[0]) :]
 
     def active_condition(self) -> int:

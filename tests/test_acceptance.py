@@ -4,19 +4,24 @@ Each test here asserts one externally stated guarantee of the artifact:
 budget arithmetic, autodiff soundness, flow identities, streaming
 equality, learned-retrieval quality versus non-learned baselines, the
 compression-structure quality ordering, index-set policy effects,
-pretraining benefit, step-0 adapter identities, and determinism of the
-persistence layer.  The training-backed checks share trained models via
-module-scoped fixtures so each recipe runs once.
+pretraining benefit, step-0 adapter identities, determinism of the
+persistence layer, and a runtime that needs numpy alone.  The
+training-backed checks share trained models via module-scoped fixtures
+so each recipe runs once.
 """
 
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
+import memctx
 from memctx import (
     checkpoint,
     cli,
@@ -31,6 +36,7 @@ from memctx import (
 )
 from memctx.compressor import CompressedContext, CompressionRate
 from memctx.tensor import Tensor, backward, no_grad, using_dtype
+from test_diffusion import FixedTimestep, ZeroVelocity, timestep_cdf
 
 
 # -- 1. budget arithmetic ---------------------------------------------------------
@@ -162,16 +168,17 @@ def test_full_tiny_dit_backward_matches_central_differences(dtype, tol):
 
 
 def test_interpolation_endpoints_and_velocity_target():
+    """finetune_loss noises the future clip along x_t = (1 - t) x0 + t eps and
+    regresses the velocity eps - x0, from t near 0 up to t = 1."""
     rng = np.random.default_rng(5)
-    x0 = rng.normal(size=(3, 4, 4, 2))
-    eps = rng.normal(size=x0.shape)
-    near0 = diffusion.interpolate(x0, eps, 1e-9)
-    assert np.allclose(near0.x_t, x0, atol=1e-6)
-    at1 = diffusion.interpolate(x0, eps, 1.0)
-    assert np.allclose(at1.x_t, eps, atol=1e-6)
-    mid = diffusion.interpolate(x0, eps, 0.37)
-    assert np.allclose(mid.target_v, eps - x0, atol=1e-6)
-    assert np.allclose(mid.x_t, 0.63 * x0 + 0.37 * eps, atol=1e-6)
+    hist = rng.normal(size=(1, 8, 4, 4, 2)).astype(np.float32)
+    x0 = rng.normal(size=(1, 8, 4, 4, 2)).astype(np.float32)
+    eps = seeding.stream(23, 0xF17E).standard_normal(x0.shape).astype(np.float32)
+    stub = ZeroVelocity()
+    for t, expected in ((1e-9, x0), (1.0, eps), (0.37, 0.63 * x0 + 0.37 * eps)):
+        loss = diffusion.finetune_loss(stub, stub, hist, x0, c=[0], seed=23, timestep_dist=FixedTimestep(t))
+        assert np.allclose(stub.x_t, expected, atol=1e-6)
+        assert loss.item() == pytest.approx(float(np.mean((eps - x0) ** 2)), rel=1e-6)
 
 
 @pytest.mark.parametrize("mu,sigma,shift", [(0.0, 1.0, 1.0), (0.5, 0.8, 3.0)])
@@ -180,7 +187,7 @@ def test_timestep_samples_pass_ks_against_closed_form_cdf(mu, sigma, shift):
 
     dist = diffusion.TimestepDistribution(mu=mu, sigma=sigma, shift=shift)
     draws = dist.sample(np.random.default_rng(11), size=100_000)
-    res = stats.kstest(draws, dist.cdf)
+    res = stats.kstest(draws, lambda t: timestep_cdf(dist, t))
     assert res.statistic < 0.01
 
 
@@ -278,3 +285,29 @@ def test_resumed_training_matches_uninterrupted_loss_log(tmp_path):
 
     full, cont = losses("straight"), losses("resumed")
     assert cont == full[2:]
+
+
+# -- 11. numpy-only runtime --------------------------------------------------------
+
+
+def test_runtime_runs_without_scipy():
+    """With every scipy import failing, the package imports, ``budget`` exits 0,
+    and a pretrain step and a rollout clip run."""
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        import memctx, memctx.cli, memctx.experiments
+        from memctx import rollout, training
+        assert memctx.cli.main(["budget"]) == 0
+        enc, g = training.build_models(0, rate=(4, 4, 2))
+        dataset = training.make_dataset(0, 2)
+        training.pretrain_retrieval(enc, g, dataset, steps=1, seed=0, batch=1)
+        session = rollout.RolloutSession(g, enc, seed=0, sample_steps=1, seed_clip=dataset[0][0][: enc.chunk_len])
+        assert session.step().shape[0] == enc.chunk_len
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(memctx.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr

@@ -81,7 +81,9 @@ def test_config_that_validates_builds(dim, heads, vocab, codes, rate, chunk_len,
         rows = g.cond_emb(np.arange(vocab))
     assert rows.shape == (vocab, dim)
     if variant in ("dual", "without_lr"):
-        assert enc.pos.shape[0] == enc.token_count(chunk_len, *data.DESK_LATENT[1:3])
+        r_h, r_w, r_t = rate
+        _, h, w, _ = data.DESK_LATENT
+        assert enc.pos.shape[0] == (chunk_len // r_t) * (h // r_h) * (w // r_w)
 
 
 def test_load_config_bad_json(tmp_path):
@@ -435,6 +437,24 @@ def test_cli_budget_rejects_bad_geometry_as_config_error(args, capsys):
 
 def test_cli_experiment_unknown_recipe(capsys):
     assert cli.main(["experiment", "nope"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--scenes", "0"], ["--pretrain-steps", "-1"], ["--seeds", "-1"]],
+    ids=["no_scenes", "negative_steps", "negative_seed"],
+)
+def test_cli_experiment_rejects_bad_recipe_before_training(args, tmp_path, capsys, monkeypatch):
+    def no_training(*a, **kw):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(training, "pretrain_retrieval", no_training)
+    monkeypatch.setattr(training, "finetune_next_clip", no_training)
+    argv = ["experiment", "pretrain", "--seeds", "0", "--pretrain-steps", "1", "--finetune-steps", "1",
+            "--out-dir", str(tmp_path), *args]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_large_patchifier_pretrain_finetune_rollout(tmp_path, capsys):

@@ -235,8 +235,7 @@ def test_large_patchifier_token_budget_matches_rate():
         .reshape(-1, kt * kh * kw * 4)
     )
     oracle = blocks @ enc.patch_proj.weight.numpy().T + enc.patch_proj.bias.numpy()
-    assert ctx.tokens.shape == (1, enc.token_count(24, 8, 8), 64)
-    assert ctx.length == 24 * 8 * 8 // CompressionRate(4, 4, 2).volume
+    assert ctx.tokens.shape == (1, 24 * 8 * 8 // CompressionRate(4, 4, 2).volume, 64)
     assert np.allclose(ctx.tokens.numpy()[0], oracle, atol=1e-6)
     assert enc.parameters() == [enc.patch_proj.weight, enc.patch_proj.bias]
 

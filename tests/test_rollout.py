@@ -83,6 +83,26 @@ def test_window_latents_tail():
     sess.step()
 
 
+class _Unread:
+    """A history clip that fails any read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name} of a clip outside the window")
+
+
+def test_window_latents_reads_only_the_clips_it_covers():
+    sess, _ = _session()
+    rng = np.random.default_rng(0)
+    clips = [rng.normal(size=(n, 8, 8, 4)).astype(np.float32) for n in (16, 8, 8, 8)]
+    full = np.concatenate(clips)
+    for w in (1, 7, 8, 9, 13, 16, 17, 24, 25, 39, 40, 41, 64):
+        sess.window_frames, sess.history = w, list(clips)
+        win = sess.window_latents()
+        assert win.dtype == full.dtype and np.array_equal(win, full[-w:])
+    sess.window_frames, sess.history = 13, [_Unread()] + clips[-2:]
+    assert np.array_equal(sess.window_latents(), full[-13:])
+
+
 def test_misaligned_seed_clip_rejected():
     enc, g = training.build_models(0)
     with pytest.raises(ValueError, match="misaligned"):
