@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import warnings
@@ -60,7 +61,9 @@ def _write_table(f, arrays: dict):
 
 
 def _read(f, n: int) -> bytes:
-    buf = f.read(n)
+    """``n`` bytes of ``f``; a count past the end of the file is refused before any read,
+    so a corrupt size field cannot ask for more memory than the file holds."""
+    buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(buf) != n:
         raise CheckpointMismatch(f"checkpoint {f.name} is truncated at byte {f.tell()}")
     return buf
@@ -75,16 +78,22 @@ def _read_table(f) -> dict:
     out = {}
     for _ in range(count):
         (nlen,) = _unpack(f, "<H")
-        name = _read(f, nlen).decode()
+        raw = _read(f, nlen)
+        try:
+            name = raw.decode()
+        except UnicodeDecodeError:
+            raise CheckpointMismatch(f"a parameter name in {f.name} is not UTF-8") from None
         (ndim,) = _unpack(f, "<I")
         shape = _unpack(f, f"<{ndim}I")
         (tag,) = _unpack(f, "<I")
         if tag not in _DTYPES:
             raise CheckpointMismatch(f"unknown dtype tag {tag} for {name} in {f.name}")
         dtype = np.dtype(_DTYPES[tag])
-        n = int(np.prod(shape))
-        data = np.frombuffer(_read(f, n * dtype.itemsize), dtype=dtype)
-        out[name] = data.reshape(shape).copy()
+        data = np.frombuffer(_read(f, math.prod(shape) * dtype.itemsize), dtype=dtype)
+        try:  # a zero-size shape passes the size check; numpy still refuses >64 dims or a size overflow
+            out[name] = data.reshape(shape).copy()
+        except ValueError as e:
+            raise CheckpointMismatch(f"bad shape for {name} in {f.name}: {e}") from None
     return out
 
 

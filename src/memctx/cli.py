@@ -7,18 +7,19 @@ a condition schedule not starting at frame 0 or a code outside the
 vocabulary), a file that cannot be read or written (missing, a directory,
 no permission: any OSError), a corrupt latent file (bad magic, unsupported version,
 unknown dtype, truncated), two latent files ``eval`` cannot compare
-(another frame shape, or no frames), an unknown experiment recipe, an
-``experiment`` with a negative seed or step budget or fewer than one
-scene (rejected before any training runs), a ``budget`` geometry that
-is not positive and finite or reduces to zero tokens, or a checkpoint
-that does not fit (bad magic, unsupported version, truncated file,
-unknown dtype, missing or mis-shaped parameters or optimizer state); 3
-for a runtime or numeric failure: diverged training, a rollout past the
-DiT's temporal position table, or any other ValueError or
-ArithmeticError.  Argument errors that argparse reports (a
-missing or non-numeric argument) also exit 2.  All commands are
-deterministic given config + seed; checkpoints are written atomically and
-training can resume from them.
+(another frame shape, or no frames), an ``experiment`` with a negative
+seed or step budget or fewer than one scene (rejected before any
+training runs), a ``budget`` geometry that is not positive and finite or
+reduces to zero tokens, or a checkpoint that does not fit (bad magic,
+unsupported version, truncated file, a parameter name that is not UTF-8,
+a shape or payload larger than the bytes left in the file or that numpy
+cannot hold, unknown dtype, missing or mis-shaped parameters or optimizer
+state); 3 for a runtime or numeric failure: diverged training, a rollout
+past the DiT's temporal position table, or any other ValueError or
+ArithmeticError.  Argument errors that argparse reports (a missing or
+non-numeric argument, an unknown experiment recipe) also exit 2.  All
+commands are deterministic given config + seed; checkpoints are written
+atomically and training can resume from them.
 """
 
 from __future__ import annotations
@@ -232,6 +233,13 @@ def cmd_budget(args) -> int:
     return EXIT_OK
 
 
+RECIPES = {
+    "compression": experiments.run_ablation_compression,
+    "pretrain": experiments.run_pretrain_ablation,
+    "omega": experiments.run_omega_policy_ablation,
+}
+
+
 def cmd_experiment(args) -> int:
     try:
         recipe = experiments.ExperimentRecipe(
@@ -243,15 +251,7 @@ def cmd_experiment(args) -> int:
         )
     except ValueError as e:  # a negative seed or step budget, or no scenes
         raise config_mod.ConfigError(str(e)) from None
-    runner = {
-        "compression": experiments.run_ablation_compression,
-        "pretrain": experiments.run_pretrain_ablation,
-        "omega": experiments.run_omega_policy_ablation,
-    }.get(args.recipe)
-    if runner is None:
-        print(f"unknown recipe {args.recipe!r}; choose compression|pretrain|omega", file=sys.stderr)
-        return EXIT_CONFIG
-    report = runner(recipe, out_dir=args.out_dir)
+    report = RECIPES[args.recipe](recipe, out_dir=args.out_dir)
     print(experiments.report_text(report))
     return EXIT_OK
 
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.set_defaults(fn=cmd_budget)
 
     sx = sub.add_parser("experiment", help="run a named ablation recipe")
-    sx.add_argument("recipe", help="compression | pretrain | omega")
+    sx.add_argument("recipe", choices=RECIPES)
     sx.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     sx.add_argument("--pretrain-steps", type=int, default=2000)
     sx.add_argument("--finetune-steps", type=int, default=1000)

@@ -15,7 +15,6 @@ double their capacity, so its cost does not grow with the context.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -23,12 +22,7 @@ from . import nn
 from .data import DESK_LATENT
 from .tensor import Tensor, as_default_dtype, concat, default_dtype, no_grad
 
-__all__ = [
-    "CompressionRate",
-    "EncoderModel",
-    "CompressedContext",
-    "combine_contexts",
-]
+__all__ = ["CompressionRate", "EncoderModel", "CompressedContext", "Provenance"]
 
 VARIANTS = ("dual", "only_lr", "without_lr", "large_patchifier")
 CHANNELS = (8, 16, 32, 64)  # conv widths of the high-rate branch
@@ -59,12 +53,14 @@ class CompressionRate:
         return f"{self.r_h}x{self.r_w}x{self.r_t}"
 
 
-class Provenance(Sequence):
-    """Read-only provenance records: ``(encoder_id, chunk, t0, t1, h, w)`` tuples
-    over an (L, 6) int64 array.
+class Provenance:
+    """Read-only per-token provenance: an (L, 5) int64 array of ``(chunk, t0, t1, h0, w0)`` rows.
 
-    It behaves as the list of tuples it stands for: it compares equal to such
-    a list (a plain bool), and iterates and indexes as tuples of ints.
+    A token of chunk ``chunk`` covers history frames ``[t0, t1)`` and the
+    rate-sized latent block whose top-left row and column are ``(h0, w0)``.
+    Frames, rows and columns are latent units, so a reader places tokens
+    without knowing the encoder's rate.  Two provenances compare equal, as
+    a plain bool, when their records are.
     """
 
     __slots__ = ("records",)
@@ -76,36 +72,24 @@ class Provenance(Sequence):
     def __len__(self) -> int:
         return self.records.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [tuple(r) for r in self.records[i].tolist()]
-        return tuple(self.records[i].tolist())
-
-    def __iter__(self):
-        return map(tuple, self.records.tolist())
-
     def __eq__(self, other):
         if isinstance(other, Provenance):
             return bool(np.array_equal(self.records, other.records))
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
 
 @dataclasses.dataclass
 class CompressedContext:
-    """Short token context plus per-token provenance.
+    """Short token context of one encoder plus per-token provenance.
 
-    ``provenance`` holds one ``(encoder_id, chunk, t0, t1, h, w)`` record per
-    token: a list of tuples, or the :class:`Provenance` view that ``compress``
-    and ``compress_streaming`` return.  A streamed context views a prefix of
-    token and record buffers shared along its stream; rows once written are
-    never written again, so a context, once returned, does not change.
+    ``provenance`` holds one :class:`Provenance` row per token.  A streamed
+    context views a prefix of token and record buffers shared along its
+    stream; rows once written are never written again, so a context, once
+    returned, does not change.
     """
 
     tokens: Tensor  # (N, L, D)
-    provenance: Sequence  # one record per token
-    rates: tuple  # CompressionRate per contributing encoder
+    provenance: Provenance  # (L, 5) records
     span_frames: int  # history frames covered
     _stream: _Stream | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
@@ -113,16 +97,9 @@ class CompressedContext:
     def length(self) -> int:
         return self.tokens.shape[1]
 
-    @property
-    def records(self) -> np.ndarray:
-        """Provenance as an (L, 6) int64 array, without a copy for a :class:`Provenance`."""
-        if isinstance(self.provenance, Provenance):
-            return self.provenance.records
-        return np.asarray(self.provenance, dtype=np.int64).reshape(-1, 6)
-
 
 class _Stream:
-    """Buffers behind a run of streamed contexts: tokens (N, cap, D), records (cap, 6).
+    """Buffers behind a run of streamed contexts: tokens (N, cap, D), records (cap, 5).
 
     The first ``length`` rows are written; each context of the run views a
     prefix of them.  Only the newest view may be extended in place, and an
@@ -157,7 +134,7 @@ class _Stream:
             cap = max(end, 2 * self.records.shape[0])
             grown = np.empty((self.tokens.shape[0], cap, self.tokens.shape[2]), self.tokens.dtype)
             grown[:, :start] = self.tokens[:, :start]
-            grown_records = np.empty((cap, 6), np.int64)
+            grown_records = np.empty((cap, 5), np.int64)
             grown_records[:start] = self.records[:start]
             self.tokens, self.records = grown, grown_records
         self.tokens[:, start:end] = tokens
@@ -206,7 +183,6 @@ class EncoderModel:
         variant: str = "dual",
         channels=CHANNELS,
         heads: int = 4,
-        encoder_id: int = 0,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -217,7 +193,6 @@ class EncoderModel:
         self.model_dim = model_dim
         self.chunk_len = chunk_len
         self.variant = variant
-        self.encoder_id = encoder_id
         self._first_chunk_records: dict = {}  # (H, W) -> chunk 0's provenance records
         if variant == "large_patchifier":
             # one rate-sized block per token: its only parameter is this map
@@ -325,23 +300,22 @@ class EncoderModel:
         ]
         tokens = concat(chunks, axis=1) if len(chunks) > 1 else chunks[0]
         records = np.concatenate([self._chunk_records(ci, x.shape) for ci in range(n_chunks)])
-        return CompressedContext(
-            tokens=tokens, provenance=Provenance(records), rates=(self.rate,), span_frames=t
-        )
+        return CompressedContext(tokens=tokens, provenance=Provenance(records), span_frames=t)
 
     def _chunk_records(self, chunk_index: int, shape) -> np.ndarray:
-        """(L_chunk, 6) provenance records of one chunk, in its token order (t, h, w)."""
+        """(L_chunk, 5) provenance records of one chunk, in its token order (t, h, w)."""
         _, _, h, w, _ = shape
         first = self._first_chunk_records.get((h, w))
         if first is None:
             rate = self.rate
             grid = (self.chunk_len // rate.r_t, h // rate.r_h, w // rate.r_w)
             ti, hi, wi = np.indices(grid, dtype=np.int64).reshape(3, -1)
-            enc_id, chunk = np.full_like(ti, self.encoder_id), np.zeros_like(ti)
-            first = np.stack([enc_id, chunk, ti * rate.r_t, (ti + 1) * rate.r_t, hi, wi], axis=1)
+            first = np.stack(
+                [np.zeros_like(ti), ti * rate.r_t, (ti + 1) * rate.r_t, hi * rate.r_h, wi * rate.r_w], axis=1
+            )
             self._first_chunk_records[(h, w)] = first
         # chunk k's records are chunk 0's, k chunks later
-        return first + chunk_index * np.array([0, 1, self.chunk_len, self.chunk_len, 0, 0])
+        return first + chunk_index * np.array([1, self.chunk_len, self.chunk_len, 0, 0])
 
     def compress_streaming(self, prior: CompressedContext | None, new_chunk) -> CompressedContext:
         """Extend a compressed context by one chunk without recompressing the others.
@@ -369,21 +343,19 @@ class EncoderModel:
             tokens = self.compress_chunk(chunk).data
         records = self._chunk_records(chunk_index, chunk.shape)
         if prior is None:
-            stream, rates, span = _Stream(tokens, records), (self.rate,), 0
+            stream, span = _Stream(tokens, records), 0
         else:
-            stream, rates, span = prior._stream, prior.rates, prior.span_frames
+            stream, span = prior._stream, prior.span_frames
             if stream is not None and stream.extends(prior, tokens):
                 stream.append(tokens, records)
             else:
                 prior_tokens = Tensor._coerce(prior.tokens).data
                 stream = _Stream(
                     np.concatenate([prior_tokens, tokens], axis=1),
-                    np.concatenate([prior.records, records]),
+                    np.concatenate([prior.provenance.records, records]),
                 )
         view_tokens, provenance = stream.newest
-        ctx = CompressedContext(
-            Tensor._make(view_tokens, (), None), provenance, rates, span + chunk.shape[1]
-        )
+        ctx = CompressedContext(Tensor._make(view_tokens, (), None), provenance, span + chunk.shape[1])
         ctx._stream = stream
         return ctx
 
@@ -414,24 +386,3 @@ class EncoderModel:
             out[f"{prefix}.lr_proj.b"] = self.lr_proj.bias
         return out
 
-
-def combine_contexts(contexts) -> CompressedContext:
-    """Concatenate contexts from multiple encoders over the same span."""
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("need at least one context")
-    if len(contexts) == 1:
-        return contexts[0]
-    d = contexts[0].tokens.shape[-1]
-    span = contexts[0].span_frames
-    for ctx in contexts[1:]:
-        if ctx.tokens.shape[-1] != d:
-            raise ValueError(f"token dim mismatch: {ctx.tokens.shape[-1]} vs {d}")
-        if ctx.span_frames != span:
-            raise ValueError("contexts must cover the same history span")
-    return CompressedContext(
-        tokens=concat([c.tokens for c in contexts], axis=1),
-        provenance=[r for c in contexts for r in c.provenance],
-        rates=tuple(r for c in contexts for r in c.rates),
-        span_frames=span,
-    )

@@ -124,7 +124,6 @@ class DiTModel:
         latent_channels: int = 4,
         cond_vocab: int = 16,
         max_frames: int = 192,
-        max_ctx_tokens: int = 2048,
         max_spatial_slots: int = 1024,
     ):
         self.inner_dim = inner_dim
@@ -154,7 +153,10 @@ class DiTModel:
         cols = np.tile(np.arange(side), side)[:max_spatial_slots]
         self.spatial_emb.table.data[:, :half] = nn.sinusoidal_embedding(rows, half)
         self.spatial_emb.table.data[:, half:] = nn.sinusoidal_embedding(cols, half)
-        self.ctx_emb = nn.Embedding(max_ctx_tokens, inner_dim, rng)
+        # one marker row shared by every memory token; the draw skips 2,047 more rows,
+        # so the parameters drawn after it keep their seeded values
+        self.ctx_emb = nn.Embedding(1, inner_dim, rng)
+        rng.normal(size=(2047, inner_dim))
         self.blocks = [_Block(inner_dim, n_heads, rng) for _ in range(n_blocks)]
         self.ln_out = _LayerNormParams(inner_dim)
         self.out_proj = nn.Linear(inner_dim, patch_in, rng)
@@ -197,21 +199,18 @@ class DiTModel:
         Each token's provenance places it at a history frame and spatial
         block; indexing the same temporal/spatial tables as target tokens
         makes position-addressed retrieval a matching problem rather than
-        a correspondence the model must discover.  A per-encoder marker
-        from the context table separates compressed streams from targets.
+        a correspondence the model must discover.  The one-row context
+        marker separates memory tokens from targets.  A block's latent
+        corner ``(h0, w0)`` maps to the target patch holding it, clamped
+        onto the target grid.
         """
         h_lat, w_lat = latent_hw
         _, ph, pw = self.patch
         gh, gw = h_lat // ph, w_lat // pw
-        prov = ctx.records
-        enc_id, t0, hi, wi = prov[:, 0], prov[:, 2], prov[:, 4], prov[:, 5]
-        # encoders past the rate list reuse its last rate
-        which = np.minimum(enc_id, len(ctx.rates) - 1)
-        r_h = np.asarray([r.r_h for r in ctx.rates])[which]
-        r_w = np.asarray([r.r_w for r in ctx.rates])[which]
-        hp = np.minimum(hi * r_h // ph, gh - 1)
-        wp = np.minimum(wi * r_w // pw, gw - 1)
-        return self._temporal(t0) + self.spatial_emb(hp * gw + wp) + self.ctx_emb(enc_id)
+        _, t0, _, h0, w0 = ctx.provenance.records.T
+        hp = np.minimum(h0 // ph, gh - 1)
+        wp = np.minimum(w0 // pw, gw - 1)
+        return self._temporal(t0) + self.spatial_emb(hp * gw + wp) + self.ctx_emb(np.zeros_like(t0))
 
     def _target_pos(self, shape, frame_indices) -> Tensor:
         gt, gh, gw = self._grid(shape)

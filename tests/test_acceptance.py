@@ -34,7 +34,7 @@ from memctx import (
     seeding,
     training,
 )
-from memctx.compressor import CompressedContext, CompressionRate
+from memctx.compressor import CompressedContext, Provenance
 from memctx.tensor import Tensor, backward, no_grad, using_dtype
 from test_diffusion import FixedTimestep, ZeroVelocity, timestep_cdf
 
@@ -109,15 +109,16 @@ def test_each_op_matches_central_differences_64bit(name):
 def _tiny_dit_fd_case():
     """A tiny velocity-prediction loss touching every parameter group."""
     g = training.build_models(0, model_dim=16, n_blocks=2, n_heads=2)[1]
-    prov = [(0, 0, 0, 2, 0, 0), (0, 0, 0, 2, 0, 1), (0, 0, 0, 2, 1, 0), (0, 0, 0, 2, 1, 1)]
-    rates = (CompressionRate(2, 2, 2),)
+    # four 2x2x2 blocks of frames [0, 2): (chunk, t0, t1, h0, w0)
+    blocks = [(0, 0, 2, 0, 0), (0, 0, 2, 0, 2), (0, 0, 2, 2, 0), (0, 0, 2, 2, 2)]
+    prov = Provenance(np.array(blocks, np.int64))
     fixed = np.random.default_rng(7)
     x0 = fixed.standard_normal((2, 1, 4, 4, 4))
     eps = fixed.standard_normal(x0.shape)
 
     def loss_fn():
         ctx = CompressedContext(
-            tokens=Tensor(x0.reshape(2, 4, 16)), provenance=prov, rates=rates, span_frames=8
+            tokens=Tensor(x0.reshape(2, 4, 16)), provenance=prov, span_frames=8
         )
         pred = g.predict_velocity(
             0.1 * x0 + 0.9 * eps, np.full(2, 0.9), c=np.zeros(2, dtype=int),

@@ -137,6 +137,39 @@ def test_checkpoint_bad_magic(tmp_path):
         checkpoint.load_checkpoint(path)
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A saved parameter table with optimizer state, and a path to write corrupt copies to."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    path = str(tmp / "m.mcck")
+    opt_arrays = {"m.a.weight": np.ones((4, 3), np.float64), "step": np.float64(7.0)}
+    checkpoint.save_checkpoint(path, _params(), {"seed": 1}, step=42, optimizer_arrays=opt_arrays)
+    return open(path, "rb").read(), tmp / "corrupt.mcck"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoints_load_or_raise_mismatch(small_checkpoint, data):
+    """Every truncation raises CheckpointMismatch; a one-byte flip either loads or
+    raises CheckpointMismatch, never another exception."""
+    blob, path = small_checkpoint
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path.write_bytes(blob[:cut])
+    with pytest.raises(checkpoint.CheckpointMismatch):
+        checkpoint.load_checkpoint(str(path))
+
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    flipped = bytearray(blob)
+    flipped[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(flipped))
+    try:
+        params, step, opt = checkpoint.load_checkpoint(str(path))
+    except checkpoint.CheckpointMismatch:
+        return
+    assert all(isinstance(a, np.ndarray) for a in params.values())
+    assert isinstance(step, int) and (opt is None or isinstance(opt, dict))
+
+
 def test_restore_into_shape_checked():
     params = _params()
     arrays = {k: p.data.copy() for k, p in params.items()}
@@ -270,6 +303,21 @@ def test_cli_refuses_grid_keyed_position_table_checkpoint(tmp_path, capsys):
     assert cli.main(["rollout", cfg_path, path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "missing parameters" in err and "enc.pos" in err and "Traceback" not in err
+
+
+def test_cli_refuses_a_2048_row_context_marker_checkpoint(tmp_path, capsys):
+    """The context marker is one row; checkpoints of the 2,048-row table exit 2."""
+    cfg_path = _tiny_cfg(tmp_path)
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, step, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    assert params["dit.ctx_emb.table"].shape == (1, 64)
+    params["dit.ctx_emb.table"] = np.zeros((2048, 64), np.float32)
+    path = str(tmp_path / "old.mcck")
+    checkpoint.save_checkpoint(path, params, config.load_config(cfg_path), step)
+    capsys.readouterr()
+    assert cli.main(["rollout", cfg_path, path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "shape mismatch for dit.ctx_emb.table" in err and "Traceback" not in err
 
 
 def test_cli_resume_matches_straight_run(tmp_path):
@@ -436,7 +484,10 @@ def test_cli_budget_rejects_bad_geometry_as_config_error(args, capsys):
 
 
 def test_cli_experiment_unknown_recipe(capsys):
-    assert cli.main(["experiment", "nope"]) == cli.EXIT_CONFIG
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["experiment", "nope"])
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -503,6 +554,26 @@ def test_cli_truncated_checkpoint_is_config_error(trained_checkpoint, tmp_path, 
     short.write_bytes(blob[:cut])
     assert cli.main(["rollout", cfg_path, str(short)]) == cli.EXIT_CONFIG
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["name_not_utf8", "shape_past_the_file"])
+def test_cli_corrupt_checkpoint_is_config_error(trained_checkpoint, tmp_path, capsys, field):
+    """A first parameter name that is not UTF-8, or a first shape entry of 2**31
+    (gigabytes of payload in a small file), exits 2 with an error line."""
+    cfg_path, blob = trained_checkpoint
+    blob = bytearray(blob)
+    name_at = 4 + 4 + 32 + 8 + 4 + 2  # magic, version, digest, step, count, name length
+    name_len = int.from_bytes(blob[name_at - 2 : name_at], "little")
+    if field == "name_not_utf8":
+        blob[name_at] = 0xFF
+    else:
+        shape_at = name_at + name_len + 4  # past the name and its dimension count
+        blob[shape_at : shape_at + 4] = (2**31).to_bytes(4, "little")
+    bad = tmp_path / "bad.mcck"
+    bad.write_bytes(bytes(blob))
+    assert cli.main(["rollout", cfg_path, str(bad)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_rollout_past_the_temporal_table_is_runtime_error(tmp_path, capsys):

@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memctx import seeding
-from memctx.compressor import (
-    VARIANTS,
-    CompressedContext,
-    CompressionRate,
-    EncoderModel,
-    combine_contexts,
-)
+from memctx.compressor import VARIANTS, CompressedContext, CompressionRate, EncoderModel, Provenance
 from memctx.tensor import Tensor, no_grad
 
 
@@ -61,8 +55,8 @@ def test_token_count_matches_emitted(rate):
     expected = (24 // rate[2]) * (8 // rate[0]) * (8 // rate[1])
     assert ctx.length == expected
     assert len(ctx.provenance) == ctx.length
+    assert ctx.provenance.records.shape == (ctx.length, 5)
     assert ctx.span_frames == 24
-    assert ctx.rates == (CompressionRate(*rate),)
 
 
 def test_geometry_errors():
@@ -115,17 +109,19 @@ def test_provenance_partitions_history():
     enc = _encoder((4, 4, 2))
     with no_grad():
         ctx = enc.compress(_history(4))
+    records = ctx.provenance.records
+    assert records.dtype == np.int64 and records.shape == (48, 5)
+    assert not records.flags.writeable
     covered = set()
-    for enc_id, chunk, t0, t1, hi, wi in ctx.provenance:
-        assert enc_id == 0
+    for chunk, t0, t1, h0, w0 in records.tolist():
         assert t1 - t0 == 2
-        assert 0 <= hi < 2 and 0 <= wi < 2
+        assert h0 in (0, 4) and w0 in (0, 4)  # latent rows and columns of 4x4 blocks
         assert chunk == t0 // 8
         covered.update(range(t0, t1))
     assert covered == set(range(24))
     # every (band, block) cell appears exactly once
-    cells = [(t0, hi, wi) for _, _, t0, _, hi, wi in ctx.provenance]
-    assert len(cells) == len(set(cells))
+    cells = {(t0, h0, w0) for _, t0, _, h0, w0 in records.tolist()}
+    assert len(cells) == len(records)
 
 
 # -- streaming ------------------------------------------------------------------
@@ -152,25 +148,26 @@ def test_streaming_validation():
         enc.compress_streaming(None, _history(0, t=4))
     with no_grad():
         ctx = enc.compress_streaming(None, _history(0, t=8))
-    bad = CompressedContext(ctx.tokens, ctx.provenance, ctx.rates, span_frames=5)
+    bad = CompressedContext(ctx.tokens, ctx.provenance, span_frames=5)
     with pytest.raises(ValueError, match="chunk-aligned"):
         enc.compress_streaming(bad, _history(0, t=8))
 
 
 def _snapshot(ctx):
-    return ctx.tokens.numpy().copy(), list(ctx.provenance), ctx.length
+    return ctx.tokens.numpy().copy(), Provenance(ctx.provenance.records.copy()), ctx.length
 
 
 def _loop_provenance(enc, n_chunks, h=8, w=8):
     """Per-token oracle for the provenance records of ``n_chunks`` chunks."""
     r = enc.rate
-    return [
-        (enc.encoder_id, ci, ci * enc.chunk_len + ti * r.r_t, ci * enc.chunk_len + (ti + 1) * r.r_t, hi, wi)
+    rows = [
+        (ci, ci * enc.chunk_len + ti * r.r_t, ci * enc.chunk_len + (ti + 1) * r.r_t, hi * r.r_h, wi * r.r_w)
         for ci in range(n_chunks)
         for ti in range(enc.chunk_len // r.r_t)
         for hi in range(h // r.r_h)
         for wi in range(w // r.r_w)
     ]
+    return Provenance(np.array(rows, np.int64))
 
 
 def _assert_streams_like_batch(enc, ctx, history):
@@ -255,34 +252,6 @@ def test_streamed_tokens_never_require_grad():
     trained = enc.compress(_history(9, t=8))
     assert trained.tokens.requires_grad
     assert not enc.compress_streaming(trained, _history(10, t=8)).tokens.requires_grad
-
-
-# -- multi-encoder combination ------------------------------------------------------
-
-
-def test_combine_contexts():
-    hist = _history(6)
-    enc_a = _encoder((4, 4, 2), seed=0)
-    enc_b = EncoderModel(
-        CompressionRate(2, 2, 2), seeding.stream(1, 0xE6C), encoder_id=1
-    )
-    with no_grad():
-        ca, cb = enc_a.compress(hist), enc_b.compress(hist)
-        combined = combine_contexts([ca, cb])
-    assert combined.length == ca.length + cb.length
-    assert combined.rates == ca.rates + cb.rates
-    assert {r[0] for r in combined.provenance} == {0, 1}
-
-
-def test_combine_validation():
-    with pytest.raises(ValueError):
-        combine_contexts([])
-    enc = _encoder((4, 4, 2))
-    with no_grad():
-        c24 = enc.compress(_history(0, t=24))
-        c8 = enc.compress(_history(0, t=8))
-    with pytest.raises(ValueError, match="span"):
-        combine_contexts([c24, c8])
 
 
 # -- differentiability ----------------------------------------------------------------

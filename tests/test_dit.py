@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memctx import data, diffusion, nn, seeding, training
-from memctx.compressor import CompressedContext, CompressionRate
+from memctx.compressor import CompressedContext, CompressionRate, Provenance
 from memctx.dit import DiTModel, _modulate
 from memctx.tensor import Tensor, backward, no_grad, using_dtype
 
@@ -240,52 +240,39 @@ def test_large_patchifier_token_budget_matches_rate():
     assert enc.parameters() == [enc.patch_proj.weight, enc.patch_proj.bias]
 
 
-# -- multi-encoder context positioning -----------------------------------------------
-
-
-def test_ctx_positions_accept_combined_contexts():
-    from memctx.compressor import EncoderModel, combine_contexts
-
-    hist = np.random.default_rng(20).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    enc_a = EncoderModel(CompressionRate(4, 4, 2), seeding.stream(0, 0xE6C))
-    enc_b = EncoderModel(CompressionRate(2, 2, 2), seeding.stream(1, 0xE6C), encoder_id=1)
-    g = _model()
-    g.out_proj.weight.data[:] = np.random.default_rng(21).normal(0, 0.05, g.out_proj.weight.shape)
-    with no_grad():
-        ctx = combine_contexts([enc_a.compress(hist), enc_b.compress(hist)])
-        v = g.predict_velocity(_clip(22), 0.5, 0, ctx=ctx, frame_indices=[1, 6])
-    assert v.shape == (1, 2, 8, 8, 4)
+# -- context positioning -------------------------------------------------------------
 
 
 def _loop_ctx_pos(g, ctx, latent_hw):
     """Per-token oracle for ``DiTModel._ctx_pos``."""
     _, ph, pw = g.patch
     gh, gw = latent_hw[0] // ph, latent_hw[1] // pw
-    t_idx, s_idx, e_idx = [], [], []
-    for enc_id, _chunk, t0, _t1, hi, wi in ctx.provenance:
-        rate = ctx.rates[min(enc_id, len(ctx.rates) - 1)]
+    t_idx, s_idx = [], []
+    for _chunk, t0, _t1, h0, w0 in ctx.provenance.records.tolist():
         t_idx.append(t0)
-        s_idx.append(min(hi * rate.r_h // ph, gh - 1) * gw + min(wi * rate.r_w // pw, gw - 1))
-        e_idx.append(enc_id)
-    return g.temporal_emb(t_idx) + g.spatial_emb(s_idx) + g.ctx_emb(e_idx)
+        s_idx.append(min(h0 // ph, gh - 1) * gw + min(w0 // pw, gw - 1))
+    return g.temporal_emb(t_idx) + g.spatial_emb(s_idx) + g.ctx_emb([0] * len(t_idx))
 
 
 def test_ctx_positions_equal_the_per_token_loop_bitwise():
-    from memctx.compressor import EncoderModel, combine_contexts
+    from memctx.compressor import EncoderModel
 
     hist = np.random.default_rng(23).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    enc_a = EncoderModel(CompressionRate(4, 4, 2), seeding.stream(0, 0xE6C))
-    enc_b = EncoderModel(CompressionRate(2, 2, 2), seeding.stream(1, 0xE6C), encoder_id=1)
     g = _model()
-    with no_grad():
-        ctx = combine_contexts([enc_a.compress(hist), enc_b.compress(hist)])
-        # an encoder id past the rate list and a block past the grid: both clamp
-        ctx.provenance = ctx.provenance + [(2, 0, 4, 6, 7, 7)]
-        got = g._ctx_pos(ctx, (8, 8)).numpy()
-        want = _loop_ctx_pos(g, ctx, (8, 8)).numpy()
-    assert got.shape == (len(ctx.provenance), g.inner_dim)
-    np.testing.assert_array_equal(got, want)
-    assert all(isinstance(rec, tuple) for rec in ctx.provenance)
+    for rate in ((4, 4, 2), (2, 2, 2)):
+        enc = EncoderModel(CompressionRate(*rate), seeding.stream(0, 0xE6C))
+        with no_grad():
+            ctx = enc.compress(hist)
+        # a block past the grid clamps onto its last patch
+        records = np.concatenate([ctx.provenance.records, [[0, 4, 6, 14, 14]]])
+        ctx = CompressedContext(ctx.tokens, Provenance(records), ctx.span_frames)
+        # on a 4x4 target, blocks from latent row or column 4 on clamp too
+        for latent_hw in ((8, 8), (4, 4)):
+            with no_grad():
+                got = g._ctx_pos(ctx, latent_hw).numpy()
+                want = _loop_ctx_pos(g, ctx, latent_hw).numpy()
+            assert got.shape == (len(records), g.inner_dim)
+            np.testing.assert_array_equal(got, want)
 
 
 def test_frames_past_the_temporal_table_are_refused():
@@ -296,8 +283,7 @@ def test_frames_past_the_temporal_table_are_refused():
         g.predict_velocity(x, 0.5, c=0, frame_indices=[191, 192])
     ctx = CompressedContext(
         tokens=Tensor(np.zeros((1, 1, 16), np.float32)),
-        provenance=[(0, 24, 192, 194, 0, 0)],
-        rates=(CompressionRate(4, 4, 2),),
+        provenance=Provenance(np.array([[24, 192, 194, 0, 0]], np.int64)),
         span_frames=200,
     )
     with no_grad(), pytest.raises(ValueError, match="frame 192 is outside"):
