@@ -23,18 +23,14 @@ def main():
     print(f"{'rate':>8} {'tokens':>10} {'reduction':>10}")
     for rate in ((2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)):
         row = metrics.context_length(
-            metrics.BudgetSpec(
-                width=832, height=480, fps=24, duration_s=60, compression_rates=(rate,)
-            )
+            metrics.BudgetSpec(width=832, height=480, fps=24, duration_s=60, rate=rate)
         )
-        tokens = row.per_encoder[0]
+        tokens = row.compressed
         name = "x".join(str(r) for r in rate)
         print(f"{name:>8} {tokens:>10,} {report.total / tokens:>9.1f}x")
 
-    short = metrics.BudgetSpec(
-        width=832, height=480, fps=24, duration_s=20, compression_rates=((4, 4, 2),)
-    )
-    tokens = metrics.context_length(short).per_encoder[0]
+    short = metrics.BudgetSpec(width=832, height=480, fps=24, duration_s=20, rate=(4, 4, 2))
+    tokens = metrics.context_length(short).compressed
     print(f"\n20 s at 4x4x2: {tokens:,} tokens — short enough to attend over.")
 
 

@@ -208,8 +208,6 @@ def cmd_budget(args) -> int:
         duration_s=args.duration,
         vae_spatial=args.vae_spatial,
         vae_temporal=args.vae_temporal,
-        compression_rates=((1, 1, 1),),
-        window_frames=0,
     )
     grid = [(1, 1, 1), (2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)]
     try:

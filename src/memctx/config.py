@@ -1,10 +1,11 @@
 """Run configuration: a strict JSON document with nested blocks.
 
 Unknown keys are rejected with their field path; numbers must be finite
-(``NaN`` and ``Infinity`` are refused); cross-field constraints (the
-divisibility of the desk geometry and of the DiT's width, a chunk-position
-table that fits its pool, and a condition schedule that starts at frame 0
-with codes inside the vocabulary) are validated before any compute starts.
+(``NaN`` and ``Infinity`` are refused) and never ``true``/``false``;
+cross-field constraints (the divisibility of the desk geometry and of the
+DiT's width, a chunk-position table that fits its pool, and a condition
+schedule that starts at frame 0 with codes inside the vocabulary) are
+validated before any compute starts.
 """
 
 from __future__ import annotations
@@ -69,40 +70,41 @@ DEFAULTS = {
     },
 }
 
+# type(v) is int, not isinstance: JSON true/false load as bool, a subclass of int
 _VALIDATORS = {
-    "seed": lambda v: isinstance(v, int),
-    "dataset.seed": lambda v: isinstance(v, int),
-    "dataset.size": lambda v: isinstance(v, int) and v >= 1,
-    "dataset.vocab": lambda v: isinstance(v, int) and v >= 1,
+    "seed": lambda v: type(v) is int,
+    "dataset.seed": lambda v: type(v) is int,
+    "dataset.size": lambda v: type(v) is int and v >= 1,
+    "dataset.vocab": lambda v: type(v) is int and v >= 1,
     "dataset.static": lambda v: isinstance(v, bool),
     "encoder.rate": lambda v: (
-        isinstance(v, list) and len(v) == 3 and all(isinstance(r, int) and r >= 1 for r in v)
+        isinstance(v, list) and len(v) == 3 and all(type(r) is int and r >= 1 for r in v)
     ),
     "encoder.variant": lambda v: v in VARIANTS,
-    "encoder.chunk_len": lambda v: isinstance(v, int) and v >= 1,
-    "dit.inner_dim": lambda v: isinstance(v, int) and v >= 8,
-    "dit.blocks": lambda v: isinstance(v, int) and v >= 1,
-    "dit.heads": lambda v: isinstance(v, int) and v >= 1,
-    "dit.lora_rank": lambda v: isinstance(v, int) and v >= 0,
-    "diffusion.mu": lambda v: isinstance(v, (int, float)) and math.isfinite(v),
-    "diffusion.sigma": lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
-    "diffusion.shift": lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
-    "diffusion.sample_steps": lambda v: isinstance(v, int) and v >= 1,
-    "training.steps": lambda v: isinstance(v, int) and v >= 1,
-    "training.batch": lambda v: isinstance(v, int) and v >= 1,
-    "training.lr": lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
+    "encoder.chunk_len": lambda v: type(v) is int and v >= 1,
+    "dit.inner_dim": lambda v: type(v) is int and v >= 8,
+    "dit.blocks": lambda v: type(v) is int and v >= 1,
+    "dit.heads": lambda v: type(v) is int and v >= 1,
+    "dit.lora_rank": lambda v: type(v) is int and v >= 0,
+    "diffusion.mu": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "diffusion.sigma": lambda v: type(v) in (int, float) and 0 < v < math.inf,
+    "diffusion.shift": lambda v: type(v) in (int, float) and 0 < v < math.inf,
+    "diffusion.sample_steps": lambda v: type(v) is int and v >= 1,
+    "training.steps": lambda v: type(v) is int and v >= 1,
+    "training.batch": lambda v: type(v) is int and v >= 1,
+    "training.lr": lambda v: type(v) in (int, float) and 0 < v < math.inf,
     "training.omega_policy": lambda v: v in ("uniform", "fixed-endpoints"),
     "training.freeze_encoder": lambda v: isinstance(v, bool),
-    "training.log_every": lambda v: isinstance(v, int) and v >= 1,
-    "training.eval_every": lambda v: isinstance(v, int) and v >= 0,
-    "rollout.n_steps": lambda v: isinstance(v, int) and v >= 1,
-    "rollout.window_frames": lambda v: isinstance(v, int) and v >= 0,
+    "training.log_every": lambda v: type(v) is int and v >= 1,
+    "training.eval_every": lambda v: type(v) is int and v >= 0,
+    "rollout.n_steps": lambda v: type(v) is int and v >= 1,
+    "rollout.window_frames": lambda v: type(v) is int and v >= 0,
     "rollout.condition_schedule": lambda v: (
         isinstance(v, list)
         and len(v) >= 1
-        and all(isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e) for e in v)
+        and all(isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in v)
     ),
-    "rollout.seed_scene": lambda v: isinstance(v, int),
+    "rollout.seed_scene": lambda v: type(v) is int,
     "output.dir": lambda v: isinstance(v, str) and v,
 }
 

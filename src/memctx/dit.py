@@ -56,17 +56,14 @@ class _Block:
         or None.  Keys and values read the memory and every row either way;
         a query-limited block returns just its query rows.
         """
-        dim = x.shape[-1]
-        mod = self.mod(temb.silu())  # (N, 6*dim)
-        n = mod.shape[0]
-        mod = mod.reshape(n, 1, 6, dim)
-        sh1, sc1, g1, sh2, sc2, g2 = (mod[:, :, i] for i in range(6))
-        h = _modulate(self.ln1(x), sc1, sh1)
+        # rows of mod: shift, scale and gate of the attention, then of the MLP
+        mod = self.mod(temb.silu()).reshape(temb.shape[0], 1, 6, x.shape[-1])
+        h = _modulate(self.ln1(x), mod, 1, 0)
         q = h
         if n_query is not None:
             x, q = x[:, -n_query:], h[:, -n_query:]
-        x = x + _modulate(self.attn(q, h, memory), g1)
-        return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), sc2, sh2)).silu()), g2)
+        x = x + _modulate(self.attn(q, h, memory), mod, 2)
+        return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), mod, 4, 3)).silu()), mod, 5)
 
     def named_modules(self):
         return {
@@ -75,28 +72,26 @@ class _Block:
         }
 
 
-def _modulate(h: Tensor, scale: Tensor, shift: Tensor | None = None) -> Tensor:
-    """h·(scale + 1) + shift, with shift optional, as one tape node.
+def _modulate(h: Tensor, mod: Tensor, scale_index: int, shift_index: int | None = None) -> Tensor:
+    """h·(mod[:, :, scale_index] + 1) + mod[:, :, shift_index], shift optional, as one tape node.
 
-    ``scale`` and ``shift`` broadcast against ``h``; the 1 enters as a
-    default-dtype array, as an operand of a composed op would.
+    ``mod`` is a block's (N, 1, 6, D) modulation output, read in place; the
+    1 enters as a default-dtype array, as an operand of a composed op would.
     """
-    s1 = scale.data + np.asarray(1.0, dtype=default_dtype())
+    scale = mod.data[:, :, scale_index]
+    s1 = scale + np.asarray(1.0, dtype=default_dtype())
     y = h.data * s1
-    parents = (h, scale)
-    if shift is not None:
-        y = y + shift.data
-        parents += (shift,)
-    needs = [p.requires_grad for p in parents]
+    if shift_index is not None:
+        y = y + mod.data[:, :, shift_index]
 
     def vjp(g):
-        gh = g * s1 if needs[0] else None
-        gscale = _unbroadcast(g * h.data, scale.shape) if needs[1] else None
-        if shift is None:
-            return (gh, gscale)
-        return (gh, gscale, _unbroadcast(g, shift.shape) if needs[2] else None)
+        gmod = np.zeros(mod.shape, dtype=g.dtype)
+        gmod[:, :, scale_index] = _unbroadcast(g * h.data, scale.shape)
+        if shift_index is not None:
+            gmod[:, :, shift_index] = _unbroadcast(g, scale.shape)
+        return (g * s1, gmod)
 
-    return Tensor._make(y, parents, vjp)
+    return Tensor._make(y, (h, mod), vjp)
 
 
 class _LayerNormParams:
@@ -245,7 +240,7 @@ class DiTModel:
         memory of a context is built once and read at every Euler step.
         ``latent_hw`` is the target latents' (H, W), which places context
         tokens on the target's spatial grid.  Returns one (K, V) pair of
-        (N, heads, L, head_dim) tensors per block.
+        (N, L, inner_dim) tensors per block; ``nn.attention`` splits the heads.
         """
         tokens = as_default_dtype(ctx.tokens)
         if tokens.ndim == 2:

@@ -32,7 +32,7 @@ class BudgetSpec:
     ``vae_spatial`` is the total pixel-to-token spatial reduction of the
     uncompressed path (VAE times patchifier, e.g. 16 for the 8x VAE with
     a 2x patchifier); ``vae_temporal`` likewise for time.  Memory-encoder
-    token counts divide the uncompressed count by r_h * r_w * r_t.
+    token counts divide the uncompressed count by ``rate``'s r_h·r_w·r_t.
     """
 
     width: int
@@ -41,7 +41,7 @@ class BudgetSpec:
     duration_s: float
     vae_spatial: int = 16
     vae_temporal: int = 4
-    compression_rates: tuple = ()  # tuples (r_h, r_w, r_t), one per encoder
+    rate: tuple | None = None  # (r_h, r_w, r_t) of the memory encoder
     window_frames: int = 0
     window_patch_spatial: int = 1
 
@@ -49,7 +49,7 @@ class BudgetSpec:
 @dataclasses.dataclass(frozen=True)
 class BudgetReport:
     uncompressed: int
-    per_encoder: tuple
+    compressed: int  # the history after the encoder; ``uncompressed`` without a rate
     window_tokens: int
     total: int
 
@@ -63,7 +63,7 @@ def _div(n: int, d: int, axis: str, exact: bool) -> int:
 
 
 def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
-    """Token budget: uncompressed, per-encoder compressed, window, total.
+    """Token budget: uncompressed, compressed, window, total.
 
     Non-divisible extents floor with a warning unless ``exact`` is set,
     matching the approximate published-scale accounting.
@@ -74,9 +74,9 @@ def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
     t_tok = _div(frames, spec.vae_temporal, "time", exact)
     if min(w_tok, h_tok, t_tok) < 1:
         raise ValueError("geometry reduces to zero tokens")
-    uncompressed = w_tok * h_tok * t_tok
-    per_encoder = []
-    for r_h, r_w, r_t in spec.compression_rates:
+    uncompressed = compressed = w_tok * h_tok * t_tok
+    if spec.rate is not None:
+        r_h, r_w, r_t = spec.rate
         if min(r_h, r_w, r_t) < 1:
             raise ValueError("compression rates must be >= 1")
         if h_tok % r_h or w_tok % r_w or t_tok % r_t:
@@ -91,19 +91,15 @@ def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
                 "using total/volume accounting",
                 stacklevel=2,
             )
-            per_encoder.append(uncompressed // (r_h * r_w * r_t))
+            compressed = uncompressed // (r_h * r_w * r_t)
         else:
-            per_encoder.append((h_tok // r_h) * (w_tok // r_w) * (t_tok // r_t))
+            compressed = (h_tok // r_h) * (w_tok // r_w) * (t_tok // r_t)
     win = 0
     if spec.window_frames:
         ws = spec.window_patch_spatial
         win = spec.window_frames * _div(h_tok, ws, "height", exact) * _div(w_tok, ws, "width", exact)
-    total = (sum(per_encoder) if per_encoder else uncompressed) + win
     return BudgetReport(
-        uncompressed=uncompressed,
-        per_encoder=tuple(per_encoder),
-        window_tokens=win,
-        total=total,
+        uncompressed=uncompressed, compressed=compressed, window_tokens=win, total=compressed + win
     )
 
 
@@ -111,13 +107,13 @@ def budget_table(spec: BudgetSpec, rate_grid) -> list:
     """Rows of (rate, tokens, reduction) for a grid of rate triples."""
     rows = []
     for rate in rate_grid:
-        rep = context_length(dataclasses.replace(spec, compression_rates=(tuple(rate),)))
+        rep = context_length(dataclasses.replace(spec, rate=tuple(rate)))
         rows.append(
             {
                 "rate": f"{rate[0]}x{rate[1]}x{rate[2]}",
-                "tokens": rep.per_encoder[0] + rep.window_tokens,
+                "tokens": rep.total,
                 "uncompressed": rep.uncompressed,
-                "reduction": rep.uncompressed / max(rep.per_encoder[0], 1),
+                "reduction": rep.uncompressed / max(rep.compressed, 1),
             }
         )
     return rows

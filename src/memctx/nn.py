@@ -4,21 +4,20 @@ Linear maps (with optional low-rank adapters), strided 3D convolution,
 multi-head attention, layer normalization, learned embeddings, and the
 Adam optimizer used by every training loop.
 
-The linear map, softmax, layernorm, the attention core and conv3d are
-fused kernels: each runs one array computation and records at most one
-tape node, whose backward is an analytic vector-Jacobian product.  Taped
-and no-tape calls (under ``no_grad``, or when nothing requires a
-gradient) share that computation, so their outputs are bitwise equal;
-a no-tape call only skips the node.  The attention core normalises after
-p·v: it divides the (Lq, d) output by the row sums of exp(s − max s)
-rather than the (Lq, Lk) scores, so it needs no call to ``softmax``.
+The linear map, softmax, layernorm, attention and conv3d are fused
+kernels: each runs one array computation and records at most one tape
+node, whose backward is an analytic vector-Jacobian product.  Taped and
+no-tape calls (under ``no_grad``, or when nothing requires a gradient)
+share that computation, so their outputs are bitwise equal; a no-tape
+call only skips the node.  The attention node also splits the heads,
+joins the memory and merges the heads, and needs no call to ``softmax``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _tracks, _unbroadcast, concat, default_dtype
+from .tensor import Tensor, _tracks, _unbroadcast, default_dtype
 
 __all__ = [
     "Linear",
@@ -280,60 +279,75 @@ def _into_first(ufunc, a, b):
     return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q·kᵀ/√d)·v over (N, heads, L, d) tensors as one tape node.
+def _heads(x: np.ndarray, heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
+    """A view of (N, L, D) ``x`` as (N, L, heads, D/heads) with its axes in ``axes``'s order."""
+    n, l, dim = x.shape
+    return x.reshape(n, l, heads, dim // heads).transpose(axes)
 
-    ``q`` is scaled by 1/√d before the product, and the (N, heads, Lq, Lk)
-    score buffer is overwritten by e = exp(s − max s); the output is
-    (e·v) / Σe, so the division touches the (Lq, d) output rather than the
-    scores.  Backward keeps q, k, v, e and Σe, and turns e into the
-    probabilities in place before the softmax VJP.
+
+def _joined(parts, heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
+    """The data of ``parts`` joined along L and split into heads, as one C-ordered array."""
+    x = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=1)
+    return np.ascontiguousarray(_heads(x, heads, axes))
+
+
+def _merged(gh: np.ndarray, parts) -> list:
+    """The (N, L, D) gradient of each of ``parts`` from the (N, heads, ΣL, d) gradient of their join."""
+    n, heads, _, d = gh.shape
+    bounds = np.cumsum([t.shape[1] for t in parts])[:-1]
+    return [x.transpose(0, 2, 1, 3).reshape(n, -1, heads * d) for x in np.split(gh, bounds, axis=2)]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None) -> Tensor:
+    """Multi-head softmax(q·kᵀ/√d)·v over (N, L, D) projections as one tape node.
+
+    ``memory`` is an optional (K, V) pair of (N, Lm, D) keys and values put
+    in front of ``k`` and ``v``: rows that are read but never queried.  The
+    node splits D into ``heads`` heads of d features, scales q by 1/√d and
+    overwrites the (N, heads, Lq, Lk) scores with e = exp(s − max s); the
+    output is (e·v) / Σe with the heads merged, so the division touches the
+    (Lq, d) output rather than the scores.  It keeps only e and Σe: backward
+    rebuilds the head-split operands from its parents ``(q, k, v[, K, V])``.
     """
-    scale = float(1.0 / np.sqrt(q.shape[-1]))
-    e = (q.data * scale) @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    keys, values = ((k,), (v,)) if memory is None else ((memory[0], k), (memory[1], v))
+    scale = float(1.0 / np.sqrt(q.shape[-1] // heads))
+    e = (_joined((q,), heads) * scale) @ _joined(keys, heads, (0, 2, 3, 1))
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     denom = e.sum(axis=-1, keepdims=True)
-    out = e @ v.data
+    out = e @ _joined(values, heads)
     out /= denom
-    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
 
     def vjp(g):
         p = e  # the tape is consumed once, so the buffer can become the probabilities
         p /= denom
-        gv = np.swapaxes(p, -1, -2) @ g if needs[2] else None
-        if not (needs[0] or needs[1]):
-            return (None, None, gv)
-        gs = _softmax_vjp(g @ np.swapaxes(v.data, -1, -2), p, -1)
+        gh = _heads(g, heads)
+        gv = _merged(np.swapaxes(p, -1, -2) @ gh, values)
+        gs = _softmax_vjp(gh @ np.swapaxes(_joined(values, heads), -1, -2), p, -1)
         gs *= scale
-        gq = gs @ k.data if needs[0] else None
-        gk = np.swapaxes(gs, -1, -2) @ q.data if needs[1] else None
-        return (gq, gk, gv)
+        gq = _merged(gs @ _joined(keys, heads), (q,))
+        gk = _merged(np.swapaxes(gs, -1, -2) @ _joined((q,), heads), keys)
+        return (gq[0], gk[-1], gv[-1], *gk[:-1], *gv[:-1])
 
-    return Tensor._make(out, (q, k, v), vjp)
+    return Tensor._make(_merged(out, (q,))[0], (q, k, v, *(memory or ())), vjp)
 
 
 class AttentionLayer:
-    """Multi-head scaled dot-product attention with output projection."""
+    """Multi-head attention: ``wq``/``wk``/``wv``, one ``attention`` node, then ``wo``."""
 
     def __init__(self, model_dim, head_count, rng):
         if model_dim % head_count != 0:
             raise ValueError(f"model_dim {model_dim} not divisible by {head_count} heads")
         self.model_dim = model_dim
         self.head_count = head_count
-        self.head_dim = model_dim // head_count
         self.wq = Linear(model_dim, model_dim, rng)
         self.wk = Linear(model_dim, model_dim, rng)
         self.wv = Linear(model_dim, model_dim, rng)
         self.wo = Linear(model_dim, model_dim, rng)
 
-    def _split(self, x: Tensor):
-        n, l, _ = x.shape
-        return x.reshape(n, l, self.head_count, self.head_dim).transpose(0, 2, 1, 3)
-
     def keys_values(self, tokens: Tensor):
-        """Head-split keys and values of ``tokens``: two (N, heads, L, head_dim) tensors."""
-        return self._split(self.wk(tokens)), self._split(self.wv(tokens))
+        """Keys and values of ``tokens``: two (N, L, model_dim) tensors, heads not split."""
+        return self.wk(tokens), self.wv(tokens)
 
     def __call__(self, q_tokens: Tensor, kv_tokens: Tensor | None = None, memory=None) -> Tensor:
         """Attention of ``q_tokens`` over ``kv_tokens`` (default: ``q_tokens`` itself).
@@ -350,14 +364,8 @@ class AttentionLayer:
             )
         if q_tokens.shape[-2] == 0 or kv_tokens.shape[-2] == 0:
             raise ValueError("attention requires non-empty token sets")
-        q = self._split(self.wq(q_tokens))
-        k, v = self.keys_values(kv_tokens)
-        if memory is not None:
-            k, v = concat([memory[0], k], axis=2), concat([memory[1], v], axis=2)
-        out = attention(q, k, v)  # (N, heads, Lq, hd)
-        n, _, lq, _ = out.shape
-        out = out.transpose(0, 2, 1, 3).reshape(n, lq, self.model_dim)
-        return self.wo(out)
+        q = self.wq(q_tokens)
+        return self.wo(attention(q, *self.keys_values(kv_tokens), self.head_count, memory))
 
     def named_parameters(self, prefix):
         out = {}

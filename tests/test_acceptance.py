@@ -49,10 +49,10 @@ def test_uncompressed_minute_budget_is_exact():
 
 def test_twenty_second_4x4x2_budget_lands_near_five_thousand():
     spec = metrics.BudgetSpec(
-        width=832, height=480, fps=24, duration_s=20, compression_rates=((4, 4, 2),)
+        width=832, height=480, fps=24, duration_s=20, rate=(4, 4, 2)
     )
     report = metrics.context_length(spec)
-    compressed = report.per_encoder[0]
+    compressed = report.compressed
     # [DERIVED] fixture: 52*30*120 tokens / 32 with floor semantics.
     assert compressed == 5_850
     assert 4_500 <= compressed <= 6_500

@@ -54,6 +54,28 @@ def test_config_field_validation():
         config.validate_config({"encoder": {"rate": [2, 2, 3]}})
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"training": {"lr": True}},
+        {"training": {"steps": True}},
+        {"dit": {"blocks": True}},
+        {"encoder": {"rate": [4, 4, True]}},
+        {"rollout": {"condition_schedule": [[False, 0]]}},
+        {"diffusion": {"mu": False}},
+    ],
+    ids=["lr", "steps", "blocks", "rate", "schedule", "mu"],
+)
+def test_config_refuses_booleans_for_numbers(tmp_path, capsys, override):
+    """JSON true/false load as bools, which Python counts as ints; no numeric field takes one."""
+    with pytest.raises(config.ConfigError, match="invalid value"):
+        config.validate_config(override)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    assert cli.main(["pretrain", str(path)]) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     dim=st.integers(8, 96),

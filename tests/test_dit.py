@@ -180,22 +180,20 @@ def test_context_changes_output_after_head_unlock():
 
 def test_modulate_gradients_with_and_without_shift():
     rng = np.random.default_rng(31)
-    h, scale, shift = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 1, 4))
+    h, mod = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 6, 4))
     w = Tensor(rng.normal(size=(2, 3, 4)))
-    check_grads(lambda h, sc, sh: (_modulate(h, sc, sh) * w).sum().square(), h, scale, shift)
-    check_grads(lambda h, sc: (_modulate(h, sc) * w).sum().square(), h, scale)
+    check_grads(lambda h, mod: (_modulate(h, mod, 1, 0) * w).sum().square(), h, mod)
+    check_grads(lambda h, mod: (_modulate(h, mod, 2) * w).sum().square(), h, mod)
 
 
 def test_modulate_records_one_node_and_matches_the_composed_expression():
     rng = np.random.default_rng(32)
-    h, scale, shift = (
-        Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in ((2, 3, 4), (2, 1, 4), (2, 1, 4))
-    )
-    for out, composed, leaves in (
-        (_modulate(h, scale, shift), h * (scale + 1.0) + shift, (h, scale, shift)),
-        (_modulate(h, scale), h * (scale + 1.0), (h, scale)),
+    h, mod = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in ((2, 3, 4), (2, 1, 6, 4)))
+    for out, composed in (
+        (_modulate(h, mod, 4, 3), h * (mod[:, :, 4] + 1.0) + mod[:, :, 3]),
+        (_modulate(h, mod, 5), h * (mod[:, :, 5] + 1.0)),
     ):
-        assert tape_nodes(out) == 1 and out._parents == leaves
+        assert tape_nodes(out) == 1 and out._parents == (h, mod)
         assert out.dtype == composed.dtype
         assert np.array_equal(out.numpy(), composed.numpy())
 
@@ -384,7 +382,7 @@ def test_no_block_queries_a_context_row(monkeypatch, window):
     assert [q for q, _, _ in dit_calls] == [rows] * (len(g.blocks) - 1) + [target]
     assert all(kv == rows for _, kv, _ in dit_calls)
     for _, _, (k, v) in dit_calls:
-        assert k.shape == v.shape == (2, g.blocks[0].attn.head_count, ctx.length, g.blocks[0].attn.head_dim)
+        assert k.shape == v.shape == (2, ctx.length, g.inner_dim)
 
 
 def test_memory_gradients_reach_the_encoder_and_ln1():

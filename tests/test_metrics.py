@@ -31,18 +31,18 @@ def test_published_geometry_uncompressed_count():
 
 
 def test_twenty_second_4x4x2_count():
-    spec = dataclasses.replace(PUBLISHED, duration_s=20.0, compression_rates=((4, 4, 2),))
+    spec = dataclasses.replace(PUBLISHED, duration_s=20.0, rate=(4, 4, 2))
     with pytest.warns(UserWarning):
         rep = metrics.context_length(spec)
     assert rep.uncompressed == 187_200
-    assert rep.per_encoder == (5_850,)
-    assert 4_500 <= rep.per_encoder[0] <= 6_500  # "about 5k"
+    assert rep.compressed == 5_850
+    assert 4_500 <= rep.compressed <= 6_500  # "about 5k"
 
 
 def test_identity_rate_is_identity():
-    spec = dataclasses.replace(PUBLISHED, compression_rates=((1, 1, 1),))
+    spec = dataclasses.replace(PUBLISHED, rate=(1, 1, 1))
     rep = metrics.context_length(spec)
-    assert rep.per_encoder == (rep.uncompressed,)
+    assert rep.compressed == rep.uncompressed
 
 
 def test_divisibility_error_names_axis():
@@ -61,11 +61,11 @@ def test_non_divisible_floors_with_warning():
 
 def test_window_tokens_added():
     spec = dataclasses.replace(
-        PUBLISHED, compression_rates=((4, 4, 2),), window_frames=5, window_patch_spatial=2
+        PUBLISHED, rate=(4, 4, 2), window_frames=5, window_patch_spatial=2
     )
     rep = metrics.context_length(spec)
     assert rep.window_tokens == 5 * (30 // 2) * (52 // 2)
-    assert rep.total == rep.per_encoder[0] + rep.window_tokens
+    assert rep.total == rep.compressed + rep.window_tokens
 
 
 def test_budget_table_rows():
@@ -84,13 +84,13 @@ def test_budget_table_rows():
 def test_budget_multiplicative_exact(r_h, r_w, r_t):
     """Halving one rate (where divisible) exactly doubles the count."""
     spec = dataclasses.replace(
-        PUBLISHED, width=64 * 16, height=48 * 16, duration_s=12.0, compression_rates=((r_h, r_w, r_t),)
+        PUBLISHED, width=64 * 16, height=48 * 16, duration_s=12.0, rate=(r_h, r_w, r_t)
     )
     rep = metrics.context_length(spec, exact=True)
-    assert rep.per_encoder[0] * (r_h * r_w * r_t) == rep.uncompressed
+    assert rep.compressed * (r_h * r_w * r_t) == rep.uncompressed
     if r_h > 1 and r_h % 2 == 0:
-        halved = dataclasses.replace(spec, compression_rates=((r_h // 2, r_w, r_t),))
-        assert metrics.context_length(halved, exact=True).per_encoder[0] == 2 * rep.per_encoder[0]
+        halved = dataclasses.replace(spec, rate=(r_h // 2, r_w, r_t))
+        assert metrics.context_length(halved, exact=True).compressed == 2 * rep.compressed
 
 
 def test_budget_matches_compressor_token_count():
@@ -100,11 +100,11 @@ def test_budget_matches_compressor_token_count():
         enc = EncoderModel(CompressionRate(*rate), stream(0, 1), chunk_len=8)
         spec = metrics.BudgetSpec(
             width=w, height=h, fps=1, duration_s=t, vae_spatial=1, vae_temporal=1,
-            compression_rates=(rate,),
+            rate=rate,
         )
         rep = metrics.context_length(spec, exact=True)
         ctx = enc.compress(np.zeros((t, h, w, 4), dtype=np.float32))
-        assert ctx.length == rep.per_encoder[0]
+        assert ctx.length == rep.compressed
 
 
 # -- PSNR -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from memctx import nn
-from memctx.tensor import Tensor, backward, no_grad, set_debug_checks, using_dtype
+from memctx.tensor import Tensor, backward, concat, no_grad, set_debug_checks, using_dtype
 
 from test_tensor import check_grad, check_grads, finite_diff, tape_nodes
 
@@ -73,7 +73,11 @@ FUSED_OPS = {
     "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
     "softmax": (lambda x: nn.softmax(x, axis=0), [(3, 4)]),
     "layernorm": (nn.layernorm, [(2, 3, 8), (8,), (8,)]),
-    "attention": (nn.attention, [(1, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4)]),
+    "attention": (
+        lambda q, k, v, mk, mv: nn.attention(q, k, v, 2, memory=(mk, mv)),
+        [(1, 3, 8), (1, 5, 8), (1, 5, 8), (1, 4, 8), (1, 4, 8)],
+    ),
+    "attention_without_memory": (lambda q, k, v: nn.attention(q, k, v, 2), [(1, 3, 8), (1, 5, 8), (1, 5, 8)]),
 }
 
 
@@ -423,30 +427,101 @@ def test_attention_gradient():
     check_grad(lambda t: layer(t).square().mean(), x)
 
 
+def _split_heads(x, heads):
+    """(N, L, D) -> (N, heads, L, D/heads) as taped reshape and transpose."""
+    n, l, d = x.shape
+    return x.reshape(n, l, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    n, heads, l, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n, l, heads * d)
+
+
+def _head_core(q, k, v):
+    """The fused per-head core over (N, heads, L, d) tensors, as it ran before heads were split inside."""
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    e = (q.data * scale) @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    denom = e.sum(axis=-1, keepdims=True)
+    out = e @ v.data
+    out /= denom
+
+    def vjp(g):
+        p = e
+        p /= denom
+        gv = np.swapaxes(p, -1, -2) @ g
+        gs = nn._softmax_vjp(g @ np.swapaxes(v.data, -1, -2), p, -1)
+        gs *= scale
+        return (gs @ k.data, np.swapaxes(gs, -1, -2) @ q.data, gv)
+
+    return Tensor._make(out, (q, k, v), vjp)
+
+
+def _split_path_attention(q, k, v, heads, memory=None):
+    """Head split, memory concat, per-head core and head merge as separate tape nodes: the reference."""
+    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+    if memory is not None:
+        kh = concat([_split_heads(memory[0], heads), kh], axis=2)
+        vh = concat([_split_heads(memory[1], heads), vh], axis=2)
+    return _merge_heads(_head_core(qh, kh, vh))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_attention_equals_the_split_path_bitwise(dtype):
+    """One node gives the output and every gradient, the memory pair's included, of the composed path."""
+    rng = np.random.default_rng(14)
+    arrays = [rng.standard_normal((2, lq, 16)) for lq in (4, 7, 7, 5, 5)]
+    w = rng.standard_normal((2, 4, 16))
+    with using_dtype(dtype):
+        for memory in (True, False):
+            results = []
+            for fn in (nn.attention, _split_path_attention):
+                leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays[: 5 if memory else 3]]
+                out = fn(*leaves[:3], 2, memory=tuple(leaves[3:]) if memory else None)
+                backward((out * Tensor(w.astype(dtype))).sum())
+                results.append([out.numpy()] + [t.grad for t in leaves])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert np.array_equal(got, want)
+
+
 def test_attention_core_gradients_with_more_keys_than_queries():
     rng = np.random.default_rng(15)
-    q, k, v = (rng.standard_normal((2, 2, lq, 3)) for lq in (3, 5, 5))
-    w = Tensor(rng.standard_normal((2, 2, 3, 3)))
-    check_grads(lambda q, k, v: (nn.attention(q, k, v) * w).sum().square(), q, k, v)
+    q, k, v = (rng.standard_normal((2, lq, 6)) for lq in (3, 5, 5))
+    w = Tensor(rng.standard_normal((2, 3, 6)))
+    check_grads(lambda q, k, v: (nn.attention(q, k, v, 2) * w).sum().square(), q, k, v)
 
 
-def _composed_attention(q, k, v):
-    """softmax(q·kᵀ/√d)·v from separate taped ops: the reference for the fused core."""
-    scores = q.matmul(k.transpose(0, 1, 3, 2)).scale(float(1.0 / np.sqrt(q.shape[-1])))
-    return nn.softmax(scores).matmul(v)
+@pytest.mark.parametrize("heads", [1, 3])
+def test_attention_gradients_through_the_memory_pair(heads):
+    rng = np.random.default_rng(18)
+    q, k, v, mk, mv = (rng.standard_normal((2, l, 6)) for l in (3, 2, 2, 4, 4))
+    w = Tensor(rng.standard_normal((2, 3, 6)))
+    check_grads(
+        lambda q, k, v, mk, mv: (nn.attention(q, k, v, heads, memory=(mk, mv)) * w).sum().square(), q, k, v, mk, mv
+    )
+
+
+def _composed_attention(q, k, v, heads):
+    """softmax(q·kᵀ/√d)·v per head from separate taped ops: the reference for the fused core."""
+    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+    scores = qh.matmul(kh.transpose(0, 1, 3, 2)).scale(float(1.0 / np.sqrt(qh.shape[-1])))
+    return _merge_heads(nn.softmax(scores).matmul(vh))
 
 
 @pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
 def test_attention_core_at_inexact_scale_matches_composed_softmax(dtype, tol):
     """At head dim 8, 1/√8 is inexact, so scaling q differs from scaling the scores by rounding only."""
     rng = np.random.default_rng(16)
-    arrays = [rng.standard_normal((2, 2, lq, 8)) for lq in (4, 7, 7)]
-    w = rng.standard_normal((2, 2, 4, 8))
+    arrays = [rng.standard_normal((2, lq, 16)) for lq in (4, 7, 7)]
+    w = rng.standard_normal((2, 4, 16))
     results = []
     with using_dtype(dtype):
         for fn in (nn.attention, _composed_attention):
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            out = fn(*leaves)
+            out = fn(*leaves, 2)
             backward((out * Tensor(w)).sum())
             results.append([out.numpy()] + [t.grad for t in leaves])
     for got, want in zip(*results):
@@ -456,19 +531,24 @@ def test_attention_core_at_inexact_scale_matches_composed_softmax(dtype, tol):
 @pytest.mark.parametrize("dtype,tol", [("float64", 1e-9), ("float32", 1e-3)])
 def test_attention_core_stays_finite_at_logits_near_1e3(dtype, tol):
     rng = np.random.default_rng(17)
-    q = rng.standard_normal((1, 2, 5, 4))
-    k = rng.standard_normal((1, 2, 6, 4))
-    q *= 2e3 / np.abs(q @ k.transpose(0, 1, 3, 2)).max()  # logits q·kᵀ/2 reach ±1e3
-    v = rng.standard_normal((1, 2, 6, 4))
+
+    def heads(a):
+        return a.reshape(1, -1, 2, 4).transpose(0, 2, 1, 3)
+
+    q = rng.standard_normal((1, 5, 8))
+    k = rng.standard_normal((1, 6, 8))
+    q *= 2e3 / np.abs(heads(q) @ heads(k).transpose(0, 1, 3, 2)).max()  # logits q·kᵀ/2 reach ±1e3
+    v = rng.standard_normal((1, 6, 8))
     with using_dtype(dtype), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = nn.attention(*leaves)
+        out = nn.attention(*leaves, 2)
         backward(out.square().sum())
     assert all(np.all(np.isfinite(a)) for a in [out.numpy()] + [t.grad for t in leaves])
-    logits = q @ k.transpose(0, 1, 3, 2) / 2.0
+    logits = heads(q) @ heads(k).transpose(0, 1, 3, 2) / 2.0
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    np.testing.assert_allclose(out.numpy(), (p / p.sum(axis=-1, keepdims=True)) @ v, atol=tol)
+    want = ((p / p.sum(axis=-1, keepdims=True)) @ heads(v)).transpose(0, 2, 1, 3).reshape(1, 5, 8)
+    np.testing.assert_allclose(out.numpy(), want, atol=tol)
 
 
 def test_attention_rejects_dim_mismatch_and_empty():
