@@ -211,11 +211,10 @@ def cmd_budget(args) -> int:
     )
     grid = [(1, 1, 1), (2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)]
     try:
-        rep = metrics.context_length(spec)
         rows = metrics.budget_table(spec, grid)
     except ValueError as e:  # a geometry smaller than one token on some axis
         raise config_mod.ConfigError(str(e)) from None
-    print(f"uncompressed context length: {rep.uncompressed}")
+    print(f"uncompressed context length: {rows[0]['uncompressed']}")
     print(f"{'rate':>8} {'tokens':>12} {'reduction':>10}")
     for row in rows:
         print(f"{row['rate']:>8} {row['tokens']:>12} {row['reduction']:>10.1f}")

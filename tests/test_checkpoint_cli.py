@@ -249,6 +249,16 @@ def test_cli_budget_csv(tmp_path, capsys):
     assert any(r.startswith("4x4x2,17550,561600,32") for r in rows)
 
 
+def test_cli_budget_warns_once_about_a_flooring_geometry(capsys):
+    """A width the VAE stride does not divide floors with one warning, not one per budget call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert cli.main(["budget", "--width", "830"]) == cli.EXIT_OK
+    flooring = [w for w in caught if "830 not divisible by 16, flooring" in str(w.message)]
+    assert len(flooring) == 1
+    assert capsys.readouterr().out.startswith("uncompressed context length: 550800\n")
+
+
 def test_cli_pretrain_rollout_eval_pipeline(tmp_path, capsys):
     cfg_path = _tiny_cfg(tmp_path)
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK

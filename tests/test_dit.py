@@ -413,10 +413,10 @@ def test_memory_gradients_reach_the_encoder_and_ln1():
                 flat, gflat = p.data.reshape(-1), p.grad.reshape(-1)
                 for i in rng.choice(flat.size, size=3, replace=False):
                     orig = flat[i]
-                    flat[i] = orig + 1e-6
+                    flat[i] = orig + 1e-5
                     hi = loss().item()
-                    flat[i] = orig - 1e-6
+                    flat[i] = orig - 1e-5
                     lo = loss().item()
                     flat[i] = orig
-                    numeric = (hi - lo) / 2e-6
+                    numeric = (hi - lo) / 2e-5
                     assert abs(gflat[i] - numeric) <= 1e-5 * max(abs(gflat[i]), abs(numeric), 1e-8), (name, i)
