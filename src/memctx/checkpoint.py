@@ -142,10 +142,13 @@ def load_checkpoint(path: str, config: dict | None = None):
 
 
 def restore_into(named_params: dict, arrays: dict) -> None:
-    """Copy loaded arrays into live parameters, shape-checked by name."""
+    """Copy loaded arrays into live parameters; names must match exactly, and shapes."""
     missing = set(named_params) - set(arrays)
     if missing:
         raise CheckpointMismatch(f"checkpoint missing parameters: {sorted(missing)[:5]}")
+    unknown = set(arrays) - set(named_params)
+    if unknown:
+        raise CheckpointMismatch(f"checkpoint has parameters the model lacks: {sorted(unknown)[:5]}")
     for name, p in named_params.items():
         arr = arrays[name]
         if tuple(arr.shape) != tuple(p.data.shape):

@@ -160,11 +160,11 @@ def validate_config(user: dict) -> dict:
             position_rows(CompressionRate(r_h, r_w, r_t), cfg["encoder"]["chunk_len"], CHANNELS[-1])
         except ValueError as e:
             raise ConfigError(f"encoder.chunk_len and encoder.rate: {e}") from None
-    # attention splits the width across heads; the spatial position code splits it into
-    # row and column halves, each a sin/cos pair
+    # attention splits the width across heads, and the rotary positions split each head's
+    # feature pairs into a frame half and row and column quarters
     dim, heads = cfg["dit"]["inner_dim"], cfg["dit"]["heads"]
-    if dim % heads or dim % 4:
-        raise ConfigError(f"dit.inner_dim {dim} must be a multiple of 4 and of dit.heads {heads}")
+    if dim % heads or (dim // heads) % 8:
+        raise ConfigError(f"dit.inner_dim {dim} must be dit.heads {heads} times a multiple of 8")
     schedule = cfg["rollout"]["condition_schedule"]
     first = min(start for start, _ in schedule)
     if first != 0:

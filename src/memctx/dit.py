@@ -4,20 +4,20 @@ Patchifies a noisy latent clip into tokens, prepends a condition token
 (and optional uncompressed window tokens), runs self-attention blocks
 over those rows, and unpatchifies the target segment into a velocity
 prediction.  The compressed history context is read-only memory: each
-block reads the context tokens, plus their positions, through its own
+block reads the context tokens, plus a context marker, through its own
 ``ln1`` and key/value maps, and puts those keys and values in front of
 the keys and values of its rows.  No block queries, modulates or updates
 a context token, so the memory does not depend on the timestep and a
-sampler builds it once per clip (``DiTModel.read_memory``).  The velocity
-reads only the target rows, so the last block queries only the target
-tokens.  All linear maps can be wrapped with low-rank adapters for
-fine-tuning; parameters are named by their place in the model, adapters
-beside their frozen bases.
+sampler builds it once per clip (``DiTModel.read_memory``).  Positions
+are rotary: queries and keys turn by their (frame, grid row, grid column),
+a memory key by its provenance, so scores depend on offsets and frames
+have no upper bound.  The velocity reads only the target rows, so the
+last block queries only the target tokens.  All linear maps can be
+wrapped with low-rank adapters for fine-tuning; parameters are named by
+their place in the model, adapters beside their frozen bases.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .compressor import CompressedContext
 from .tensor import Tensor, _unbroadcast, as_default_dtype, concat, default_dtype
 
 __all__ = ["DiTModel"]
+
+ROPE_BASE = 10000.0  # pair i of a rotary group of n turns ROPE_BASE ** (-i / n) radians per step
 
 
 class _Block:
@@ -49,12 +51,12 @@ class _Block:
         self.mod = nn.Linear(dim, 6 * dim, rng)
         self.mod.weight.data[:] = 0.0
 
-    def __call__(self, x: Tensor, temb: Tensor, memory, n_query: int | None = None) -> Tensor:
+    def __call__(self, x: Tensor, temb: Tensor, memory, rope, n_query: int | None = None) -> Tensor:
         """The block over every row, or with ``n_query`` over the last ``n_query`` only.
 
         ``memory`` is this block's (K, V) pair from ``DiTModel.read_memory``
-        or None.  Keys and values read the memory and every row either way;
-        a query-limited block returns just its query rows.
+        or None; ``rope`` turns the rows.  Keys and values read the memory and
+        every row either way; a query-limited block returns just its query rows.
         """
         # rows of mod: shift, scale and gate of the attention, then of the MLP
         mod = self.mod(temb.silu()).reshape(temb.shape[0], 1, 6, x.shape[-1])
@@ -62,7 +64,7 @@ class _Block:
         q = h
         if n_query is not None:
             x, q = x[:, -n_query:], h[:, -n_query:]
-        x = x + _modulate(self.attn(q, h, memory), mod, 2)
+        x = x + _modulate(self.attn(q, h, memory, rope), mod, 2)
         return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), mod, 4, 3)).silu()), mod, 5)
 
     def named_modules(self):
@@ -118,38 +120,20 @@ class DiTModel:
         patch=(1, 2, 2),
         latent_channels: int = 4,
         cond_vocab: int = 16,
-        max_frames: int = 192,
-        max_spatial_slots: int = 1024,
     ):
-        self.inner_dim = inner_dim
+        self.inner_dim, self.head_dim = inner_dim, inner_dim // n_heads
+        if inner_dim % n_heads or self.head_dim % 8:  # _rope splits a head's pairs in half and quarters
+            raise ValueError(f"inner_dim {inner_dim} must be {n_heads} heads of a multiple of 8 features")
         self.patch = tuple(patch)
         self.latent_channels = latent_channels
-        self.max_frames = max_frames
         patch_in = int(np.prod(self.patch)) * latent_channels
         self.patch_proj = nn.Linear(patch_in, inner_dim, rng)
         self.cond_emb = nn.Embedding(cond_vocab, inner_dim, rng)
         self.t_fc1 = nn.Linear(inner_dim, inner_dim, rng)
         self.t_fc2 = nn.Linear(inner_dim, inner_dim, rng)
-        # sinusoidal-initialized (still learnable) position tables.  The codes
-        # are NOT smooth in index: nn.sinusoidal_embedding scales its angles
-        # by 1000 for diffusion timesteps in (0, 1], so on integer frames
-        # adjacent codes have cosine similarity 0.27, and frame 103 lies
-        # nearer frame 0 than frame 1 does; matching a target frame to the
-        # memory band covering it must be learned per index.  Unit scale
-        # keeps position logits competitive with token content.
-        self.temporal_emb = nn.Embedding(max_frames, inner_dim, rng)
-        self.temporal_emb.table.data[:] = nn.sinusoidal_embedding(
-            np.arange(max_frames), inner_dim
-        )
-        self.spatial_emb = nn.Embedding(max_spatial_slots, inner_dim, rng)
-        half = inner_dim // 2
-        side = int(math.isqrt(max_spatial_slots))
-        rows = np.repeat(np.arange(side), side)[:max_spatial_slots]
-        cols = np.tile(np.arange(side), side)[:max_spatial_slots]
-        self.spatial_emb.table.data[:, :half] = nn.sinusoidal_embedding(rows, half)
-        self.spatial_emb.table.data[:, half:] = nn.sinusoidal_embedding(cols, half)
-        # one marker row shared by every memory token; the draw skips 2,047 more rows,
-        # so the parameters drawn after it keep their seeded values
+        # one marker row shared by every memory token; the draws skip 1,216 rows of the
+        # deleted position tables and 2,047 more marker rows, so later parameters keep their values
+        rng.normal(size=(1216, inner_dim))
         self.ctx_emb = nn.Embedding(1, inner_dim, rng)
         rng.normal(size=(2047, inner_dim))
         self.blocks = [_Block(inner_dim, n_heads, rng) for _ in range(n_blocks)]
@@ -188,65 +172,56 @@ class DiTModel:
         x = tokens.reshape(n, gt, gh, gw, pt, ph, pw, c)
         return x.transpose(0, 1, 4, 2, 5, 3, 6, 7).reshape(n, t, h, w, c)
 
-    def _ctx_pos(self, ctx: CompressedContext, latent_hw) -> Tensor:
-        """Position embeddings for compressed tokens, shared with the target.
-
-        Each token's provenance places it at a history frame and spatial
-        block; indexing the same temporal/spatial tables as target tokens
-        makes position-addressed retrieval a matching problem rather than
-        a correspondence the model must discover.  The one-row context
-        marker separates memory tokens from targets.  A block's latent
-        corner ``(h0, w0)`` maps to the target patch holding it, clamped
-        onto the target grid.
-        """
-        h_lat, w_lat = latent_hw
-        _, ph, pw = self.patch
-        gh, gw = h_lat // ph, w_lat // pw
-        _, t0, _, h0, w0 = ctx.provenance.records.T
-        hp = np.minimum(h0 // ph, gh - 1)
-        wp = np.minimum(w0 // pw, gw - 1)
-        return self._temporal(t0) + self.spatial_emb(hp * gw + wp) + self.ctx_emb(np.zeros_like(t0))
-
-    def _target_pos(self, shape, frame_indices) -> Tensor:
-        gt, gh, gw = self._grid(shape)
-        pt = self.patch[0]
-        if frame_indices is None:
-            frame_indices = list(range(shape[1]))
-        if len(frame_indices) != shape[1]:
+    def _positions(self, shape, frame_indices) -> np.ndarray:
+        """(3, L) int (frame, grid row, grid column) of the patch tokens of latents of ``shape``."""
+        frames = np.arange(shape[1]) if frame_indices is None else np.asarray(frame_indices, dtype=np.int64)
+        if len(frames) != shape[1]:
             raise ValueError("need one global frame index per target frame")
-        t_idx = np.repeat(np.asarray(frame_indices)[::pt], gh * gw)
-        s_idx = np.tile(np.arange(gh * gw), gt)
-        return self._temporal(t_idx) + self.spatial_emb(s_idx)
+        positions = np.indices(self._grid(shape)).reshape(3, -1)  # t-major, as patchify orders tokens
+        positions[0] = frames[:: self.patch[0]][positions[0]]
+        return positions
 
-    def _temporal(self, frames) -> Tensor:
-        """Temporal-table rows for global frame indices; refuses frames past the table."""
-        frames = np.asarray(frames, dtype=np.int64)
-        outside = frames[(frames < 0) | (frames >= self.max_frames)]
-        if outside.size:
-            raise ValueError(
-                f"frame {int(outside[0])} is outside the {self.max_frames}-frame temporal "
-                f"position table (frames 0 to {self.max_frames - 1})"
-            )
-        return self.temporal_emb(frames)
+    def _rope(self, positions):
+        """``nn.rotate``'s (cos, sin) for (3, L) int (frame, grid row, grid column) positions.
+
+        A head's first half of feature pairs turn with the frame, a quarter
+        each with the row and the column; (0, 0, 0) does not turn.  Angles
+        are float64 and cos/sin are cast once: a float32 angle at frame
+        4,000 would be off by up to 2.4e-4 rad.
+        """
+        pairs = self.head_dim // 2
+        groups = (pairs // 2, pairs // 4, pairs // 4)
+        theta = np.concatenate([p[:, None] * ROPE_BASE ** (-np.arange(n) / n) for p, n in zip(positions, groups)], 1)
+        cos, sin = np.cos(theta), np.sin(theta)
+        shape = (len(theta), self.inner_dim // self.head_dim, self.head_dim)
+        return tuple(
+            np.broadcast_to(np.concatenate(halves, 1)[:, None], shape).astype(default_dtype(), order="C")
+            for halves in ((cos, cos), (-sin, sin))
+        )
 
     # -- forward -------------------------------------------------------------
 
     def read_memory(self, ctx: CompressedContext, latent_hw) -> list:
         """Every block's keys and values of the context tokens: the read-only memory.
 
-        ``ctx.tokens + _ctx_pos(ctx)`` goes through each block's own ``ln1``
-        (without the t-modulation) and its ``attn.wk``/``attn.wv``.  Nothing
-        here depends on the timestep, the condition or the target, so the
-        memory of a context is built once and read at every Euler step.
-        ``latent_hw`` is the target latents' (H, W), which places context
-        tokens on the target's spatial grid.  Returns one (K, V) pair of
-        (N, L, inner_dim) tensors per block; ``nn.attention`` splits the heads.
+        ``ctx.tokens`` plus the marker ``ctx_emb`` go through each block's own
+        ``ln1`` (without the t-modulation) and ``attn.wk``/``attn.wv``; keys turn
+        by provenance: first frame ``t0`` and the target patch holding corner
+        ``(h0, w0)``, clamped onto the grid of target latents ``latent_hw`` =
+        (H, W).  Nothing here depends on the timestep, the condition or the
+        target, so a context's memory is built once and read at every Euler
+        step.  Returns one (K, V) pair of (N, L, inner_dim) tensors per block.
         """
         tokens = as_default_dtype(ctx.tokens)
         if tokens.ndim == 2:
             tokens = tokens.reshape((1,) + tokens.shape)
-        mem = tokens + self._ctx_pos(ctx, latent_hw)
-        return [block.attn.keys_values(block.ln1(mem)) for block in self.blocks]
+        _, ph, pw = self.patch
+        _, t0, _, h0, w0 = ctx.provenance.records.T
+        hp = np.minimum(h0 // ph, latent_hw[0] // ph - 1)
+        wp = np.minimum(w0 // pw, latent_hw[1] // pw - 1)
+        rope = self._rope(np.stack([t0, hp, wp]))
+        mem = tokens + self.ctx_emb.table
+        return [block.attn.keys_values(block.ln1(mem), rope) for block in self.blocks]
 
     def predict_velocity(
         self,
@@ -262,8 +237,9 @@ class DiTModel:
         """Predict the flow velocity for the target clip.
 
         ``frame_indices`` give the global time position of each target
-        frame (retrieval targets sit at their history indices).  The
-        optional window latents enter uncompressed through the patchifier.
+        frame (retrieval targets sit at their history indices); frame
+        indices have no upper bound.  The optional window latents enter
+        uncompressed through the patchifier.
         ``memory`` is ``read_memory(ctx, …)`` built beforehand, as a sampler
         does once per clip; when it is None the memory is built here from
         ``ctx``.  A memory of batch 1 is shared by every sample of the batch.
@@ -286,15 +262,18 @@ class DiTModel:
 
         c_idx = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
         segments = [self.cond_emb(c_idx).reshape(n, 1, self.inner_dim)]
+        positions = [np.zeros((3, 1), np.int64)]  # the condition row, at the identity turn
         if window_latents is not None:
             win = as_default_dtype(window_latents)
             if win.ndim == 4:
                 win = win.reshape((1,) + win.shape)
-            win_tokens = self.patchify(win)
-            segments.append(win_tokens + self._target_pos(win.shape, window_frame_indices))
-        tgt_tokens = self.patchify(x_t) + self._target_pos(x_t.shape, frame_indices)
+            segments.append(self.patchify(win))
+            positions.append(self._positions(win.shape, window_frame_indices))
+        tgt_tokens = self.patchify(x_t)
         segments.append(tgt_tokens)
+        positions.append(self._positions(x_t.shape, frame_indices))
         tokens = concat(segments, axis=1)
+        rope = self._rope(np.concatenate(positions, axis=1))
 
         temb = Tensor(nn.sinusoidal_embedding(t_arr, self.inner_dim))
         temb = self.t_fc2(self.t_fc1(temb).silu())
@@ -302,8 +281,8 @@ class DiTModel:
 
         # the velocity reads only the target rows, so the last block queries only those
         for block, kv in zip(self.blocks[:-1], memory):
-            tokens = block(tokens, temb, kv)
-        out = self.ln_out(self.blocks[-1](tokens, temb, memory[-1], n_query=tgt_tokens.shape[1]))
+            tokens = block(tokens, temb, kv, rope)
+        out = self.ln_out(self.blocks[-1](tokens, temb, memory[-1], rope, n_query=tgt_tokens.shape[1]))
         return self._unpatchify(self.out_proj(out), x_t.shape)
 
     # -- variants -------------------------------------------------------------
@@ -343,8 +322,6 @@ class DiTModel:
             "cond_emb": self.cond_emb,
             "t_fc1": self.t_fc1,
             "t_fc2": self.t_fc2,
-            "temporal_emb": self.temporal_emb,
-            "spatial_emb": self.spatial_emb,
             "ctx_emb": self.ctx_emb,
         }
         for i, b in enumerate(self.blocks):

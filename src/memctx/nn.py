@@ -1,10 +1,10 @@
 """Neural building blocks over the autodiff tensor core.
 
 Linear maps (with optional low-rank adapters), strided 3D convolution,
-multi-head attention, layer normalization, learned embeddings, and the
-Adam optimizer used by every training loop.
+multi-head attention, rotary positions, layer normalization, learned
+embeddings, and the Adam optimizer used by every training loop.
 
-The linear map, softmax, layernorm, attention and conv3d are fused
+The linear map, softmax, layernorm, rotation, attention and conv3d are fused
 kernels: each runs one array computation and records at most one tape
 node, whose backward is an analytic vector-Jacobian product.  Taped and
 no-tape calls (under ``no_grad``, or when nothing requires a gradient)
@@ -26,6 +26,7 @@ __all__ = [
     "Conv3dLayer",
     "AttentionLayer",
     "attention",
+    "rotate",
     "Embedding",
     "layernorm",
     "softmax",
@@ -333,7 +334,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None) -> Tenso
 
 
 class AttentionLayer:
-    """Multi-head attention: ``wq``/``wk``/``wv``, one ``attention`` node, then ``wo``."""
+    """Multi-head attention: ``wq``/``wk``/``wv``, rotary q/k, one ``attention`` node, then ``wo``."""
 
     def __init__(self, model_dim, head_count, rng):
         if model_dim % head_count != 0:
@@ -345,16 +346,17 @@ class AttentionLayer:
         self.wv = Linear(model_dim, model_dim, rng)
         self.wo = Linear(model_dim, model_dim, rng)
 
-    def keys_values(self, tokens: Tensor):
-        """Keys and values of ``tokens``: two (N, L, model_dim) tensors, heads not split."""
-        return self.wk(tokens), self.wv(tokens)
+    def keys_values(self, tokens: Tensor, rope=None):
+        """Keys and values of ``tokens`` (N, L, model_dim), heads not split; a ``rope`` pair turns the keys."""
+        k = self.wk(tokens)
+        return (k if rope is None else rotate(k, *rope)), self.wv(tokens)
 
-    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor | None = None, memory=None) -> Tensor:
+    def __call__(self, q_tokens: Tensor, kv_tokens: Tensor | None = None, memory=None, rope=None) -> Tensor:
         """Attention of ``q_tokens`` over ``kv_tokens`` (default: ``q_tokens`` itself).
 
-        ``memory`` is an optional (K, V) pair from ``keys_values``, put in
-        front of the keys and values of ``kv_tokens``: rows that are read but
-        never queried.
+        ``memory`` is an optional (K, V) pair from ``keys_values``, put in front
+        of the keys and values of ``kv_tokens``: rows read but never queried.
+        An optional ``rotate`` pair ``rope`` turns ``kv_tokens``' rows, whose last are the queries.
         """
         kv_tokens = q_tokens if kv_tokens is None else kv_tokens
         if q_tokens.shape[-1] != self.model_dim or kv_tokens.shape[-1] != self.model_dim:
@@ -365,13 +367,31 @@ class AttentionLayer:
         if q_tokens.shape[-2] == 0 or kv_tokens.shape[-2] == 0:
             raise ValueError("attention requires non-empty token sets")
         q = self.wq(q_tokens)
-        return self.wo(attention(q, *self.keys_values(kv_tokens), self.head_count, memory))
+        if rope is not None:
+            q = rotate(q, *(r[-q.shape[1]:] for r in rope))
+        return self.wo(attention(q, *self.keys_values(kv_tokens, rope), self.head_count, memory))
 
     def named_parameters(self, prefix):
         out = {}
         for key in ("wq", "wk", "wv", "wo"):
             out.update(getattr(self, key).named_parameters(f"{prefix}.{key}"))
         return out
+
+
+def rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary positions: turn each head's feature pairs (i, i + d/2) of (N, L, heads·d) ``x``; one tape node.
+
+    ``cos`` and ``sin`` are (L, heads, d): cos θ twice, and −sin θ then sin θ,
+    so y = x·cos + swap(x)·sin, where swap exchanges the halves of each head.
+    The backward is the same turn by −θ.
+    """
+    def turn(a, s):  # the reversed halves cannot be a view of ``a``, so ``swapped`` is a copy
+        swapped = a.reshape(a.shape[:2] + s.shape[1:2] + (2, -1))[:, :, :, ::-1].reshape(a.shape)
+        swapped *= s.reshape(a.shape[1:])
+        swapped += a * cos.reshape(a.shape[1:])
+        return swapped
+
+    return Tensor._make(turn(x.data, sin), (x,), lambda g: (turn(g, -sin),))
 
 
 class Embedding:

@@ -41,7 +41,7 @@ def _st():
 def set_default_dtype(name: str) -> None:
     """Select the dtype models are built and run in: 'float32' (default) or 'float64'.
 
-    Parameters and sinusoidal tables are created in it, and model entry
+    Parameters and sin/cos codes are created in it, and model entry
     points (``DiTModel.predict_velocity``, ``EncoderModel.compress`` and
     ``compress_streaming``, ``diffusion.sample``) cast their float inputs to
     it with :func:`as_default_dtype`, so every activation follows.  Set it

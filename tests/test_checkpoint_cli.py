@@ -201,6 +201,10 @@ def test_restore_into_shape_checked():
     del arrays["a.weight"]
     with pytest.raises(checkpoint.CheckpointMismatch, match="missing"):
         checkpoint.restore_into(params, arrays)
+    arrays = {k: p.data.copy() for k, p in params.items()}
+    arrays["b.weight"] = np.zeros((2, 2))
+    with pytest.raises(checkpoint.CheckpointMismatch, match=r"the model lacks: \['b.weight'\]"):
+        checkpoint.restore_into(params, arrays)
 
 
 def test_restore_into_round_trips_model(tmp_path):
@@ -352,6 +356,22 @@ def test_cli_refuses_a_2048_row_context_marker_checkpoint(tmp_path, capsys):
     assert "shape mismatch for dit.ctx_emb.table" in err and "Traceback" not in err
 
 
+def test_cli_refuses_a_checkpoint_with_an_array_the_model_lacks(tmp_path, capsys):
+    """A checkpoint that still holds a deleted table (here the old temporal position table)
+    exits 2 for rollout and for a fine-tune from it, rather than loading without it."""
+    cfg_path = _tiny_cfg(tmp_path)
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, step, _ = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    params["dit.temporal_emb.table"] = np.zeros((192, 64), np.float32)
+    path = str(tmp_path / "old.mcck")
+    checkpoint.save_checkpoint(path, params, config.load_config(cfg_path), step)
+    for argv in (["rollout", cfg_path, path], ["finetune", cfg_path, "--pretrained", path]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "the model lacks: ['dit.temporal_emb.table']" in err and "Traceback" not in err
+
+
 def test_cli_resume_matches_straight_run(tmp_path):
     """3 steps straight == 2 steps + checkpointed resume for 1 more, bitwise."""
     cfg_a = _tiny_cfg(tmp_path, output={"dir": str(tmp_path / "a")})
@@ -393,8 +413,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ({"dit": {"heads": 3}}, "dit.inner_dim 64 must be a multiple of 4 and of dit.heads 3"),
-        ({"dit": {"inner_dim": 10, "heads": 2}}, "dit.inner_dim 10 must be a multiple of 4"),
+        ({"dit": {"heads": 3}}, "dit.inner_dim 64 must be dit.heads 3 times a multiple of 8"),
+        ({"dit": {"inner_dim": 10, "heads": 2}}, "dit.inner_dim 10 must be dit.heads 2 times a multiple of 8"),
+        ({"dit": {"inner_dim": 48, "heads": 4}}, "dit.inner_dim 48 must be dit.heads 4 times a multiple of 8"),
         ({"rollout": {"condition_schedule": [[0, -1]]}}, "code -1 is outside [0, 16)"),
         ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
         ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
@@ -406,7 +427,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ),
     ],
     ids=[
-        "heads", "inner_dim", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu",
+        "heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu",
         "position_pool_dual", "position_pool_without_lr",
     ],
 )
@@ -608,16 +629,15 @@ def test_cli_corrupt_checkpoint_is_config_error(trained_checkpoint, tmp_path, ca
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_cli_rollout_past_the_temporal_table_is_runtime_error(tmp_path, capsys):
-    """24 clips reach frame 192, one past the DiT's temporal table: exit 3, no traceback."""
+def test_cli_rollout_past_frame_191_runs(tmp_path, capsys):
+    """24 clips reach frame 199, past the 192 frames the DiT's position tables used to hold."""
     cfg_path = _tiny_cfg(tmp_path, training={"steps": 1}, rollout={"n_steps": 24})
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
-    capsys.readouterr()
     ckpt = str(tmp_path / "out" / "pretrain.mcck")
-    assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert "192-frame temporal position table" in err
-    assert "Traceback" not in err
+    assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_OK
+    video = data.load_latents(str(tmp_path / "out" / "rollout.mctx"))
+    assert video.shape[0] == 8 + 24 * 8
+    assert np.isfinite(video).all()
 
 
 def test_resume_from_float64_checkpoint_is_float32(tmp_path):

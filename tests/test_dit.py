@@ -6,7 +6,7 @@ import pytest
 from memctx import data, diffusion, nn, seeding, training
 from memctx.compressor import CompressedContext, CompressionRate, Provenance
 from memctx.dit import DiTModel, _modulate
-from memctx.tensor import Tensor, backward, no_grad, using_dtype
+from memctx.tensor import Tensor, backward, concat, no_grad, using_dtype
 
 from test_tensor import check_grads, tape_nodes
 
@@ -115,8 +115,8 @@ class _JointLastBlock:
         self.block = block
         self.ln1, self.attn = block.ln1, block.attn  # what the memory read uses
 
-    def __call__(self, x, temb, memory, n_query=None):
-        out = self.block(x, temb, memory)
+    def __call__(self, x, temb, memory, rope, n_query=None):
+        out = self.block(x, temb, memory, rope)
         return out if n_query is None else out[:, -n_query:]
 
 
@@ -161,6 +161,8 @@ def test_forward_validation():
         g.predict_velocity(_clip(0), 0.0, c=0)
     with pytest.raises(ValueError, match="frame index"):
         g.predict_velocity(_clip(0), 0.5, c=0, frame_indices=[1, 2, 3])
+    with pytest.raises(ValueError, match="4 heads of a multiple of 8 features"):
+        _model(inner_dim=48)  # heads of 12 features cannot split their pairs in half and quarters
 
 
 def test_context_changes_output_after_head_unlock():
@@ -238,54 +240,40 @@ def test_large_patchifier_token_budget_matches_rate():
     assert enc.parameters() == [enc.patch_proj.weight, enc.patch_proj.bias]
 
 
-# -- context positioning -------------------------------------------------------------
+# -- rotary positions -------------------------------------------------------------------
 
 
-def _loop_ctx_pos(g, ctx, latent_hw):
-    """Per-token oracle for ``DiTModel._ctx_pos``."""
-    _, ph, pw = g.patch
-    gh, gw = latent_hw[0] // ph, latent_hw[1] // pw
-    t_idx, s_idx = [], []
-    for _chunk, t0, _t1, h0, w0 in ctx.provenance.records.tolist():
-        t_idx.append(t0)
-        s_idx.append(min(h0 // ph, gh - 1) * gw + min(w0 // pw, gw - 1))
-    return g.temporal_emb(t_idx) + g.spatial_emb(s_idx) + g.ctx_emb([0] * len(t_idx))
+@pytest.mark.parametrize("delta", [100, 4000])
+def test_rotary_scores_depend_only_on_the_frame_offset(delta):
+    """Target queries score the memory keys and the target keys alike when target frames and
+    provenance t0 shift by ``delta``, to 1e-6 of the largest score.  Angles are float64 until
+    the cast: with float32 angles the scores move by ~1e-5 of it at delta 4000 (a float32 ulp
+    at 4,000 rad is 2.4e-4 rad).  The condition row is not turned, so the velocity itself
+    still depends on the absolute frame through its scores with the condition row."""
+    enc, g = training.build_models(0)
+    hist = np.random.default_rng(47).normal(size=(24, 8, 8, 4)).astype(np.float32)
+    with no_grad():
+        ctx = enc.compress(hist)
+    rng = np.random.default_rng(48)
+    q, k = (Tensor(rng.normal(size=(1, 8 * 16, g.inner_dim)).astype(np.float32)) for _ in range(2))
 
+    def heads(t):
+        return t.numpy().reshape(1, -1, 4, 16).transpose(0, 2, 1, 3)
 
-def test_ctx_positions_equal_the_per_token_loop_bitwise():
-    from memctx.compressor import EncoderModel
-
-    hist = np.random.default_rng(23).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    g = _model()
-    for rate in ((4, 4, 2), (2, 2, 2)):
-        enc = EncoderModel(CompressionRate(*rate), seeding.stream(0, 0xE6C))
+    def scores(d):
+        records = ctx.provenance.records.copy()
+        records[:, 1:3] += d
+        shifted = CompressedContext(ctx.tokens, Provenance(records), ctx.span_frames + d)
+        rope = g._rope(g._positions((1, 8, 8, 8, 4), list(range(16 + d, 24 + d))))
         with no_grad():
-            ctx = enc.compress(hist)
-        # a block past the grid clamps onto its last patch
-        records = np.concatenate([ctx.provenance.records, [[0, 4, 6, 14, 14]]])
-        ctx = CompressedContext(ctx.tokens, Provenance(records), ctx.span_frames)
-        # on a 4x4 target, blocks from latent row or column 4 on clamp too
-        for latent_hw in ((8, 8), (4, 4)):
-            with no_grad():
-                got = g._ctx_pos(ctx, latent_hw).numpy()
-                want = _loop_ctx_pos(g, ctx, latent_hw).numpy()
-            assert got.shape == (len(records), g.inner_dim)
-            np.testing.assert_array_equal(got, want)
+            keys = [concat([mk, nn.rotate(k, *rope)], axis=1) for mk, _ in g.read_memory(shifted, (8, 8))]
+            q_turned = heads(nn.rotate(q, *rope))
+        return np.stack([q_turned @ heads(key).transpose(0, 1, 3, 2) for key in keys])
 
-
-def test_frames_past_the_temporal_table_are_refused():
-    """Positions past the 192-row table raise instead of failing to index or aliasing."""
-    g = _model(inner_dim=16, n_blocks=1, n_heads=2)
-    x = _clip(30)
-    with no_grad(), pytest.raises(ValueError, match="192-frame temporal position table"):
-        g.predict_velocity(x, 0.5, c=0, frame_indices=[191, 192])
-    ctx = CompressedContext(
-        tokens=Tensor(np.zeros((1, 1, 16), np.float32)),
-        provenance=Provenance(np.array([[24, 192, 194, 0, 0]], np.int64)),
-        span_frames=200,
-    )
-    with no_grad(), pytest.raises(ValueError, match="frame 192 is outside"):
-        g.predict_velocity(x, 0.5, c=0, ctx=ctx, frame_indices=[0, 1])
+    base = scores(0)
+    np.testing.assert_allclose(scores(delta), base, rtol=0, atol=1e-6 * np.abs(base).max())
+    cos, sin = g._rope(np.zeros((3, 1), np.int64))  # the condition row's position does not turn
+    assert np.all(cos == 1) and np.all(sin == 0)
 
 
 # -- read-only memory ------------------------------------------------------------------
@@ -306,10 +294,10 @@ def _attention_calls(monkeypatch):
     calls = []
     original = nn.AttentionLayer.__call__
 
-    def recording(self, q_tokens, kv_tokens=None, memory=None):
+    def recording(self, q_tokens, kv_tokens=None, memory=None, rope=None):
         kv = q_tokens if kv_tokens is None else kv_tokens
         calls.append((q_tokens.shape[1], kv.shape[1], memory))
-        return original(self, q_tokens, kv_tokens, memory)
+        return original(self, q_tokens, kv_tokens, memory, rope)
 
     monkeypatch.setattr(nn.AttentionLayer, "__call__", recording)
     return calls

@@ -68,6 +68,13 @@ def test_linear_builds_no_gradient_for_an_input_that_needs_none():
     assert gx is not None and gw is None and gb is None
 
 
+def _turn(theta, heads=2):
+    """``rotate``'s (cos, sin) for an (L, d/2) array of angles, the same in each head."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    return (np.stack([np.concatenate([cos, cos], axis=-1)] * heads, axis=1),
+            np.stack([np.concatenate([-sin, sin], axis=-1)] * heads, axis=1))
+
+
 # name -> (op, argument shapes) for the fused kernels of this module other than conv3d
 FUSED_OPS = {
     "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
@@ -78,6 +85,7 @@ FUSED_OPS = {
         [(1, 3, 8), (1, 5, 8), (1, 5, 8), (1, 4, 8), (1, 4, 8)],
     ),
     "attention_without_memory": (lambda q, k, v: nn.attention(q, k, v, 2), [(1, 3, 8), (1, 5, 8), (1, 5, 8)]),
+    "rotate": (lambda x: nn.rotate(x, *_turn(np.arange(12.0).reshape(3, 4))), [(2, 3, 16)]),
 }
 
 
@@ -562,6 +570,30 @@ def test_attention_rejects_dim_mismatch_and_empty():
 def test_attention_head_count_must_divide_dim():
     with pytest.raises(ValueError):
         nn.AttentionLayer(8, 3, make_rng())
+
+
+def test_rotate_turns_each_heads_pair_i_with_i_plus_half_and_back():
+    """Looped oracle over two heads of 8 features: pair (i, i + 4) of each head turns by its row's
+    angle i; turning by +θ and then by −θ gives the input back."""
+    theta = RNG.uniform(-7, 7, size=(3, 4))
+    x = RNG.standard_normal((2, 3, 16))
+    want = x.copy()
+    for row in range(3):
+        for head in range(2):
+            for i in range(4):
+                a, b = head * 8 + i, head * 8 + i + 4
+                c, s = np.cos(theta[row, i]), np.sin(theta[row, i])
+                want[:, row, a] = x[:, row, a] * c - x[:, row, b] * s
+                want[:, row, b] = x[:, row, b] * c + x[:, row, a] * s
+    turned = nn.rotate(Tensor(x), *_turn(theta))
+    np.testing.assert_allclose(turned.numpy(), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(nn.rotate(turned, *_turn(-theta)).numpy(), x, rtol=1e-12, atol=1e-12)
+
+
+def test_rotate_gradient():
+    theta = RNG.uniform(-7, 7, size=(3, 4))
+    w = Tensor(RNG.standard_normal((2, 3, 16)))
+    check_grad(lambda x: (nn.rotate(x, *_turn(theta)) * w).sum().square(), RNG.standard_normal((2, 3, 16)))
 
 
 # -- embeddings / time ----------------------------------------------------------
