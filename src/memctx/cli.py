@@ -214,17 +214,18 @@ def cmd_budget(args) -> int:
     except ValueError as e:  # a geometry smaller than one token on some axis
         raise config_mod.ConfigError(str(e)) from None
     print(f"uncompressed context length: {rows[0]['uncompressed']}")
-    print(f"{'rate':>8} {'tokens':>12} {'reduction':>10}")
+    print(f"{'rate':>8} {'tokens':>12} {'reduction':>10}  accounting")
     for row in rows:
-        print(f"{row['rate']:>8} {row['tokens']:>12} {row['reduction']:>10.1f}")
+        print(f"{row['rate']:>8} {row['tokens']:>12} {row['reduction']:>10.1f}  {row['accounting']}")
     if args.csv:
         import csv as _csv
 
         with open(args.csv, "w") as fh:
             w = _csv.writer(fh, lineterminator="\n")
-            w.writerow(["rate", "tokens", "uncompressed", "reduction"])
+            w.writerow(["rate", "tokens", "uncompressed", "reduction", "accounting"])
             for row in rows:
-                w.writerow([row["rate"], row["tokens"], row["uncompressed"], f"{row['reduction']:.4f}"])
+                reduction = f"{row['reduction']:.4f}"
+                w.writerow([row["rate"], row["tokens"], row["uncompressed"], reduction, row["accounting"]])
         print(f"csv written to {args.csv}")
     return EXIT_OK
 

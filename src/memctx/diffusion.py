@@ -161,8 +161,8 @@ def sample(
 ) -> np.ndarray:
     """Deterministic Euler integration of the learned velocity from t=1 to 0.
 
-    The context's memory does not depend on t, so it is built once, before
-    the loop, and every step reads it.
+    Neither the context's memory nor the rows' rotary angles depend on t, so
+    both are built once, before the loop, and every step reads them.
     """
     if steps < 1:
         raise ValueError("need at least one integration step")
@@ -171,6 +171,8 @@ def sample(
     dt = 1.0 / steps
     with no_grad():
         memory = None if ctx is None else g.read_memory(ctx, shape[1:3])
+        window_shape = None if window_latents is None else np.shape(window_latents)
+        rope = g.row_rope(shape, frame_indices, window_shape, window_frame_indices)
         for i in range(steps):
             t = 1.0 - i * dt
             v = g.predict_velocity(
@@ -182,6 +184,7 @@ def sample(
                 window_latents=window_latents,
                 window_frame_indices=window_frame_indices,
                 memory=memory,
+                rope=rope,
             ).numpy()[0]
             x = x - dt * v
     return x

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import nn
 from .compressor import CompressedContext
+from .nn import _into_first
 from .tensor import Tensor, _unbroadcast, as_default_dtype, concat, default_dtype
 
 __all__ = ["DiTModel"]
@@ -39,7 +40,9 @@ class _Block:
     that additive conditioning alone cannot express.  Attention keys and
     values cover the memory (this block's ``ln1`` and ``attn.wk``/``attn.wv``
     of the context tokens, without the t-modulation) and then the block's
-    own rows; only the rows are queried and updated.
+    own rows; only the rows are queried and updated.  Each stage is one tape
+    node: ``_adaln`` normalizes and modulates, the attention node turns q and
+    k, and ``_gated`` gates a branch and adds it to the residual.
     """
 
     def __init__(self, dim, heads, rng):
@@ -60,12 +63,12 @@ class _Block:
         """
         # rows of mod: shift, scale and gate of the attention, then of the MLP
         mod = self.mod(temb.silu()).reshape(temb.shape[0], 1, 6, x.shape[-1])
-        h = _modulate(self.ln1(x), mod, 1, 0)
+        h = _adaln(x, self.ln1, mod, 1, 0)
         q = h
         if n_query is not None:
             x, q = x[:, -n_query:], h[:, -n_query:]
-        x = x + _modulate(self.attn(q, h, memory, rope), mod, 2)
-        return x + _modulate(self.fc2(self.fc1(_modulate(self.ln2(x), mod, 4, 3)).silu()), mod, 5)
+        x = _gated(x, self.attn(q, h, memory, rope), mod, 2)
+        return _gated(x, self.fc2(self.fc1(_adaln(x, self.ln2, mod, 4, 3)).silu()), mod, 5)
 
     def named_modules(self):
         return {
@@ -74,26 +77,54 @@ class _Block:
         }
 
 
-def _modulate(h: Tensor, mod: Tensor, scale_index: int, shift_index: int | None = None) -> Tensor:
-    """h·(mod[:, :, scale_index] + 1) + mod[:, :, shift_index], shift optional, as one tape node.
+def _one_plus(mod: Tensor, index: int) -> np.ndarray:
+    """mod[:, :, index] + 1 for a block's (N, 1, 6, D) ``mod``; the 1 enters as a default-dtype
+    array, as an operand of a composed op would."""
+    return mod.data[:, :, index] + np.asarray(1.0, dtype=default_dtype())
 
-    ``mod`` is a block's (N, 1, 6, D) modulation output, read in place; the
-    1 enters as a default-dtype array, as an operand of a composed op would.
+
+def _adaln(x: Tensor, ln: "_LayerNormParams", mod: Tensor, scale_index: int, shift_index: int) -> Tensor:
+    """ln(x)·(mod[:, :, scale_index] + 1) + mod[:, :, shift_index] as one tape node.
+
+    ``mod`` is a block's (N, 1, 6, D) modulation output, read in place.  The
+    node keeps the normalized ``x`` and its std, as ``nn.layernorm`` does, and
+    backward rebuilds ln(x) from them rather than keeping it.
     """
-    scale = mod.data[:, :, scale_index]
-    s1 = scale + np.asarray(1.0, dtype=default_dtype())
-    y = h.data * s1
-    if shift_index is not None:
-        y = y + mod.data[:, :, shift_index]
+    gain, shift = ln.gain, ln.shift
+    xhat, std = nn._normalized(x.data)
+    s1 = _one_plus(mod, scale_index)
+    y = _into_first(np.add, xhat * gain.data, shift.data)
+    y = _into_first(np.multiply, y, s1)
+    y = _into_first(np.add, y, mod.data[:, :, shift_index])
+    needs = (x.requires_grad, gain.requires_grad, shift.requires_grad)
+
+    def vjp(g):
+        h = _into_first(np.add, xhat * gain.data, shift.data)
+        gmod = np.zeros(mod.shape, dtype=g.dtype)
+        gmod[:, :, scale_index] = _unbroadcast(g * h, s1.shape)
+        gmod[:, :, shift_index] = _unbroadcast(g, s1.shape)
+        gh = g * s1
+        return (
+            nn._normalized_vjp(gh, xhat, std, gain.data) if needs[0] else None,
+            _unbroadcast(gh * xhat, gain.shape) if needs[1] else None,
+            _unbroadcast(gh, shift.shape) if needs[2] else None,
+            gmod,
+        )
+
+    return Tensor._make(y, (x, gain, shift, mod), vjp)
+
+
+def _gated(x: Tensor, h: Tensor, mod: Tensor, index: int) -> Tensor:
+    """x + h·(mod[:, :, index] + 1): a gated branch ``h`` added to the residual ``x``, as one tape node."""
+    s1 = _one_plus(mod, index)
+    y = _into_first(np.add, h.data * s1, x.data)
 
     def vjp(g):
         gmod = np.zeros(mod.shape, dtype=g.dtype)
-        gmod[:, :, scale_index] = _unbroadcast(g * h.data, scale.shape)
-        if shift_index is not None:
-            gmod[:, :, shift_index] = _unbroadcast(g, scale.shape)
-        return (g * s1, gmod)
+        gmod[:, :, index] = _unbroadcast(g * h.data, s1.shape)
+        return (g, g * s1, gmod)
 
-    return Tensor._make(y, (h, mod), vjp)
+    return Tensor._make(y, (x, h, mod), vjp)
 
 
 class _LayerNormParams:
@@ -145,7 +176,7 @@ class DiTModel:
     # -- tokenization ---------------------------------------------------------
 
     def _grid(self, shape):
-        _, t, h, w, c = shape
+        t, h, w, c = shape[-4:]
         pt, ph, pw = self.patch
         if c != self.latent_channels:
             raise ValueError(f"expected {self.latent_channels} channels, got {c}")
@@ -174,30 +205,40 @@ class DiTModel:
 
     def _positions(self, shape, frame_indices) -> np.ndarray:
         """(3, L) int (frame, grid row, grid column) of the patch tokens of latents of ``shape``."""
-        frames = np.arange(shape[1]) if frame_indices is None else np.asarray(frame_indices, dtype=np.int64)
-        if len(frames) != shape[1]:
+        frames = np.arange(shape[-4]) if frame_indices is None else np.asarray(frame_indices, dtype=np.int64)
+        if len(frames) != shape[-4]:
             raise ValueError("need one global frame index per target frame")
         positions = np.indices(self._grid(shape)).reshape(3, -1)  # t-major, as patchify orders tokens
         positions[0] = frames[:: self.patch[0]][positions[0]]
         return positions
 
     def _rope(self, positions):
-        """``nn.rotate``'s (cos, sin) for (3, L) int (frame, grid row, grid column) positions.
+        """``nn.rotate``'s and ``nn.attention``'s (cos, sin) for (3, L) int (frame, row, column) positions.
 
-        A head's first half of feature pairs turn with the frame, a quarter
-        each with the row and the column; (0, 0, 0) does not turn.  Angles
-        are float64 and cos/sin are cast once: a float32 angle at frame
+        Each is (L, head_dim), shared by every head: cos θ twice, and −sin θ
+        then sin θ.  A head's first half of feature pairs turn with the frame,
+        a quarter each with the row and the column; (0, 0, 0) does not turn.
+        Angles are float64 and cos/sin are cast once: a float32 angle at frame
         4,000 would be off by up to 2.4e-4 rad.
         """
         pairs = self.head_dim // 2
         groups = (pairs // 2, pairs // 4, pairs // 4)
         theta = np.concatenate([p[:, None] * ROPE_BASE ** (-np.arange(n) / n) for p, n in zip(positions, groups)], 1)
         cos, sin = np.cos(theta), np.sin(theta)
-        shape = (len(theta), self.inner_dim // self.head_dim, self.head_dim)
-        return tuple(
-            np.broadcast_to(np.concatenate(halves, 1)[:, None], shape).astype(default_dtype(), order="C")
-            for halves in ((cos, cos), (-sin, sin))
-        )
+        return tuple(np.concatenate(halves, 1).astype(default_dtype()) for halves in ((cos, cos), (-sin, sin)))
+
+    def row_rope(self, shape, frame_indices=None, window_shape=None, window_frame_indices=None):
+        """The rows' (cos, sin) for target latents of ``shape`` (and a window of ``window_shape``).
+
+        The rows are the condition row, which does not turn, then the
+        window's patches and the target's, at the global frames that
+        ``predict_velocity`` gets.  Shapes are (…, T, H, W, C).
+        """
+        positions = [np.zeros((3, 1), np.int64)]
+        if window_shape is not None:
+            positions.append(self._positions(window_shape, window_frame_indices))
+        positions.append(self._positions(shape, frame_indices))
+        return self._rope(np.concatenate(positions, axis=1))
 
     # -- forward -------------------------------------------------------------
 
@@ -233,6 +274,7 @@ class DiTModel:
         window_latents=None,
         window_frame_indices=None,
         memory=None,
+        rope=None,
     ) -> Tensor:
         """Predict the flow velocity for the target clip.
 
@@ -243,6 +285,7 @@ class DiTModel:
         ``memory`` is ``read_memory(ctx, …)`` built beforehand, as a sampler
         does once per clip; when it is None the memory is built here from
         ``ctx``.  A memory of batch 1 is shared by every sample of the batch.
+        ``rope`` is likewise ``row_rope(…)`` of these rows, built here when None.
         Float inputs, the context tokens included, are cast to the default dtype.
         """
         x_t = as_default_dtype(x_t)
@@ -262,18 +305,17 @@ class DiTModel:
 
         c_idx = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
         segments = [self.cond_emb(c_idx).reshape(n, 1, self.inner_dim)]
-        positions = [np.zeros((3, 1), np.int64)]  # the condition row, at the identity turn
         if window_latents is not None:
             win = as_default_dtype(window_latents)
             if win.ndim == 4:
                 win = win.reshape((1,) + win.shape)
             segments.append(self.patchify(win))
-            positions.append(self._positions(win.shape, window_frame_indices))
+        if rope is None:
+            window_shape = None if window_latents is None else win.shape
+            rope = self.row_rope(x_t.shape, frame_indices, window_shape, window_frame_indices)
         tgt_tokens = self.patchify(x_t)
         segments.append(tgt_tokens)
-        positions.append(self._positions(x_t.shape, frame_indices))
         tokens = concat(segments, axis=1)
-        rope = self._rope(np.concatenate(positions, axis=1))
 
         temb = Tensor(nn.sinusoidal_embedding(t_arr, self.inner_dim))
         temb = self.t_fc2(self.t_fc1(temb).silu())

@@ -52,13 +52,14 @@ class BudgetReport:
     compressed: int  # the history after the encoder; ``uncompressed`` without a rate
     window_tokens: int
     total: int
+    accounting: str = "exact"  # "total/volume" when the rate does not tile the token grid
 
 
 def _div(n: int, d: int, axis: str, exact: bool) -> int:
     if n % d != 0:
         if exact:
             raise ValueError(f"extent {n} on axis {axis} not divisible by rate {d}")
-        warnings.warn(f"axis {axis}: {n} not divisible by {d}, flooring", stacklevel=3)
+        warnings.warn(f"axis {axis}: {n} not divisible by {d}, flooring", stacklevel=4)
     return n // d
 
 
@@ -66,8 +67,21 @@ def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
     """Token budget: uncompressed, compressed, window, total.
 
     Non-divisible extents floor with a warning unless ``exact`` is set,
-    matching the approximate published-scale accounting.
+    matching the approximate published-scale accounting; so does a rate
+    that does not tile the token grid (``accounting`` says which held).
     """
+    report = _budget(spec, exact)
+    if report.accounting != "exact":
+        r_h, r_w, r_t = spec.rate
+        warnings.warn(
+            f"rate {r_h}x{r_w}x{r_t} does not tile the token grid; using total/volume accounting",
+            stacklevel=2,
+        )
+    return report
+
+
+def _budget(spec: BudgetSpec, exact: bool) -> BudgetReport:
+    """``context_length`` without the warning about a rate that does not tile the grid."""
     w_tok = _div(spec.width, spec.vae_spatial, "width", exact)
     h_tok = _div(spec.height, spec.vae_spatial, "height", exact)
     frames = int(spec.fps * spec.duration_s)
@@ -75,6 +89,7 @@ def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
     if min(w_tok, h_tok, t_tok) < 1:
         raise ValueError("geometry reduces to zero tokens")
     uncompressed = compressed = w_tok * h_tok * t_tok
+    accounting = "exact"
     if spec.rate is not None:
         r_h, r_w, r_t = spec.rate
         if min(r_h, r_w, r_t) < 1:
@@ -86,11 +101,7 @@ def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
                 _div(h_tok, r_h, "height", True)
                 _div(w_tok, r_w, "width", True)
                 _div(t_tok, r_t, "time", True)
-            warnings.warn(
-                f"rate {r_h}x{r_w}x{r_t} does not tile the token grid; "
-                "using total/volume accounting",
-                stacklevel=2,
-            )
+            accounting = "total/volume"
             compressed = uncompressed // (r_h * r_w * r_t)
         else:
             compressed = (h_tok // r_h) * (w_tok // r_w) * (t_tok // r_t)
@@ -99,21 +110,27 @@ def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
         ws = spec.window_patch_spatial
         win = spec.window_frames * _div(h_tok, ws, "height", exact) * _div(w_tok, ws, "width", exact)
     return BudgetReport(
-        uncompressed=uncompressed, compressed=compressed, window_tokens=win, total=compressed + win
+        uncompressed=uncompressed, compressed=compressed, window_tokens=win, total=compressed + win,
+        accounting=accounting,
     )
 
 
 def budget_table(spec: BudgetSpec, rate_grid) -> list:
-    """Rows of (rate, tokens, reduction) for a grid of rate triples."""
+    """Rows of (rate, tokens, reduction, accounting) for a grid of rate triples.
+
+    A rate that does not tile the token grid is counted as total/volume and
+    says so in its row's ``accounting``, not through a warning.
+    """
     rows = []
     for rate in rate_grid:
-        rep = context_length(dataclasses.replace(spec, rate=tuple(rate)))
+        rep = _budget(dataclasses.replace(spec, rate=tuple(rate)), exact=False)
         rows.append(
             {
                 "rate": f"{rate[0]}x{rate[1]}x{rate[2]}",
                 "tokens": rep.total,
                 "uncompressed": rep.uncompressed,
                 "reduction": rep.uncompressed / max(rep.compressed, 1),
+                "accounting": rep.accounting,
             }
         )
     return rows

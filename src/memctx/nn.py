@@ -9,8 +9,11 @@ kernels: each runs one array computation and records at most one tape
 node, whose backward is an analytic vector-Jacobian product.  Taped and
 no-tape calls (under ``no_grad``, or when nothing requires a gradient)
 share that computation, so their outputs are bitwise equal; a no-tape
-call only skips the node.  The attention node also splits the heads,
-joins the memory and merges the heads, and needs no call to ``softmax``.
+call only skips the node.  The attention node also turns q and k by
+their rotary angles, splits the heads, joins the memory and merges the
+heads, and needs no call to ``softmax``; its backward turns the
+probabilities into the scores' gradient in place.  Conv3d's input
+gradient is one ordered gather per sample.
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ class Conv3dLayer:
         )
         self.bias = _param(np.zeros(out_channels))
         self._plans = {}  # input (T, H, W) -> (output extents, padded extents, gather index)
+        self._grad_plans = {}  # input (T, H, W) -> the input gradient's gather index
 
     def output_extents(self, extents):
         out = []
@@ -157,6 +161,35 @@ class Conv3dLayer:
             plan = self._plans[extents] = (out_ext, padded, idx.reshape(len(starts), -1))
         return plan
 
+    def _grad_plan(self, extents):
+        """The input gradient's gather index for one input geometry, of shape (S, C·T·H·W).
+
+        Column p lists, in kernel-tap order, the flat positions in one
+        sample's (M, C·K) column gradient that read input position p (see
+        ``_plan``), behind one leading −1 and padded with −1s to the S rows
+        that the most-read position needs; −1 picks the zero the caller puts
+        after the column gradients.  Summed over its first axis, a column adds
+        up its taps in the order of a per-tap scatter into a zero buffer.
+        """
+        plan = self._grad_plans.get(extents)
+        if plan is None:
+            _, padded, idx = self._plan(extents)
+            c, (t, h, w), (pt, ph, pw) = self.in_channels, extents, self.padding
+            inside = np.full((c,) + padded, -1)  # padded position -> input position, or -1 in the padding
+            inside[:, pt : pt + t, ph : ph + h, pw : pw + w] = np.arange(c * t * h * w).reshape(c, t, h, w)
+            m, ck = idx.shape
+            tap_major = (2, 0, 1)  # the (M, C, K) columns listed tap by tap
+            src = np.arange(m * ck).reshape(m, c, -1).transpose(tap_major).ravel()
+            dst = inside.ravel()[idx.reshape(m, c, -1).transpose(tap_major).ravel()]
+            order = np.argsort(dst, kind="stable")[np.count_nonzero(dst < 0) :]
+            src, dst = src[order], dst[order]
+            counts = np.bincount(dst, minlength=c * t * h * w)
+            rank = np.arange(len(dst)) - (np.cumsum(counts) - counts)[dst]
+            plan = np.full((1 + counts.max(), c * t * h * w), -1)
+            plan[1 + rank, dst] = src
+            self._grad_plans[extents] = plan
+        return plan
+
     def __call__(self, x: Tensor) -> Tensor:
         return conv3d_forward(self, x)
 
@@ -177,10 +210,12 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
     ``np.take`` and multiplies it by ``weight.reshape(O, -1).T`` in a single
     GEMM.  Backward forms the weight gradient as one GEMM over the N·M rows
     and the bias gradient as one sum.  The input gradient is built only when
-    ``x`` required a gradient at forward time (a data chunk never does), by
-    scattering the column gradient back through the same index one kernel
-    tap at a time in (i, j, k) order; within a tap the positions are
-    distinct, so it sums in the same order as a per-tap strided-slice scatter.
+    ``x`` required a gradient at forward time (a data chunk never does): the
+    column gradient's GEMM writes in front of one zero, and each sample's
+    input gradient is one ``np.take`` through the cached gather plan
+    (``Conv3dLayer._grad_plan``) and one sum over its tap axis.  That adds
+    every input position's taps in (i, j, k) order from zero, as scattering
+    the columns back one kernel tap at a time would.
 
     Numerics: the GEMM shapes decide BLAS's blocking, so forward outputs and
     weight gradients can differ from a differently shaped product at the
@@ -212,15 +247,15 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
         gb = g.sum(axis=(0, 2, 3, 4))
         if not input_grad:
             return (None, gw, gb)
-        gcols = (gmat @ wmat).reshape(n, m, -1)
-        n_taps = gcols.shape[-1] // c
-        volume = c * int(np.prod(padded))
-        rows = np.arange(n)[:, None, None] * volume
-        gxp = np.zeros(n * volume, dtype=x.dtype)
-        for tap in range(n_taps):
-            gxp[(rows + idx[:, tap::n_taps]).ravel()] += gcols[:, :, tap::n_taps].ravel()
-        gx = gxp.reshape((n, c) + padded)[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
-        return (np.ascontiguousarray(gx), gw, gb)
+        per_sample = m * wmat.shape[1]
+        gcols = np.empty(n * per_sample + 1, dtype=np.result_type(gmat, wmat))
+        gcols[-1] = 0.0  # what a −1 in the plan reads
+        np.matmul(gmat, wmat, out=gcols[:-1].reshape(n * m, -1))
+        plan = layer._grad_plan((t, h, wd))
+        gx = np.empty((n, plan.shape[1]), dtype=x.dtype)
+        for i in range(n):
+            np.take(gcols[i * per_sample :], plan).sum(axis=0, out=gx[i])
+        return (gx.reshape(x.shape), gw, gb)
 
     return Tensor._make(out, (x, w, b), vjp)
 
@@ -251,28 +286,37 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tens
 
     Backward keeps only the normalized input ``xhat`` and the per-row std.
     """
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    # eps enters as a default-dtype array, as an operand of a composed op would
-    std = (xhat * xhat).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=default_dtype())
-    np.sqrt(std, out=std)
-    xhat = _into_first(np.divide, xhat, std)
+    xhat, std = _normalized(x.data, eps)
     y = _into_first(np.add, xhat * gain.data, shift.data)
     needs = (x.requires_grad, gain.requires_grad, shift.requires_grad)
 
     def vjp(g):
-        gx = None
-        if needs[0]:
-            gxhat = g * gain.data
-            gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
-            gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-            gx /= std
+        gx = _normalized_vjp(g, xhat, std, gain.data) if needs[0] else None
         ggain = _unbroadcast(g * xhat, gain.shape) if needs[1] else None
         gshift = _unbroadcast(g, shift.shape) if needs[2] else None
         return (gx, ggain, gshift)
 
     return Tensor._make(y, (x, gain, shift), vjp)
+
+
+def _normalized(x: np.ndarray, eps: float = 1e-5):
+    """(xhat, std): ``x`` at zero mean and unit variance over its last axis, and the per-row std."""
+    if eps <= 0:
+        raise ValueError("layernorm eps must be positive")
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    # eps enters as a default-dtype array, as an operand of a composed op would
+    std = (xhat * xhat).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=default_dtype())
+    np.sqrt(std, out=std)
+    return _into_first(np.divide, xhat, std), std
+
+
+def _normalized_vjp(g, xhat, std, gain):
+    """The input gradient of xhat·gain + shift from the gradient ``g`` of its output."""
+    gxhat = g * gain
+    gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
+    gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+    gx /= std
+    return gx
 
 
 def _into_first(ufunc, a, b):
@@ -287,8 +331,8 @@ def _heads(x: np.ndarray, heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
 
 
 def _joined(parts, heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
-    """The data of ``parts`` joined along L and split into heads, as one C-ordered array."""
-    x = parts[0].data if len(parts) == 1 else np.concatenate([t.data for t in parts], axis=1)
+    """The (N, L, D) arrays ``parts`` joined along L and split into heads, as one C-ordered array."""
+    x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return np.ascontiguousarray(_heads(x, heads, axes))
 
 
@@ -299,24 +343,52 @@ def _merged(gh: np.ndarray, parts) -> list:
     return [x.transpose(0, 2, 1, 3).reshape(n, -1, heads * d) for x in np.split(gh, bounds, axis=2)]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None) -> Tensor:
+def _turned(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """(N, L, heads·d) ``x`` turned by the last L rows of the (·, d) ``cos`` and ``sin``.
+
+    y = x·cos + swap(x)·sin, where swap exchanges the halves of each head's
+    d features; the result is a new array.
+    """
+    n, l, dim = x.shape
+    d = cos.shape[-1]
+    x = x.reshape(n, l, dim // d, d)
+    swapped = np.concatenate([x[..., d // 2 :], x[..., : d // 2]], axis=-1)
+    swapped *= sin[-l:, None]
+    swapped += x * cos[-l:, None]
+    return swapped.reshape(n, l, dim)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None, rope=None) -> Tensor:
     """Multi-head softmax(q·kᵀ/√d)·v over (N, L, D) projections as one tape node.
 
     ``memory`` is an optional (K, V) pair of (N, Lm, D) keys and values put
-    in front of ``k`` and ``v``: rows that are read but never queried.  The
-    node splits D into ``heads`` heads of d features, scales q by 1/√d and
-    overwrites the (N, heads, Lq, Lk) scores with e = exp(s − max s); the
-    output is (e·v) / Σe with the heads merged, so the division touches the
-    (Lq, d) output rather than the scores.  It keeps only e and Σe: backward
-    rebuilds the head-split operands from its parents ``(q, k, v[, K, V])``.
+    in front of ``k`` and ``v``: rows that are read but never queried, whose
+    keys arrive already turned (``AttentionLayer.keys_values``).  ``rope`` is an
+    optional (cos, sin) pair of (Lk, d) arrays for the rows of ``k``, whose
+    last Lq rows are the queries (see ``rotate``); the node turns q and k by
+    it on the way into its head-split copies.  The node splits D into
+    ``heads`` heads of d features, scales q by 1/√d and overwrites the
+    (N, heads, Lq, Lk) scores with e = exp(s − max s); the output is
+    (e·v) / Σe with the heads merged, so the division touches the (Lq, d)
+    output rather than the scores.  It keeps only e and Σe: backward rebuilds
+    the turned, head-split operands from its parents ``(q, k, v[, K, V])``,
+    turns e into the probabilities and then, in place, into the scores'
+    gradient, and turns the gradients of q and k back.
     """
     keys, values = ((k,), (v,)) if memory is None else ((memory[0], k), (memory[1], v))
     scale = float(1.0 / np.sqrt(q.shape[-1] // heads))
-    e = (_joined((q,), heads) * scale) @ _joined(keys, heads, (0, 2, 3, 1))
+
+    def turned(x: Tensor) -> np.ndarray:
+        return x.data if rope is None else _turned(x.data, *rope)
+
+    def keys_data():
+        return [t.data for t in keys[:-1]] + [turned(k)]
+
+    e = (_joined([turned(q)], heads) * scale) @ _joined(keys_data(), heads, (0, 2, 3, 1))
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     denom = e.sum(axis=-1, keepdims=True)
-    out = e @ _joined(values, heads)
+    out = e @ _joined([t.data for t in values], heads)
     out /= denom
 
     def vjp(g):
@@ -324,17 +396,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None) -> Tenso
         p /= denom
         gh = _heads(g, heads)
         gv = _merged(np.swapaxes(p, -1, -2) @ gh, values)
-        gs = _softmax_vjp(gh @ np.swapaxes(_joined(values, heads), -1, -2), p, -1)
+        gs = gh @ np.swapaxes(_joined([t.data for t in values], heads), -1, -2)  # the gradient of p
+        gs *= p  # and from here the gradient of the scores: p·(gp − Σ gp·p)
+        p *= gs.sum(axis=-1, keepdims=True)
+        gs -= p
         gs *= scale
-        gq = _merged(gs @ _joined(keys, heads), (q,))
-        gk = _merged(np.swapaxes(gs, -1, -2) @ _joined((q,), heads), keys)
-        return (gq[0], gk[-1], gv[-1], *gk[:-1], *gv[:-1])
+        gq = _merged(gs @ _joined(keys_data(), heads), (q,))[0]
+        gk = _merged(np.swapaxes(gs, -1, -2) @ _joined([turned(q)], heads), keys)
+        if rope is not None:
+            cos, sin = rope
+            gq, gk[-1] = _turned(gq, cos, -sin), _turned(gk[-1], cos, -sin)
+        return (gq, gk[-1], gv[-1], *gk[:-1], *gv[:-1])
 
     return Tensor._make(_merged(out, (q,))[0], (q, k, v, *(memory or ())), vjp)
 
 
 class AttentionLayer:
-    """Multi-head attention: ``wq``/``wk``/``wv``, rotary q/k, one ``attention`` node, then ``wo``."""
+    """Multi-head attention: ``wq``/``wk``/``wv``, one ``attention`` node that also turns q and k, then ``wo``."""
 
     def __init__(self, model_dim, head_count, rng):
         if model_dim % head_count != 0:
@@ -356,7 +434,8 @@ class AttentionLayer:
 
         ``memory`` is an optional (K, V) pair from ``keys_values``, put in front
         of the keys and values of ``kv_tokens``: rows read but never queried.
-        An optional ``rotate`` pair ``rope`` turns ``kv_tokens``' rows, whose last are the queries.
+        An optional ``rotate`` pair ``rope`` turns ``kv_tokens``' rows, whose
+        last are the queries, inside the ``attention`` node.
         """
         kv_tokens = q_tokens if kv_tokens is None else kv_tokens
         if q_tokens.shape[-1] != self.model_dim or kv_tokens.shape[-1] != self.model_dim:
@@ -366,10 +445,8 @@ class AttentionLayer:
             )
         if q_tokens.shape[-2] == 0 or kv_tokens.shape[-2] == 0:
             raise ValueError("attention requires non-empty token sets")
-        q = self.wq(q_tokens)
-        if rope is not None:
-            q = rotate(q, *(r[-q.shape[1]:] for r in rope))
-        return self.wo(attention(q, *self.keys_values(kv_tokens, rope), self.head_count, memory))
+        q, k, v = self.wq(q_tokens), self.wk(kv_tokens), self.wv(kv_tokens)
+        return self.wo(attention(q, k, v, self.head_count, memory, rope))
 
     def named_parameters(self, prefix):
         out = {}
@@ -381,17 +458,11 @@ class AttentionLayer:
 def rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary positions: turn each head's feature pairs (i, i + d/2) of (N, L, heads·d) ``x``; one tape node.
 
-    ``cos`` and ``sin`` are (L, heads, d): cos θ twice, and −sin θ then sin θ,
-    so y = x·cos + swap(x)·sin, where swap exchanges the halves of each head.
-    The backward is the same turn by −θ.
+    ``cos`` and ``sin`` are (L, d), the same in every head: cos θ twice, and
+    −sin θ then sin θ, so y = x·cos + swap(x)·sin, where swap exchanges the
+    halves of each head.  The backward is the same turn by −θ.
     """
-    def turn(a, s):  # the reversed halves cannot be a view of ``a``, so ``swapped`` is a copy
-        swapped = a.reshape(a.shape[:2] + s.shape[1:2] + (2, -1))[:, :, :, ::-1].reshape(a.shape)
-        swapped *= s.reshape(a.shape[1:])
-        swapped += a * cos.reshape(a.shape[1:])
-        return swapped
-
-    return Tensor._make(turn(x.data, sin), (x,), lambda g: (turn(g, -sin),))
+    return Tensor._make(_turned(x.data, cos, sin), (x,), lambda g: (_turned(g, cos, -sin),))
 
 
 class Embedding:

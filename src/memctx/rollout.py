@@ -128,19 +128,23 @@ class RolloutSession:
     def run(self, n_steps: int):
         """Roll out n clips; returns (full video, per-step metric records).
 
-        Each record carries the clip's ``latency_ms``, the wall time of its ``step()``.
+        Each record carries the clip's ``latency_ms``, the wall time of its
+        ``step()``; ``memory_tokens``, the context length the clip read; and
+        ``context_length``, the length after the clip's own append.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         records = []
         for _ in range(n_steps):
             condition = self.active_condition()  # the condition this clip is generated with
+            memory_tokens = 0 if self.ctx is None else self.ctx.length
             start = time.perf_counter()
             clip = self.step()
             latency_ms = (time.perf_counter() - start) * 1e3
             rec = {
                 "step": self.steps_taken,
                 "history_frames": self.generated_frames,
+                "memory_tokens": memory_tokens,
                 "context_length": self.ctx.length,
                 "condition": condition,
                 "consistency_psnr": psnr(clip, self.history[0][: clip.shape[0]]),

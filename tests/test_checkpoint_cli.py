@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -249,8 +251,34 @@ def test_cli_budget_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "table.csv")
     assert cli.main(["budget", "--csv", csv_path]) == cli.EXIT_OK
     rows = open(csv_path).read().strip().splitlines()
-    assert rows[0] == "rate,tokens,uncompressed,reduction"
+    assert rows[0] == "rate,tokens,uncompressed,reduction,accounting"
     assert any(r.startswith("4x4x2,17550,561600,32") for r in rows)
+    assert rows[1] == "1x1x1,561600,561600,1.0000,exact"
+    assert rows[4] == "4x4x2,17550,561600,32.0000,total/volume"
+
+
+BUDGET_TABLE = """\
+uncompressed context length: 561600
+    rate       tokens  reduction  accounting
+   1x1x1       561600        1.0  exact
+   2x2x1       140400        4.0  exact
+   2x2x2        70200        8.0  exact
+   4x4x2        17550       32.0  total/volume
+   8x8x4         2193      256.1  total/volume
+"""
+
+
+def test_cli_budget_prints_the_table_and_nothing_on_stderr():
+    """The default geometry's 4x4x2 and 8x8x4 rows do not tile the token grid: their rows say
+    so, and the command prints no warning or source line."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from memctx import cli; sys.exit(cli.main(['budget']))"],
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == cli.EXIT_OK
+    assert run.stdout == BUDGET_TABLE
+    assert run.stderr == ""
 
 
 def test_cli_budget_warns_once_about_a_flooring_geometry(capsys):

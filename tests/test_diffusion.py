@@ -206,6 +206,9 @@ class _ConstantVelocity:
     def __init__(self, v):
         self.v = v
 
+    def row_rope(self, *args):
+        return None
+
     def predict_velocity(self, x_t, t, c, **kw):
         n = np.asarray(x_t).shape[0]
         return Tensor(np.broadcast_to(self.v, (n,) + self.v.shape).copy())

@@ -1,12 +1,14 @@
 """Diffusion transformer: tokenization, zero-init heads, adapters, variants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from memctx import data, diffusion, nn, seeding, training
 from memctx.compressor import CompressedContext, CompressionRate, Provenance
-from memctx.dit import DiTModel, _modulate
-from memctx.tensor import Tensor, backward, concat, no_grad, using_dtype
+from memctx.dit import DiTModel, _adaln, _gated
+from memctx.tensor import Tensor, _unbroadcast, backward, concat, default_dtype, no_grad, using_dtype
 
 from test_tensor import check_grads, tape_nodes
 
@@ -180,24 +182,121 @@ def test_context_changes_output_after_head_unlock():
 # -- adaLN modulation --------------------------------------------------------------
 
 
+def _modulate(h, mod, scale_index, shift_index=None):
+    """h·(mod[:, :, scale_index] + 1) + mod[:, :, shift_index], shift optional, as one tape node:
+    the block's modulation before layernorm and the residual add were fused into it."""
+    scale = mod.data[:, :, scale_index]
+    s1 = scale + np.asarray(1.0, dtype=default_dtype())
+    y = h.data * s1
+    if shift_index is not None:
+        y = y + mod.data[:, :, shift_index]
+
+    def vjp(g):
+        gmod = np.zeros(mod.shape, dtype=g.dtype)
+        gmod[:, :, scale_index] = _unbroadcast(g * h.data, scale.shape)
+        if shift_index is not None:
+            gmod[:, :, shift_index] = _unbroadcast(g, scale.shape)
+        return (g * s1, gmod)
+
+    return Tensor._make(y, (h, mod), vjp)
+
+
 def test_modulate_gradients_with_and_without_shift():
+    """``_adaln`` (scale and shift) and ``_gated`` (scale only) against float64 central differences."""
     rng = np.random.default_rng(31)
-    h, mod = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 6, 4))
+    x, h, mod = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 6, 4))
+    gain, shift = rng.normal(size=4), rng.normal(size=4)
     w = Tensor(rng.normal(size=(2, 3, 4)))
-    check_grads(lambda h, mod: (_modulate(h, mod, 1, 0) * w).sum().square(), h, mod)
-    check_grads(lambda h, mod: (_modulate(h, mod, 2) * w).sum().square(), h, mod)
+
+    def adaln_loss(x, gain, shift, mod):
+        return (_adaln(x, SimpleNamespace(gain=gain, shift=shift), mod, 1, 0) * w).sum().square()
+
+    check_grads(adaln_loss, x, gain, shift, mod)
+    check_grads(lambda x, h, mod: (_gated(x, h, mod, 2) * w).sum().square(), x, h, mod)
 
 
 def test_modulate_records_one_node_and_matches_the_composed_expression():
+    """``_adaln`` is layernorm then ``_modulate`` with a shift, ``_gated`` is ``x +`` ``_modulate``
+    without one: each records one node and gives the composed path's output and every
+    gradient, ``mod``'s included, bitwise in float32 and float64."""
     rng = np.random.default_rng(32)
-    h, mod = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in ((2, 3, 4), (2, 1, 6, 4)))
-    for out, composed in (
-        (_modulate(h, mod, 4, 3), h * (mod[:, :, 4] + 1.0) + mod[:, :, 3]),
-        (_modulate(h, mod, 5), h * (mod[:, :, 5] + 1.0)),
-    ):
-        assert tape_nodes(out) == 1 and out._parents == (h, mod)
-        assert out.dtype == composed.dtype
-        assert np.array_equal(out.numpy(), composed.numpy())
+    arrays = [rng.normal(size=s) for s in ((2, 3, 8), (8,), (8,), (2, 1, 6, 8), (2, 3, 8))]
+    probe = rng.normal(size=(2, 3, 8))
+    cases = {  # name -> (fused, composed, the parents of the fused node)
+        "adaln": (
+            lambda x, gain, shift, mod, h: _adaln(x, SimpleNamespace(gain=gain, shift=shift), mod, 4, 3),
+            lambda x, gain, shift, mod, h: _modulate(nn.layernorm(x, gain, shift), mod, 4, 3),
+            (0, 1, 2, 3),
+        ),
+        "gated": (
+            lambda x, gain, shift, mod, h: _gated(x, h, mod, 5),
+            lambda x, gain, shift, mod, h: x + _modulate(h, mod, 5),
+            (0, 4, 3),
+        ),
+    }
+    for dtype in ("float32", "float64"):
+        with using_dtype(dtype):
+            for name, (fused, composed, parents) in cases.items():
+                results = []
+                for fn in (fused, composed):
+                    leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+                    out = fn(*leaves)
+                    if fn is fused:
+                        assert tape_nodes(out) == 1 and out._parents == tuple(leaves[i] for i in parents), name
+                    backward((out * Tensor(probe.astype(dtype))).sum())
+                    results.append([out.numpy()] + [leaves[i].grad for i in parents])
+                for got, want in zip(*results):
+                    assert got.dtype == want.dtype == np.dtype(dtype), (name, dtype)
+                    assert np.array_equal(got, want), (name, dtype)
+
+
+class _ComposedBlock:
+    """A block's stages as separate nodes: layernorm, ``_modulate``, both rotary turns,
+    attention without angles and the residual add; the reference for the fused block."""
+
+    def __init__(self, block):
+        self.block = block
+        self.ln1, self.attn = block.ln1, block.attn  # what the memory read uses
+
+    def __call__(self, x, temb, memory, rope, n_query=None):
+        b, attn = self.block, self.block.attn
+        mod = b.mod(temb.silu()).reshape(temb.shape[0], 1, 6, x.shape[-1])
+        h = _modulate(b.ln1(x), mod, 1, 0)
+        q = h
+        if n_query is not None:
+            x, q = x[:, -n_query:], h[:, -n_query:]
+        q = nn.rotate(attn.wq(q), *(r[-q.shape[1]:] for r in rope))
+        k, v = attn.keys_values(h, rope)
+        x = x + _modulate(attn.wo(nn.attention(q, k, v, attn.head_count, memory)), mod, 2)
+        return x + _modulate(b.fc2(b.fc1(_modulate(b.ln2(x), mod, 4, 3)).silu()), mod, 5)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_block_stages_equal_the_composed_block_bitwise(dtype):
+    """A retrieval loss through blocks of fused stages gives the loss and every parameter's
+    gradient of blocks built from the composed stages, bitwise; batch 2 with a window."""
+    with using_dtype(dtype):
+        enc, g = _unlocked()
+        named = training.named_params(enc, g)
+        hist = np.random.default_rng(33).normal(size=(2, 24, 8, 8, 4))
+        omega = data.sample_omega(24, (2, 1))
+
+        def loss_and_grads():
+            for p in named.values():
+                p.grad = None
+            loss = diffusion.finetune_loss(g, enc, hist[:, :16], hist[:, 16:], [0, 3], seed=4,
+                                           window_latents=hist[:, 12:16], window_frame_indices=[12, 13, 14, 15])
+            loss = loss + diffusion.retrieval_loss(g, enc, hist, omega, [1, 2], seed=5)
+            backward(loss)
+            return loss.item(), {name: p.grad for name, p in named.items()}
+
+        fused = loss_and_grads()
+        g.blocks = [_ComposedBlock(b) for b in g.blocks]
+        composed = loss_and_grads()
+    assert fused[0] == composed[0]
+    for name in named:
+        assert fused[1][name].dtype == np.dtype(dtype)
+        assert np.array_equal(fused[1][name], composed[1][name]), name
 
 
 # -- step-0 adapter identities ---------------------------------------------------------
@@ -248,8 +347,9 @@ def test_rotary_scores_depend_only_on_the_frame_offset(delta):
     """Target queries score the memory keys and the target keys alike when target frames and
     provenance t0 shift by ``delta``, to 1e-6 of the largest score.  Angles are float64 until
     the cast: with float32 angles the scores move by ~1e-5 of it at delta 4000 (a float32 ulp
-    at 4,000 rad is 2.4e-4 rad).  The condition row is not turned, so the velocity itself
-    still depends on the absolute frame through its scores with the condition row."""
+    at 4,000 rad is 2.4e-4 rad).  The angles are one (L, head_dim) pair for every head.  The
+    condition row is not turned, so the velocity itself still depends on the absolute frame
+    through its scores with the condition row."""
     enc, g = training.build_models(0)
     hist = np.random.default_rng(47).normal(size=(24, 8, 8, 4)).astype(np.float32)
     with no_grad():
@@ -265,6 +365,7 @@ def test_rotary_scores_depend_only_on_the_frame_offset(delta):
         records[:, 1:3] += d
         shifted = CompressedContext(ctx.tokens, Provenance(records), ctx.span_frames + d)
         rope = g._rope(g._positions((1, 8, 8, 8, 4), list(range(16 + d, 24 + d))))
+        assert all(r.shape == (8 * 16, 16) for r in rope)
         with no_grad():
             keys = [concat([mk, nn.rotate(k, *rope)], axis=1) for mk, _ in g.read_memory(shifted, (8, 8))]
             q_turned = heads(nn.rotate(q, *rope))
@@ -314,6 +415,33 @@ def test_sample_with_the_hoisted_memory_equals_the_plain_euler_loop():
         x = seeding.stream(7, 0x5A3B).standard_normal((8, 8, 8, 4)).astype(np.float32)
         for i in range(4):
             x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, ctx=ctx, **kw).numpy()[0]
+    assert np.abs(clip).max() > 0
+    assert np.array_equal(clip, x)
+
+
+def test_sample_with_angles_hoisted_out_of_the_euler_loop_equals_the_per_step_loop(monkeypatch):
+    """``sample`` builds the rows' angles once per clip; a loop that builds them at every step
+    (with the same hoisted memory) gives the same clip, bitwise."""
+    enc, g = _unlocked()
+    hist = np.random.default_rng(49).normal(size=(24, 8, 8, 4)).astype(np.float32)
+    kw = dict(frame_indices=list(range(24, 32)), window_latents=hist[-2:], window_frame_indices=[22, 23])
+    builds = []
+    original = DiTModel._rope
+
+    def counting(self, positions):
+        builds.append(positions.shape[1])
+        return original(self, positions)
+
+    monkeypatch.setattr(DiTModel, "_rope", counting)
+    with no_grad():
+        ctx = enc.compress(hist)
+        clip = diffusion.sample(g, ctx, 3, (8, 8, 8, 4), seed=8, steps=4, **kw)
+        assert builds == [ctx.length, 1 + 2 * 16 + 8 * 16]  # the memory's angles, then the rows'
+        memory = g.read_memory(ctx, (8, 8))
+        x = seeding.stream(8, 0x5A3B).standard_normal((8, 8, 8, 4)).astype(np.float32)
+        for i in range(4):
+            x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, memory=memory, **kw).numpy()[0]
+    assert len(builds) == 2 + 1 + 4
     assert np.abs(clip).max() > 0
     assert np.array_equal(clip, x)
 

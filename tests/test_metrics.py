@@ -6,6 +6,7 @@ are checked against direct-formula oracles and known identities.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def test_budget_table_rows():
     assert [r["rate"] for r in rows] == ["1x1x1", "2x2x2", "4x4x2"]
     assert rows[0]["tokens"] == 561_600
     assert rows[2]["reduction"] == pytest.approx(32.0)
+
+
+def test_budget_table_rows_name_their_accounting_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = metrics.budget_table(PUBLISHED, [(2, 2, 2), (4, 4, 2)])
+    assert [r["accounting"] for r in rows] == ["exact", "total/volume"]
+    with pytest.warns(UserWarning, match="does not tile"):
+        assert metrics.context_length(dataclasses.replace(PUBLISHED, rate=(4, 4, 2))).accounting == "total/volume"
 
 
 @given(

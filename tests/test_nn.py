@@ -3,11 +3,13 @@
 import contextlib
 import warnings
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from memctx import nn
+from memctx import nn, training
+from memctx.dit import _adaln, _gated
 from memctx.tensor import Tensor, backward, concat, no_grad, set_debug_checks, using_dtype
 
 from test_tensor import check_grad, check_grads, finite_diff, tape_nodes
@@ -68,14 +70,13 @@ def test_linear_builds_no_gradient_for_an_input_that_needs_none():
     assert gx is not None and gw is None and gb is None
 
 
-def _turn(theta, heads=2):
-    """``rotate``'s (cos, sin) for an (L, d/2) array of angles, the same in each head."""
+def _turn(theta):
+    """``rotate``'s (cos, sin), each (L, d), for an (L, d/2) array of angles; every head turns alike."""
     cos, sin = np.cos(theta), np.sin(theta)
-    return (np.stack([np.concatenate([cos, cos], axis=-1)] * heads, axis=1),
-            np.stack([np.concatenate([-sin, sin], axis=-1)] * heads, axis=1))
+    return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
 
-# name -> (op, argument shapes) for the fused kernels of this module other than conv3d
+# name -> (op, argument shapes) for the fused kernels of this module other than conv3d, and the DiT block's
 FUSED_OPS = {
     "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
     "softmax": (lambda x: nn.softmax(x, axis=0), [(3, 4)]),
@@ -86,6 +87,15 @@ FUSED_OPS = {
     ),
     "attention_without_memory": (lambda q, k, v: nn.attention(q, k, v, 2), [(1, 3, 8), (1, 5, 8), (1, 5, 8)]),
     "rotate": (lambda x: nn.rotate(x, *_turn(np.arange(12.0).reshape(3, 4))), [(2, 3, 16)]),
+    "attention_turning_q_and_k": (
+        lambda q, k, v, mk, mv: nn.attention(q, k, v, 2, memory=(mk, mv), rope=_turn(np.arange(10.0).reshape(5, 2))),
+        [(1, 3, 8), (1, 5, 8), (1, 5, 8), (1, 4, 8), (1, 4, 8)],
+    ),
+    "adaln": (
+        lambda x, gain, shift, mod: _adaln(x, SimpleNamespace(gain=gain, shift=shift), mod, 1, 0),
+        [(2, 3, 8), (8,), (8,), (2, 1, 6, 8)],
+    ),
+    "gated": (lambda x, h, mod: _gated(x, h, mod, 2), [(2, 3, 8), (2, 3, 8), (2, 1, 6, 8)]),
 }
 
 
@@ -235,6 +245,40 @@ def test_conv3d_strided_padded_gradients_match_finite_differences():
                     param.data = saved
             numeric = finite_diff(loss, param.data.copy())
             np.testing.assert_allclose(param.grad, numeric, rtol=1e-5, atol=1e-9)
+
+
+def _scattered_input_grad(layer, x, g):
+    """conv3d's input gradient as one scatter per kernel tap, in (i, j, k) order: the reference."""
+    n, c, t, h, wd = x.shape
+    _, padded, idx = layer._plan((t, h, wd))
+    o, m = layer.out_channels, idx.shape[0]
+    gmat = g.reshape(n, o, m).transpose(0, 2, 1).reshape(n * m, o)
+    gcols = (gmat @ layer.weight.data.reshape(o, -1)).reshape(n, m, -1)
+    n_taps = gcols.shape[-1] // c
+    volume = c * int(np.prod(padded))
+    rows = np.arange(n)[:, None, None] * volume
+    gxp = np.zeros(n * volume, dtype=x.dtype)
+    for tap in range(n_taps):
+        gxp[(rows + idx[:, tap::n_taps]).ravel()] += gcols[:, :, tap::n_taps].ravel()
+    pt, ph, pw = layer.padding
+    return gxp.reshape((n, c) + padded)[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("rate", [(4, 4, 2), (2, 2, 1), (8, 8, 4)])
+def test_conv3d_input_gradient_gather_equals_the_per_tap_scatter_bitwise(rate, dtype):
+    """Every conv of the encoder at ``rate``, on a desk chunk at batch 1 and 4."""
+    with using_dtype(dtype):
+        enc, _ = training.build_models(0, rate=rate)
+        for batch in (1, 4):
+            x = RNG.standard_normal((batch, 4, 8, 8, 8)).astype(dtype)
+            for layer in enc.convs:
+                y = layer(Tensor(x, requires_grad=True))
+                g = RNG.standard_normal(y.shape).astype(dtype)
+                gx = y._vjp(g)[0]
+                assert gx.dtype == np.dtype(dtype) and gx.shape == x.shape
+                assert np.array_equal(gx, _scattered_input_grad(layer, x, g))
+                x = y.data
 
 
 def test_conv3d_one_layer_serves_two_input_geometries():
@@ -488,6 +532,36 @@ def test_attention_equals_the_split_path_bitwise(dtype):
             for fn in (nn.attention, _split_path_attention):
                 leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays[: 5 if memory else 3]]
                 out = fn(*leaves[:3], 2, memory=tuple(leaves[3:]) if memory else None)
+                backward((out * Tensor(w.astype(dtype))).sum())
+                results.append([out.numpy()] + [t.grad for t in leaves])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert np.array_equal(got, want)
+
+
+def _turning_path_attention(q, k, v, heads, memory=None, rope=None):
+    """q and k turned by ``rotate`` nodes of their own before the attention node: the reference."""
+    cos, sin = rope
+    q = nn.rotate(q, cos[-q.shape[1]:], sin[-q.shape[1]:])
+    return nn.attention(q, nn.rotate(k, cos, sin), v, heads, memory)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_attention_turning_q_and_k_equals_the_rotate_path_bitwise(dtype):
+    """Turning inside the node gives the output and every gradient, the memory pair's included,
+    of separate ``rotate`` nodes; the queries are the last rows of the keys, as in a
+    query-limited block."""
+    rng = np.random.default_rng(19)
+    arrays = [rng.standard_normal((2, lq, 16)) for lq in (4, 7, 7, 5, 5)]
+    w = rng.standard_normal((2, 4, 16))
+    theta = rng.uniform(-50, 50, size=(7, 4))
+    with using_dtype(dtype):
+        rope = tuple(r.astype(dtype) for r in _turn(theta))
+        for memory in (True, False):
+            results = []
+            for fn in (nn.attention, _turning_path_attention):
+                leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays[: 5 if memory else 3]]
+                out = fn(*leaves[:3], 2, memory=tuple(leaves[3:]) if memory else None, rope=rope)
                 backward((out * Tensor(w.astype(dtype))).sum())
                 results.append([out.numpy()] + [t.grad for t in leaves])
             for got, want in zip(*results):

@@ -36,6 +36,23 @@ def test_run_records():
     assert all(np.isfinite(r["latency_ms"]) and r["latency_ms"] > 0 for r in records)
 
 
+def test_run_records_the_memory_each_clip_read(monkeypatch):
+    """``memory_tokens`` is the context the clip's sampler read, before the clip's own append;
+    ``context_length`` is the length after it."""
+    sess, _ = _session()
+    read = []
+    original = sess.dit.read_memory
+
+    def recording(ctx, latent_hw):
+        read.append(ctx.length)
+        return original(ctx, latent_hw)
+
+    monkeypatch.setattr(sess.dit, "read_memory", recording)
+    _, records = sess.run(2)
+    assert [r["memory_tokens"] for r in records] == read == [16, 32]
+    assert [r["context_length"] for r in records] == [32, 48]
+
+
 def test_rollout_deterministic():
     sess_a, _ = _session(seed=3)
     sess_b, _ = _session(seed=3)
