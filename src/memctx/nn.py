@@ -14,6 +14,10 @@ their rotary angles, splits the heads, joins the memory and merges the
 heads, and needs no call to ``softmax``; its backward turns the
 probabilities into the scores' gradient in place.  Conv3d's input
 gradient is one ordered gather per sample.
+
+A node keeps no array that its backward can rebuild bitwise from its
+parents: attention keeps only each score row's max and Σe and recomputes
+the exponentials, and conv3d gathers its im2col columns again.
 """
 
 from __future__ import annotations
@@ -208,8 +212,9 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
     zero-padded input (see ``Conv3dLayer._plan``).  The forward pass writes
     the input into a zero buffer, gathers the (N·M, C·K) column matrix in one
     ``np.take`` and multiplies it by ``weight.reshape(O, -1).T`` in a single
-    GEMM.  Backward forms the weight gradient as one GEMM over the N·M rows
-    and the bias gradient as one sum.  The input gradient is built only when
+    GEMM.  The node keeps no column matrix: backward gathers the same columns
+    again from ``x`` and forms the weight gradient as one GEMM over the N·M
+    rows, and the bias gradient as one sum.  The input gradient is built only when
     ``x`` required a gradient at forward time (a data chunk never does): the
     column gradient's GEMM writes in front of one zero, and each sample's
     input gradient is one ``np.take`` through the cached gather plan
@@ -225,16 +230,13 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
         raise ValueError(f"conv3d expects (N, C, T, H, W), got shape {x.shape}")
     if x.shape[1] != layer.in_channels:
         raise ValueError(f"conv3d channel mismatch: input {x.shape[1]}, layer {layer.in_channels}")
-    n, c, t, h, wd = x.shape
-    out_ext, padded, idx = layer._plan((t, h, wd))
-    pt, ph, pw = layer.padding
+    n, _, t, h, wd = x.shape
+    out_ext, _, idx = layer._plan((t, h, wd))
     w, b = layer.weight, layer.bias
     o = layer.out_channels
     m = idx.shape[0]
 
-    xp = np.zeros((n, c) + padded, dtype=x.dtype)
-    xp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd] = x.data
-    cols = np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * m, -1)  # (N·M, C·K)
+    xp, cols = _columns(layer, x.data)  # xp lives as long as cols: the free order sets how glibc reuses the heap
     wmat = w.data.reshape(o, -1)
     out = cols @ wmat.T
     out += b.data
@@ -243,7 +245,7 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
 
     def vjp(g):
         gmat = g.reshape(n, o, m).transpose(0, 2, 1).reshape(n * m, o)
-        gw = (gmat.T @ cols).reshape(w.shape)
+        gw = (gmat.T @ _columns(layer, x.data)[1]).reshape(w.shape)
         gb = g.sum(axis=(0, 2, 3, 4))
         if not input_grad:
             return (None, gw, gb)
@@ -258,6 +260,16 @@ def conv3d_forward(layer: Conv3dLayer, x: Tensor) -> Tensor:
         return (gx.reshape(x.shape), gw, gb)
 
     return Tensor._make(out, (x, w, b), vjp)
+
+
+def _columns(layer: Conv3dLayer, x: np.ndarray):
+    """(N, C, T, H, W) ``x`` zero-padded, and its (N·M, C·K) im2col matrix gathered by ``layer._plan``."""
+    n, c, t, h, wd = x.shape
+    _, padded, idx = layer._plan((t, h, wd))
+    pt, ph, pw = layer.padding
+    xp = np.zeros((n, c) + padded, dtype=x.dtype)
+    xp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd] = x
+    return xp, np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], -1)
 
 
 def softmax(x: Tensor, axis: int = -1, *, out: np.ndarray | None = None) -> Tensor:
@@ -368,12 +380,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None, rope=Non
     last Lq rows are the queries (see ``rotate``); the node turns q and k by
     it on the way into its head-split copies.  The node splits D into
     ``heads`` heads of d features, scales q by 1/√d and overwrites the
-    (N, heads, Lq, Lk) scores with e = exp(s − max s); the output is
+    (N, heads, Lq, Lk) scores s with e = exp(s − max s); the output is
     (e·v) / Σe with the heads merged, so the division touches the (Lq, d)
-    output rather than the scores.  It keeps only e and Σe: backward rebuilds
-    the turned, head-split operands from its parents ``(q, k, v[, K, V])``,
-    turns e into the probabilities and then, in place, into the scores'
-    gradient, and turns the gradients of q and k back.
+    output rather than the scores.  It keeps only each row's max s and Σe.
+    Backward rebuilds the turned, head-split operands from its parents
+    ``(q, k, v[, K, V])``, recomputes e from them with the forward's own
+    expression, so bitwise, and turns e into the probabilities and then, in
+    place, into the scores' gradient; the q and key operands of that rebuild
+    serve the gradients of k and q, which it turns back.
     """
     keys, values = ((k,), (v,)) if memory is None else ((memory[0], k), (memory[1], v))
     scale = float(1.0 / np.sqrt(q.shape[-1] // heads))
@@ -385,14 +399,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None, rope=Non
         return [t.data for t in keys[:-1]] + [turned(k)]
 
     e = (_joined([turned(q)], heads) * scale) @ _joined(keys_data(), heads, (0, 2, 3, 1))
-    e -= e.max(axis=-1, keepdims=True)
+    top = e.max(axis=-1, keepdims=True)
+    e -= top
     np.exp(e, out=e)
     denom = e.sum(axis=-1, keepdims=True)
     out = e @ _joined([t.data for t in values], heads)
     out /= denom
 
     def vjp(g):
-        p = e  # the tape is consumed once, so the buffer can become the probabilities
+        qh, kd = _joined([turned(q)], heads), keys_data()
+        p = (qh * scale) @ _joined(kd, heads, (0, 2, 3, 1))  # the forward's e, rebuilt bitwise
+        p -= top
+        np.exp(p, out=p)
         p /= denom
         gh = _heads(g, heads)
         gv = _merged(np.swapaxes(p, -1, -2) @ gh, values)
@@ -401,8 +419,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, memory=None, rope=Non
         p *= gs.sum(axis=-1, keepdims=True)
         gs -= p
         gs *= scale
-        gq = _merged(gs @ _joined(keys_data(), heads), (q,))[0]
-        gk = _merged(np.swapaxes(gs, -1, -2) @ _joined([turned(q)], heads), keys)
+        gq = _merged(gs @ _joined(kd, heads), (q,))[0]
+        gk = _merged(np.swapaxes(gs, -1, -2) @ qh, keys)
         if rope is not None:
             cos, sin = rope
             gq, gk[-1] = _turned(gq, cos, -sin), _turned(gk[-1], cos, -sin)

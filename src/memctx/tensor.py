@@ -249,9 +249,15 @@ class Tensor:
         return Tensor._make(out, (self,), lambda g: (g * out,))
 
     def silu(self) -> "Tensor":
-        sig = 1.0 / (1.0 + np.exp(-self.data))
+        """x·σ(x).  The node keeps only its input: backward recomputes σ(x) as the forward did."""
+        sig = _sigmoid(self.data)
         out = self.data * sig
-        return Tensor._make(out, (self,), lambda g: (g * (sig * (1.0 + self.data * (1.0 - sig))),))
+
+        def vjp(g):
+            sig = _sigmoid(self.data)
+            return (g * (sig * (1.0 + self.data * (1.0 - sig))),)
+
+        return Tensor._make(out, (self,), vjp)
 
     # -- shape manipulation --------------------------------------------------
 
@@ -365,6 +371,10 @@ class Tensor:
             return (mask * (g / counts),)
 
         return Tensor._make(np.asarray(data), (self,), vjp)
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _norm_axes(axis, ndim):

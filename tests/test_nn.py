@@ -12,7 +12,7 @@ from memctx import nn, training
 from memctx.dit import _adaln, _gated
 from memctx.tensor import Tensor, backward, concat, no_grad, set_debug_checks, using_dtype
 
-from test_tensor import check_grad, check_grads, finite_diff, tape_nodes
+from test_tensor import check_grad, check_grads, finite_diff, held_arrays, tape_nodes
 
 RNG = None  # bound per test by _rng_per_test
 
@@ -76,8 +76,16 @@ def _turn(theta):
     return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
 
-# name -> (op, argument shapes) for the fused kernels of this module other than conv3d, and the DiT block's
+def _conv3d_of(w, b):
+    """A strided, padded 3x3x3 ``Conv3dLayer`` whose weight and bias are ``w`` and ``b``."""
+    layer = nn.Conv3dLayer(w.shape[1], w.shape[0], w.shape[2:], (1, 2, 2), (1, 1, 1), make_rng())
+    layer.weight, layer.bias = w, b
+    return layer
+
+
+# name -> (op, argument shapes) for the fused kernels of this module, and the DiT block's
 FUSED_OPS = {
+    "conv3d": (lambda x, w, b: nn.conv3d_forward(_conv3d_of(w, b), x), [(2, 3, 4, 6, 6), (5, 3, 3, 3, 3), (5,)]),
     "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
     "softmax": (lambda x: nn.softmax(x, axis=0), [(3, 4)]),
     "layernorm": (nn.layernorm, [(2, 3, 8), (8,), (8,)]),
@@ -313,6 +321,90 @@ def test_conv3d_rejects_wrong_rank_and_channels():
         layer(Tensor(np.ones((2, 2, 4, 4))))
     with pytest.raises(ValueError):
         layer(Tensor(np.ones((1, 3, 4, 4, 4))))
+
+
+def _conv3d_keeping_the_columns(layer, x):
+    """conv3d whose VJP keeps the forward's (N·M, C·K) column matrix: the reference for the regather.
+
+    Its input gradient is the per-tap scatter, which the gather equals bitwise.
+    """
+    n, c, t, h, wd = x.shape
+    _, _, idx = layer._plan((t, h, wd))
+    w, b, o, m = layer.weight, layer.bias, layer.out_channels, idx.shape[0]
+    xp = np.pad(x.data, [(0, 0), (0, 0)] + [(p, p) for p in layer.padding])
+    cols = np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * m, -1)
+    out = cols @ w.data.reshape(o, -1).T
+    out += b.data
+    out = np.ascontiguousarray(out.reshape(n, m, o).transpose(0, 2, 1)).reshape((n, o) + layer.output_extents((t, h, wd)))
+
+    def vjp(g):
+        gmat = g.reshape(n, o, m).transpose(0, 2, 1).reshape(n * m, o)
+        return (_scattered_input_grad(layer, x.data, g), (gmat.T @ cols).reshape(w.shape), g.sum(axis=(0, 2, 3, 4)))
+
+    return Tensor._make(out, (x, w, b), vjp)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_conv3d_regathered_columns_give_the_kept_columns_gradients_bitwise(dtype):
+    """Every conv of the default encoder on a batch of 4 desk chunks: output and every gradient."""
+    with using_dtype(dtype):
+        enc, _ = training.build_models(0)
+        x = RNG.standard_normal((4, 4, 8, 8, 8)).astype(dtype)
+        for layer in enc.convs:
+            g = None
+            results = []
+            for fn in (nn.conv3d_forward, _conv3d_keeping_the_columns):
+                layer.weight.grad = layer.bias.grad = None
+                xt = Tensor(x, requires_grad=True)
+                out = fn(layer, xt)
+                g = RNG.standard_normal(out.shape).astype(dtype) if g is None else g
+                backward((out * Tensor(g)).sum())
+                results.append((out.numpy(), xt.grad, layer.weight.grad, layer.bias.grad))
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert np.array_equal(got, want)
+            x = results[0][0]
+
+
+def default_step_loss(loop, seed=0, batch=4):
+    """The loss of ``loop``'s first step on default models and scenes, its tape not yet walked back."""
+    enc, g = training.build_models(seed)
+    losses = []
+    walk_back, training.backward = training.backward, losses.append
+    try:
+        loop(enc, g, training.make_dataset(seed, 8), steps=1, seed=seed, batch=batch)
+    finally:
+        training.backward = walk_back
+    return losses[0]
+
+
+@pytest.mark.parametrize("loop", [training.pretrain_retrieval, training.finetune_next_clip])
+def test_attention_silu_and_conv3d_nodes_keep_nothing_they_can_rebuild(loop):
+    """Beside views of its parents' data, no attention VJP of a default step holds an (N, heads,
+    Lq, Lk) score-shaped array, no silu VJP a sigmoid and no conv3d VJP an (N·M, C·K) column matrix."""
+    seen, stack, kinds = set(), [default_step_loss(loop)], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        kind = node._vjp.__qualname__.split(".<locals>")[0]
+        held = [a for a in held_arrays(node._vjp) if not any(np.shares_memory(a, p.data) for p in node._parents)]
+        if kind == "attention":
+            q, k = node._parents[:2]
+            scores = (q.shape[1], k.shape[1] + sum(t.shape[1] for t in node._parents[3:4]))  # (q, k, v[, K, V])
+            assert not [a for a in held if a.ndim == 4 and a.shape[0] == q.shape[0] and a.shape[2:] == scores]
+        elif kind == "Tensor.silu":
+            assert not [a for a in held if a.shape == node.shape]
+        elif kind == "conv3d_forward":
+            x, w = node._parents[:2]
+            columns = (x.shape[0] * int(np.prod(node.shape[2:])), w.data[0].size)
+            assert not [a for a in held if a.shape == columns]
+        else:
+            continue
+        kinds.add(kind)
+    assert kinds == {"attention", "Tensor.silu", "conv3d_forward"}
 
 
 # -- softmax / layernorm -------------------------------------------------------

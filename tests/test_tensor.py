@@ -84,6 +84,48 @@ def tape_nodes(out):
     return sum(node._vjp is not None for node in seen.values())
 
 
+def held_arrays(vjp):
+    """The ndarrays a VJP closure holds: its cells, through tuples, lists and nested closures.
+
+    Tensors are not opened: their data is a node output or a leaf.
+    """
+    out, stack, seen = [], [vjp], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and not isinstance(obj, Tensor):
+            stack.extend(cell.cell_contents for cell in getattr(obj, "__closure__", None) or ())
+    return out
+
+
+def tape_bytes(out):
+    """Bytes the graph reachable from ``out`` keeps alive until its backward.
+
+    The data of every tensor on it (recorded nodes and leaves) plus the
+    ndarrays its VJP closures hold, each underlying buffer counted once.
+    """
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    arrays = [node.data for node in seen.values()]
+    arrays += [a for node in seen.values() if node._vjp is not None for a in held_arrays(node._vjp)]
+    buffers = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
 UNARY_CASES = {
     "neg": lambda t: (-t).square().mean(),
     "square": lambda t: t.square().mean(),
@@ -224,6 +266,38 @@ def test_composite_expression_gradient():
         return (y * y.exp()).mean()
 
     check_grad(f, x)
+
+
+def _silu_keeping_the_sigmoid(t):
+    """x·σ(x) whose VJP keeps the forward's σ(x): the reference for the recomputing node."""
+    sig = 1.0 / (1.0 + np.exp(-t.data))
+    return Tensor._make(t.data * sig, (t,), lambda g: (g * (sig * (1.0 + t.data * (1.0 - sig))),))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_silu_recomputed_sigmoid_equals_the_kept_one_bitwise(dtype):
+    x = (RNG.standard_normal((4, 7)) * 6.0).astype(dtype)
+    g = RNG.standard_normal((4, 7)).astype(dtype)
+    results = []
+    for fn in (Tensor.silu, _silu_keeping_the_sigmoid):
+        t = Tensor(x, requires_grad=True)
+        out = fn(t)
+        backward((out * Tensor(g)).sum())
+        results.append((out.numpy(), t.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
+    assert held_arrays(Tensor(x, requires_grad=True).silu()._vjp) == []
+
+
+def test_tape_bytes_counts_each_buffer_once_and_what_closures_hold():
+    x = Tensor(np.ones((4, 8)), requires_grad=True)  # 256 bytes
+    y = x.reshape(8, 4)  # a view of x's buffer: nothing new
+    kept = np.ones(16)  # 128 bytes that only the closure holds
+    z = Tensor._make(y.data * 2.0, (y,), lambda g: (g * kept[0],))  # 256 bytes
+    assert held_arrays(z._vjp) == [kept]
+    assert tape_bytes(z) == 256 + 256 + 128
+    assert tape_bytes(z.sum()) == 256 + 256 + 128 + 8
 
 
 def test_backward_requires_scalar():
