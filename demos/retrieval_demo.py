@@ -2,10 +2,9 @@
 
 Trains the 4x4x2 compression encoder and toy DiT on the frame-retrieval
 objective for a short budget and reports held-out retrieval PSNR against
-the non-learned baselines (copy-nearest-clean-frame and dataset mean).
-The model will not beat the baselines in two minutes — the full recipe in
-the acceptance suite does — but the PSNR should climb visibly while the
-ctx-usage probe shows the model beginning to read its compressed memory.
+a non-learned reference: the masked history's mean frame, scored on the
+same clean targets.  The PSNR should climb visibly while the ctx-usage
+probe shows the model beginning to read its compressed memory.
 """
 
 import time
@@ -18,14 +17,29 @@ from memctx.tensor import no_grad
 STEPS = 1500
 
 
+def _case(eval_ds, k):
+    """Scene k's latents, condition, masked history and first four clean targets."""
+    lat, cond = eval_ds[k % len(eval_ds)]
+    omega = data.sample_omega(lat.shape[0], (9, 0xE7A1, k))
+    masked = diffusion.mask_history(lat, omega, (9, 0xE7A3, k))
+    return lat, cond, masked, sorted(omega.indices)[:4]
+
+
+def mean_frame_psnr(eval_ds, n=4):
+    """PSNR of the masked history's mean frame on the targets ``ctx_usage_delta`` scores."""
+    scores = []
+    for k in range(n):
+        lat, _, masked, targets = _case(eval_ds, k)
+        guess = np.broadcast_to(masked.mean(axis=0), (len(targets),) + lat.shape[1:])
+        scores.append(metrics.psnr(guess, lat[targets]))
+    return float(np.mean(scores))
+
+
 def ctx_usage_delta(enc, g, eval_ds, n=4):
     """Eval PSNR with the true compressed context minus with a zeroed one."""
     true_scores, zero_scores = [], []
     for k in range(n):
-        lat, cond = eval_ds[k % len(eval_ds)]
-        omega = data.sample_omega(lat.shape[0], (9, 0xE7A1, k))
-        masked = diffusion.mask_history(lat, omega, (9, 0xE7A3, k))
-        targets = sorted(omega.indices)[:4]
+        lat, cond, masked, targets = _case(eval_ds, k)
         shape = (len(targets),) + lat.shape[1:]
         with no_grad():
             ctx = enc.compress(masked)
@@ -46,9 +60,7 @@ def main():
     opt = nn.Adam(training.named_params(enc, g), lr=3e-3)
     dist = diffusion.TimestepDistribution(mu=2.0, sigma=0.8)
 
-    base = training.evaluate_retrieval_baselines(eval_ds, seed=9, n_eval=4)
-    print(f"baselines: copy-nearest {base['copy_nearest_psnr']:.2f} dB, "
-          f"dataset-mean {base['dataset_mean_psnr']:.2f} dB")
+    print(f"masked-history mean frame: {mean_frame_psnr(eval_ds):.2f} dB")
 
     t0 = time.time()
 

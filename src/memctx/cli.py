@@ -1,23 +1,22 @@
 """Command-line harness: pretrain, finetune, rollout, eval, budget, experiment.
 
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
-unknown key, a value out of range or not finite, a DiT width that is not
-its head count times a multiple of 8, a chunk-position table larger than
-its pool, a condition schedule not starting at frame 0 or a code outside
-the vocabulary), a file that cannot be read or written (missing, a directory,
-no permission: any OSError), a corrupt latent file (bad magic, unsupported version,
-unknown dtype, truncated), two latent files ``eval`` cannot compare
-(another frame shape, or no frames), an ``experiment`` with a negative
-seed or step budget or fewer than one scene (rejected before any
-training runs), a ``budget`` geometry that is not positive and finite or
-reduces to zero tokens, or a checkpoint that does not fit (bad magic,
-unsupported version, truncated file, a parameter name that is not UTF-8,
-a shape or payload larger than the bytes left in the file or that numpy
-cannot hold, unknown dtype, missing, unknown or mis-shaped parameters or
-optimizer state); 3 for a runtime or numeric failure: diverged training,
-or any other ValueError or ArithmeticError.  Argument errors that argparse
-reports (a missing or non-numeric argument, an unknown experiment recipe)
-also exit 2.  All commands are deterministic given config + seed;
+unknown key, a value out of range or not finite, a DiT width that is not its
+head count times a multiple of 8, a condition schedule not starting at frame
+0 or a code outside the vocabulary), a file that cannot be read or written
+(missing, a directory, no permission: any OSError), a corrupt latent file
+(bad magic, unsupported version, unknown dtype, truncated), two latent files
+``eval`` cannot compare (another frame shape, or no frames), an
+``experiment`` with a negative seed or step budget or fewer than one scene
+(rejected before any training runs), a ``budget`` geometry that is not
+positive and finite or reduces to zero tokens, or a checkpoint that does not
+fit (bad magic, unsupported version, truncated file, a parameter name that
+is not UTF-8, a shape or payload larger than the bytes left in the file or
+that numpy cannot hold, unknown dtype, missing, unknown or mis-shaped
+parameters or optimizer state); 3 for a runtime or numeric failure: diverged
+training, or any other ValueError or ArithmeticError.  Argument errors that
+argparse reports (a missing or non-numeric argument, an unknown experiment
+recipe) also exit 2.  All commands are deterministic given config + seed;
 checkpoints are written atomically and training can resume from them.
 """
 

@@ -26,7 +26,7 @@ __all__ = ["CompressionRate", "EncoderModel", "CompressedContext", "Provenance"]
 
 VARIANTS = ("dual", "only_lr", "without_lr", "large_patchifier")
 CHANNELS = (8, 16, 32, 64)  # conv widths of the high-rate branch
-POS_POOL = 65536  # floats every encoder draws for its chunk-position table
+POS_POOL = 65536  # fewest floats an encoder draws for its chunk-position table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,22 +143,6 @@ class _Stream:
         self._view()
 
 
-def position_rows(rate: CompressionRate, chunk_len: int, width: int) -> int:
-    """Rows of the chunk-position table: one per token of a desk-grid chunk.
-
-    Raises ``ValueError`` when ``width``-wide rows for them do not fit in
-    the ``POS_POOL`` floats the table is cut from.
-    """
-    _, h, w, _ = DESK_LATENT
-    n_pos = (chunk_len // rate.r_t) * (h // rate.r_h) * (w // rate.r_w)
-    if n_pos * width > POS_POOL:
-        raise ValueError(
-            f"a desk-grid chunk of {n_pos} tokens exceeds the position pool: "
-            f"{n_pos * width} floats against {POS_POOL}"
-        )
-    return n_pos
-
-
 def _stride_factors(r: int) -> list:
     """Decompose a rate into conv strides: twos first, odd remainder last."""
     out = []
@@ -220,11 +204,13 @@ class EncoderModel:
             self.convs.append(nn.Conv3dLayer(c_in, c_out, kernel, stride, padding, rng))
             c_in = c_out
         self.attn = nn.AttentionLayer(c_in, heads, rng)
-        # every variant draws the same pool, so the parameters drawn after it keep their values
-        pool = rng.normal(0.0, 0.02, size=(POS_POOL,)).astype(default_dtype())
+        # one learned position row per token of a desk-grid chunk, shared across chunks; every
+        # variant draws the same pool of at least POS_POOL floats, so the parameters drawn
+        # after it keep their seeded values
+        _, h, w, _ = DESK_LATENT
+        n_pos = (chunk_len // rate.r_t) * (h // rate.r_h) * (w // rate.r_w)
+        pool = rng.normal(0.0, 0.02, size=(max(POS_POOL, n_pos * c_in),)).astype(default_dtype())
         if variant != "only_lr":
-            # one learned position row per token of a desk-grid chunk, shared across chunks
-            n_pos = position_rows(rate, chunk_len, c_in)
             self.pos = Tensor(pool[: n_pos * c_in].reshape(n_pos, c_in).copy(), requires_grad=True)
         self.hr_proj = nn.Linear(c_in, model_dim, rng)
         self.lr_proj = nn.Linear(latent_channels, model_dim, rng)

@@ -3,9 +3,8 @@
 Unknown keys are rejected with their field path; numbers must be finite
 (``NaN`` and ``Infinity`` are refused) and never ``true``/``false``;
 cross-field constraints (the divisibility of the desk geometry and of the
-DiT's width, a chunk-position table that fits its pool, and a condition
-schedule that starts at frame 0 with codes inside the vocabulary) are
-validated before any compute starts.
+DiT's width, and a condition schedule that starts at frame 0 with codes
+inside the vocabulary) are validated before any compute starts.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .compressor import CHANNELS, VARIANTS, CompressionRate, position_rows
+from .compressor import VARIANTS
 
 __all__ = ["ConfigError", "load_config", "validate_config", "DEFAULTS"]
 
@@ -155,11 +154,6 @@ def validate_config(user: dict) -> dict:
         raise ConfigError(f"latent length {t} not divisible by chunk_len {cfg['encoder']['chunk_len']}")
     if h % r_h or w % r_w:
         raise ConfigError(f"latent extents ({h}, {w}) not divisible by spatial rates ({r_h}, {r_w})")
-    if cfg["encoder"]["variant"] in ("dual", "without_lr"):  # the variants with a chunk-position table
-        try:
-            position_rows(CompressionRate(r_h, r_w, r_t), cfg["encoder"]["chunk_len"], CHANNELS[-1])
-        except ValueError as e:
-            raise ConfigError(f"encoder.chunk_len and encoder.rate: {e}") from None
     # attention splits the width across heads, and the rotary positions split each head's
     # feature pairs into a frame half and row and column quarters
     dim, heads = cfg["dit"]["inner_dim"], cfg["dit"]["heads"]

@@ -18,7 +18,6 @@ from . import seeding
 
 __all__ = [
     "SceneSpec",
-    "LatentVideo",
     "FrameIndexSet",
     "generate_scene",
     "toy_vae_encode",
@@ -73,23 +72,6 @@ class SceneSpec:
             condition_code=int(rng.integers(0, vocab)),
             static=static,
         )
-
-
-@dataclasses.dataclass
-class LatentVideo:
-    """T×H×W×C latent clip plus provenance metadata."""
-
-    data: np.ndarray
-    fps_latent: float
-    source_seed: int
-
-    def __post_init__(self):
-        if self.data.ndim != 4 or self.data.shape[0] < 1:
-            raise ValueError(f"latent video must be (T, H, W, C) with T >= 1, got {self.data.shape}")
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,12 +181,11 @@ LATENT_SHIFT = np.array([0.28, 0.0, 0.0, 0.0], dtype=np.float32)
 LATENT_SCALE = np.array([4.4, 17.5, 17.5, 19.0], dtype=np.float32)
 
 
-def make_latent_scene(spec: SceneSpec, seed: int, pixel_shape=DESK_PIXEL) -> LatentVideo:
-    """Generate a scene and encode it with the toy VAE (standardized channels)."""
+def make_latent_scene(spec: SceneSpec, seed: int, pixel_shape=DESK_PIXEL) -> np.ndarray:
+    """Generate a scene and encode it with the toy VAE, as standardized (T, H, W, C) float32 latents."""
     t, h, w = pixel_shape
     pixels = generate_scene(spec, t, h, w, seed)
-    latents = (toy_vae_encode(pixels) - LATENT_SHIFT) * LATENT_SCALE
-    return LatentVideo(data=latents, fps_latent=24.0 / VAE_RATES[0], source_seed=seed)
+    return (toy_vae_encode(pixels) - LATENT_SHIFT) * LATENT_SCALE
 
 
 def sample_mask_levels(rng: np.random.Generator, count: int, mu=0.0, sigma=1.0) -> np.ndarray:

@@ -97,7 +97,8 @@ def retrieval_loss(
     x_t = (1.0 - t[:, None, None, None, None]) * target + t[:, None, None, None, None] * eps
 
     ctx = phi.compress(masked)
-    pred = g.predict_velocity(x_t, t, c, ctx=ctx, frame_indices=list(omega.indices))
+    memory = g.read_memory(ctx, h.shape[2:4])
+    pred = g.predict_velocity(x_t, t, c, memory, g.row_rope(x_t.shape, omega.indices))
     resid = pred - as_default_dtype(eps - target)
     return resid.square().mean()
 
@@ -112,10 +113,10 @@ def finetune_loss(
     timestep_dist: TimestepDistribution | None = None,
     freeze_encoder: bool = False,
     window_latents=None,
-    window_frame_indices=None,
 ) -> Tensor:
     """Next-clip objective: predict the velocity of the future clip given
-    the compressed history."""
+    the compressed history and, optionally, its last w frames uncompressed
+    as (N, w, H, W, C) ``window_latents``."""
     history = np.asarray(history)
     x0 = np.asarray(x0_future)
     batched = history.ndim == 5
@@ -130,61 +131,37 @@ def finetune_loss(
     eps = rng.standard_normal(x0.shape).astype(h.dtype)
     t = dist.sample(rng, size=n)
     x_t = (1.0 - t[:, None, None, None, None]) * x0 + t[:, None, None, None, None] * eps
-    frame_idx = list(range(h.shape[1], h.shape[1] + x0.shape[1]))
+    frame_idx = range(h.shape[1], h.shape[1] + x0.shape[1])
+    window_frames = 0 if window_latents is None else np.shape(window_latents)[1]
 
     ctx = phi.compress(h)
     if freeze_encoder:
         ctx = dataclasses.replace(ctx, tokens=ctx.tokens.detach())
-    pred = g.predict_velocity(
-        x_t,
-        t,
-        c,
-        ctx=ctx,
-        frame_indices=frame_idx,
-        window_latents=window_latents,
-        window_frame_indices=window_frame_indices,
-    )
+    memory = g.read_memory(ctx, h.shape[2:4])
+    rope = g.row_rope(x_t.shape, frame_idx, window_frames)
+    pred = g.predict_velocity(x_t, t, c, memory, rope, window_latents)
     resid = pred - as_default_dtype(eps - x0)
     return resid.square().mean()
 
 
-def sample(
-    g,
-    ctx,
-    c,
-    shape,
-    seed: int,
-    steps: int = 8,
-    frame_indices=None,
-    window_latents=None,
-    window_frame_indices=None,
-) -> np.ndarray:
+def sample(g, ctx, c, shape, seed: int, frame_indices, steps: int = 8, window_latents=None) -> np.ndarray:
     """Deterministic Euler integration of the learned velocity from t=1 to 0.
 
-    Neither the context's memory nor the rows' rotary angles depend on t, so
-    both are built once, before the loop, and every step reads them.
+    ``shape`` is the clip's (T, H, W, C), at global frames ``frame_indices``;
+    the optional (w, H, W, C) ``window_latents`` sit on the w frames before
+    them.  Neither the context's memory nor the rows' rotary angles depend
+    on t, so both are built once, before the loop, and every step reads them.
     """
     if steps < 1:
         raise ValueError("need at least one integration step")
     rng = seeding.stream(seed, 0x5A3B)
     x = rng.standard_normal(shape).astype(default_dtype())
     dt = 1.0 / steps
+    window = None if window_latents is None else np.asarray(window_latents)[None]
     with no_grad():
         memory = None if ctx is None else g.read_memory(ctx, shape[1:3])
-        window_shape = None if window_latents is None else np.shape(window_latents)
-        rope = g.row_rope(shape, frame_indices, window_shape, window_frame_indices)
+        rope = g.row_rope(shape, frame_indices, 0 if window is None else window.shape[1])
         for i in range(steps):
             t = 1.0 - i * dt
-            v = g.predict_velocity(
-                x[None],
-                t,
-                c,
-                ctx=ctx,
-                frame_indices=frame_indices,
-                window_latents=window_latents,
-                window_frame_indices=window_frame_indices,
-                memory=memory,
-                rope=rope,
-            ).numpy()[0]
-            x = x - dt * v
+            x = x - dt * g.predict_velocity(x[None], t, c, memory, rope, window).numpy()[0]
     return x

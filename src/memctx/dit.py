@@ -7,14 +7,16 @@ prediction.  The compressed history context is read-only memory: each
 block reads the context tokens, plus a context marker, through its own
 ``ln1`` and key/value maps, and puts those keys and values in front of
 the keys and values of its rows.  No block queries, modulates or updates
-a context token, so the memory does not depend on the timestep and a
-sampler builds it once per clip (``DiTModel.read_memory``).  Positions
+a context token, so the memory does not depend on the timestep.  Positions
 are rotary: queries and keys turn by their (frame, grid row, grid column),
 a memory key by its provenance, so scores depend on offsets and frames
-have no upper bound.  The velocity reads only the target rows, so the
-last block queries only the target tokens.  All linear maps can be
-wrapped with low-rank adapters for fine-tuning; parameters are named by
-their place in the model, adapters beside their frozen bases.
+have no upper bound.  ``predict_velocity`` takes one input form: its
+caller builds the memory (``DiTModel.read_memory``) and the rows' angles
+(``DiTModel.row_rope``), as a sampler does once per clip.  The velocity
+reads only the target rows, so the last block queries only the target
+tokens.  All linear maps can be wrapped with low-rank adapters for
+fine-tuning; parameters are named by their place in the model, adapters
+beside their frozen bases.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ class DiTModel:
 
     def _positions(self, shape, frame_indices) -> np.ndarray:
         """(3, L) int (frame, grid row, grid column) of the patch tokens of latents of ``shape``."""
-        frames = np.arange(shape[-4]) if frame_indices is None else np.asarray(frame_indices, dtype=np.int64)
+        frames = np.asarray(frame_indices, dtype=np.int64)
         if len(frames) != shape[-4]:
             raise ValueError("need one global frame index per target frame")
         positions = np.indices(self._grid(shape)).reshape(3, -1)  # t-major, as patchify orders tokens
@@ -227,16 +229,18 @@ class DiTModel:
         cos, sin = np.cos(theta), np.sin(theta)
         return tuple(np.concatenate(halves, 1).astype(default_dtype()) for halves in ((cos, cos), (-sin, sin)))
 
-    def row_rope(self, shape, frame_indices=None, window_shape=None, window_frame_indices=None):
-        """The rows' (cos, sin) for target latents of ``shape`` (and a window of ``window_shape``).
+    def row_rope(self, shape, frame_indices, window_frames: int = 0):
+        """The rows' (cos, sin) for target latents of ``shape`` at global frames ``frame_indices``.
 
-        The rows are the condition row, which does not turn, then the
-        window's patches and the target's, at the global frames that
-        ``predict_velocity`` gets.  Shapes are (…, T, H, W, C).
+        The rows are the condition row, which does not turn, then the patches
+        of a window of ``window_frames`` latents on the frames just before
+        ``frame_indices[0]``, then the target's patches.  ``shape`` is
+        (…, T, H, W, C); frame indices have no upper bound.
         """
         positions = [np.zeros((3, 1), np.int64)]
-        if window_shape is not None:
-            positions.append(self._positions(window_shape, window_frame_indices))
+        if window_frames:
+            window = range(frame_indices[0] - window_frames, frame_indices[0])
+            positions.append(self._positions((window_frames,) + tuple(shape[-3:]), window))
         positions.append(self._positions(shape, frame_indices))
         return self._rope(np.concatenate(positions, axis=1))
 
@@ -253,66 +257,38 @@ class DiTModel:
         target, so a context's memory is built once and read at every Euler
         step.  Returns one (K, V) pair of (N, L, inner_dim) tensors per block.
         """
-        tokens = as_default_dtype(ctx.tokens)
-        if tokens.ndim == 2:
-            tokens = tokens.reshape((1,) + tokens.shape)
         _, ph, pw = self.patch
         _, t0, _, h0, w0 = ctx.provenance.records.T
         hp = np.minimum(h0 // ph, latent_hw[0] // ph - 1)
         wp = np.minimum(w0 // pw, latent_hw[1] // pw - 1)
         rope = self._rope(np.stack([t0, hp, wp]))
-        mem = tokens + self.ctx_emb.table
+        mem = as_default_dtype(ctx.tokens) + self.ctx_emb.table
         return [block.attn.keys_values(block.ln1(mem), rope) for block in self.blocks]
 
-    def predict_velocity(
-        self,
-        x_t,
-        t,
-        c,
-        ctx: CompressedContext | None = None,
-        frame_indices=None,
-        window_latents=None,
-        window_frame_indices=None,
-        memory=None,
-        rope=None,
-    ) -> Tensor:
-        """Predict the flow velocity for the target clip.
+    def predict_velocity(self, x_t, t, c, memory, rope, window_latents=None) -> Tensor:
+        """Predict the flow velocity of target latents ``x_t`` of shape (N, T, H, W, C).
 
-        ``frame_indices`` give the global time position of each target
-        frame (retrieval targets sit at their history indices); frame
-        indices have no upper bound.  The optional window latents enter
-        uncompressed through the patchifier.
-        ``memory`` is ``read_memory(ctx, …)`` built beforehand, as a sampler
-        does once per clip; when it is None the memory is built here from
-        ``ctx``.  A memory of batch 1 is shared by every sample of the batch.
-        ``rope`` is likewise ``row_rope(…)`` of these rows, built here when None.
-        Float inputs, the context tokens included, are cast to the default dtype.
+        ``memory`` is ``read_memory(ctx, (H, W))`` of a batch-N context, or
+        None for no context; ``rope`` is ``row_rope(x_t.shape, frame_indices,
+        window_frames)`` for the global frames of the target (retrieval
+        targets sit at their history indices).  Neither depends on ``t``, so
+        a sampler builds both once per clip.  The optional (N, w, H, W, C)
+        window latents enter uncompressed through the patchifier, at the
+        frames ``rope`` gives them.  Float inputs are cast to the default
+        dtype.
         """
         x_t = as_default_dtype(x_t)
-        if x_t.ndim == 4:
-            x_t = x_t.reshape((1,) + x_t.shape)
         n = x_t.shape[0]
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
         if np.any(t_arr <= 0) or np.any(t_arr > 1):
             raise ValueError("timestep must lie in (0, 1]")
-
-        if memory is None and ctx is not None:
-            memory = self.read_memory(ctx, (x_t.shape[2], x_t.shape[3]))
         if memory is None:
             memory = [None] * len(self.blocks)
-        elif n > 1 and memory[0][0].shape[0] == 1:
-            memory = [(concat([k] * n, axis=0), concat([v] * n, axis=0)) for k, v in memory]
 
         c_idx = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
         segments = [self.cond_emb(c_idx).reshape(n, 1, self.inner_dim)]
         if window_latents is not None:
-            win = as_default_dtype(window_latents)
-            if win.ndim == 4:
-                win = win.reshape((1,) + win.shape)
-            segments.append(self.patchify(win))
-        if rope is None:
-            window_shape = None if window_latents is None else win.shape
-            rope = self.row_rope(x_t.shape, frame_indices, window_shape, window_frame_indices)
+            segments.append(self.patchify(window_latents))
         tgt_tokens = self.patchify(x_t)
         segments.append(tgt_tokens)
         tokens = concat(segments, axis=1)

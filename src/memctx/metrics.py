@@ -15,7 +15,6 @@ __all__ = [
     "budget_table",
     "psnr",
     "ssim",
-    "retrieval_baselines",
     "PSNR_CAP_DB",
     "LATENT_DYNAMIC_RANGE",
 ]
@@ -204,23 +203,3 @@ def ssim(
             scores.append(np.mean(num / den))
     return float(np.mean(scores))
 
-
-def retrieval_baselines(history: np.ndarray, omega) -> dict:
-    """Non-learned reconstructions of the masked frames.
-
-    copy_nearest: each masked frame replaced by the nearest clean frame.
-    dataset_mean: every masked frame replaced by the history's mean frame.
-    Returned arrays cover the masked positions in index order.
-    """
-    clean = sorted(omega.indices)
-    masked = sorted(set(range(omega.total_frames)) - set(clean))
-    mean_frame = history.mean(axis=0)
-    nearest = []
-    for f in masked:
-        src = min(clean, key=lambda i: (abs(i - f), i))
-        nearest.append(history[src])
-    return {
-        "masked_indices": masked,
-        "copy_nearest": np.stack(nearest) if masked else np.empty((0,) + history.shape[1:]),
-        "dataset_mean": np.broadcast_to(mean_frame, (len(masked),) + history.shape[1:]).copy(),
-    }

@@ -101,8 +101,6 @@ class RolloutSession:
         """Generate the next clip, append it to history, extend the context."""
         base = self.generated_frames
         shape = self._clip_shape()
-        window = self.window_latents()
-        win_idx = None if window is None else list(range(base - window.shape[0], base))
         clip = diffusion.sample(
             self.dit,
             self.ctx,
@@ -110,9 +108,8 @@ class RolloutSession:
             shape,
             seed=(self.seed, self.steps_taken),
             steps=self.sample_steps,
-            frame_indices=list(range(base, base + self.clip_len)),
-            window_latents=window,
-            window_frame_indices=win_idx,
+            frame_indices=range(base, base + self.clip_len),
+            window_latents=self.window_latents(),
         )
         self._append(clip)
         self.steps_taken += 1

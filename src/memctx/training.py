@@ -15,7 +15,6 @@ __all__ = [
     "pretrain_retrieval",
     "finetune_next_clip",
     "evaluate_retrieval",
-    "evaluate_retrieval_baselines",
 ]
 
 DESK_GEOMETRY = data.DESK_LATENT  # (24, 8, 8, 4)
@@ -26,7 +25,7 @@ def make_dataset(seed: int, n_scenes: int, vocab: int = 16, static: bool = False
     out = []
     for i in range(n_scenes):
         spec = data.SceneSpec.random((seed, i), static=static, vocab=vocab)
-        out.append((data.make_latent_scene(spec, (seed, i, 1)).data, spec.condition_code))
+        out.append((data.make_latent_scene(spec, (seed, i, 1)), spec.condition_code))
     return out
 
 
@@ -137,12 +136,7 @@ def finetune_next_clip(
             [dataset[i][0][split * chunk_len : (split + 1) * chunk_len] for i in idx]
         )
         cond = np.asarray([dataset[i][1] for i in idx])
-        window = None
-        win_idx = None
-        if window_frames > 0:
-            w = min(window_frames, h.shape[1])
-            window = h[:, -w:]
-            win_idx = list(range(h.shape[1] - w, h.shape[1]))
+        window = h[:, -window_frames:] if window_frames > 0 else None
         return diffusion.finetune_loss(
             g,
             enc,
@@ -152,7 +146,6 @@ def finetune_next_clip(
             seed=(seed, 0x3F1, step),
             freeze_encoder=freeze_encoder,
             window_latents=window,
-            window_frame_indices=win_idx,
         )
 
     return _train(enc, g, batch_loss, steps, lr, optimizer, start_step, on_step)
@@ -203,16 +196,3 @@ def evaluate_retrieval(
         "per_scene": scores,
     }
 
-
-def evaluate_retrieval_baselines(dataset, seed: int, n_eval: int = 6, max_targets: int = 4):
-    """Baseline-only variant of the retrieval evaluation (no model needed)."""
-    res_a, res_b = [], []
-    for k in range(n_eval):
-        lat, _ = dataset[k % len(dataset)]
-        t_h = lat.shape[0]
-        omega = data.sample_omega(t_h, (seed, 0xE7A1, k), policy="uniform")
-        base = metrics.retrieval_baselines(lat, omega)
-        midx = base["masked_indices"]
-        res_a.append(metrics.psnr(base["copy_nearest"], lat[midx]))
-        res_b.append(metrics.psnr(base["dataset_mean"], lat[midx]))
-    return {"copy_nearest_psnr": float(np.mean(res_a)), "dataset_mean_psnr": float(np.mean(res_b))}

@@ -121,8 +121,8 @@ def _tiny_dit_fd_case():
             tokens=Tensor(x0.reshape(2, 4, 16)), provenance=prov, span_frames=8
         )
         pred = g.predict_velocity(
-            0.1 * x0 + 0.9 * eps, np.full(2, 0.9), c=np.zeros(2, dtype=int),
-            ctx=ctx, frame_indices=[0],
+            0.1 * x0 + 0.9 * eps, np.full(2, 0.9), np.zeros(2, dtype=int),
+            g.read_memory(ctx, (4, 4)), g.row_rope(x0.shape, [0]),
         )
         return (pred - Tensor(eps - x0)).square().mean()
 
@@ -228,9 +228,10 @@ def test_lora_wrap_is_pointwise_identity():
     enc, g, hist, clip = _history_ctx_and_clip(21)
     with no_grad():
         ctx = enc.compress(hist)
-        before = g.predict_velocity(clip, 0.8, 2, ctx=ctx, frame_indices=[1, 4, 7, 9]).numpy()
+        rope = g.row_rope((1,) + clip.shape, [1, 4, 7, 9])
+        before = g.predict_velocity(clip[None], 0.8, 2, g.read_memory(ctx, (8, 8)), rope).numpy()
         g.enable_lora(rank=4, rng=seeding.stream(22, 0xAB))
-        after = g.predict_velocity(clip, 0.8, 2, ctx=ctx, frame_indices=[1, 4, 7, 9]).numpy()
+        after = g.predict_velocity(clip[None], 0.8, 2, g.read_memory(ctx, (8, 8)), rope).numpy()
     assert np.array_equal(before, after)
 
 

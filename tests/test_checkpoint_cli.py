@@ -448,16 +448,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
         ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
         ({"diffusion": {"mu": float("nan")}}, "diffusion.mu: nan"),
-        ({"encoder": {"chunk_len": 24, "rate": [1, 1, 1]}}, "chunk of 1536 tokens exceeds the position pool"),
-        (
-            {"encoder": {"chunk_len": 24, "rate": [1, 1, 1], "variant": "without_lr"}},
-            "chunk of 1536 tokens exceeds the position pool",
-        ),
     ],
-    ids=[
-        "heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu",
-        "position_pool_dual", "position_pool_without_lr",
-    ],
+    ids=["heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu"],
 )
 def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, override, message):
     """Each of these validated and then failed mid-run (or trained on a non-finite constant)."""

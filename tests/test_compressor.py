@@ -278,8 +278,17 @@ def test_chunk_position_table_is_built_for_the_desk_grid(variant):
         enc.compress(_history(3, h=16, w=16))
     with pytest.raises(ValueError, match="chunk of 64 tokens"):
         enc.compress_streaming(None, _history(3, t=8, h=16, w=16))
-    with pytest.raises(ValueError, match="chunk of 1536 tokens exceeds the position pool"):
-        _encoder((1, 1, 1), variant=variant, chunk_len=24)
+
+
+@pytest.mark.parametrize("variant", ["dual", "without_lr"])
+def test_a_full_rate_chunk_of_the_whole_history_gets_its_table(variant):
+    """A 24-frame chunk at rate 1x1x1 holds 1,536 tokens; its position table is drawn
+    past the 65,536-float pool and the encoder compresses a 24-frame history with it."""
+    enc = _encoder((1, 1, 1), variant=variant, chunk_len=24)
+    assert enc.named_parameters()["enc.pos"].shape == (1536, 64)
+    with no_grad():
+        ctx = enc.compress(_history(5))
+    assert ctx.tokens.shape == (1, 1536, 64) and np.isfinite(ctx.tokens.numpy()).all()
 
 
 @pytest.mark.parametrize("variant", ["dual", "only_lr", "without_lr", "large_patchifier"])

@@ -76,7 +76,7 @@ def test_vae_divisibility_error():
 
 def test_latent_standardization_near_unit_variance():
     lats = np.concatenate(
-        [data.make_latent_scene(data.SceneSpec.random((50, i)), (50, i)).data for i in range(12)]
+        [data.make_latent_scene(data.SceneSpec.random((50, i)), (50, i)) for i in range(12)]
     )
     stds = lats.reshape(-1, 4).std(axis=0)
     assert np.all(stds > 0.6) and np.all(stds < 1.6)

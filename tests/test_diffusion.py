@@ -150,7 +150,13 @@ class ZeroVelocity:
     def compress(self, history):
         return None
 
-    def predict_velocity(self, x_t, t, c, **kw):
+    def read_memory(self, ctx, latent_hw):
+        return None
+
+    def row_rope(self, shape, frame_indices, window_frames=0):
+        return None
+
+    def predict_velocity(self, x_t, t, c, memory, rope, window_latents=None):
         self.x_t = np.asarray(x_t)
         return Tensor(np.zeros(self.x_t.shape, np.float32))
 
@@ -206,10 +212,10 @@ class _ConstantVelocity:
     def __init__(self, v):
         self.v = v
 
-    def row_rope(self, *args):
+    def row_rope(self, shape, frame_indices, window_frames=0):
         return None
 
-    def predict_velocity(self, x_t, t, c, **kw):
+    def predict_velocity(self, x_t, t, c, memory, rope, window_latents=None):
         n = np.asarray(x_t).shape[0]
         return Tensor(np.broadcast_to(self.v, (n,) + self.v.shape).copy())
 
@@ -220,7 +226,7 @@ def test_sampler_exact_on_constant_field():
     v = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
     stub = _ConstantVelocity(v)
     for steps in (1, 3, 8):
-        out = diffusion.sample(stub, None, c=0, shape=(2, 8, 8, 4), seed=21, steps=steps)
+        out = diffusion.sample(stub, None, c=0, shape=(2, 8, 8, 4), seed=21, frame_indices=[0, 1], steps=steps)
         eps = seeding.stream(21, 0x5A3B).standard_normal((2, 8, 8, 4)).astype(np.float32)
         assert np.allclose(out, eps - v, atol=1e-5)
 
@@ -240,4 +246,4 @@ def test_sampler_deterministic():
 def test_sampler_validation():
     with pytest.raises(ValueError):
         diffusion.sample(_ConstantVelocity(np.zeros((1, 2, 2, 4), np.float32)), None, 0,
-                         (1, 2, 2, 4), seed=0, steps=0)
+                         (1, 2, 2, 4), seed=0, frame_indices=[0], steps=0)

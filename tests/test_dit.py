@@ -71,8 +71,8 @@ def test_velocity_zero_at_init():
     enc, g = training.build_models(0)
     hist = np.random.default_rng(2).normal(size=(24, 8, 8, 4)).astype(np.float32)
     with no_grad():
-        ctx = enc.compress(hist)
-        v = g.predict_velocity(_clip(3), 0.5, c=1, ctx=ctx, frame_indices=[4, 9]).numpy()
+        memory = g.read_memory(enc.compress(hist), (8, 8))
+        v = g.predict_velocity(_clip(3), 0.5, 1, memory, g.row_rope((1, 2, 8, 8, 4), [4, 9])).numpy()
     assert np.all(v == 0.0)
 
 
@@ -82,9 +82,10 @@ def test_forward_deterministic_and_shaped():
     hist = np.random.default_rng(4).normal(size=(24, 8, 8, 4)).astype(np.float32)
     x = _clip(5, n=2)
     with no_grad():
-        ctx = enc.compress(hist)
-        a = g.predict_velocity(x, [0.4, 0.9], c=[1, 2], ctx=ctx, frame_indices=[4, 9]).numpy()
-        b = g.predict_velocity(x, [0.4, 0.9], c=[1, 2], ctx=ctx, frame_indices=[4, 9]).numpy()
+        memory = g.read_memory(enc.compress(np.stack([hist] * 2)), (8, 8))
+        rope = g.row_rope(x.shape, [4, 9])
+        a = g.predict_velocity(x, [0.4, 0.9], [1, 2], memory, rope).numpy()
+        b = g.predict_velocity(x, [0.4, 0.9], [1, 2], memory, rope).numpy()
     assert a.shape == x.shape
     assert np.array_equal(a, b)
 
@@ -101,10 +102,11 @@ def test_no_grad_forward_equals_taped_forward_bitwise():
     x = _clip(24)
     with no_grad():
         ctx = enc.compress(hist)
-    kw = dict(ctx=ctx, frame_indices=[4, 9], window_latents=hist[-2:], window_frame_indices=[22, 23])
-    taped = g.predict_velocity(x, 0.8, 1, **kw)
+    # a window on frames 2 and 3, just before the targets at 4 and 9
+    args = (g.read_memory(ctx, (8, 8)), g.row_rope(x.shape, [4, 9], 2), hist[None, -2:])
+    taped = g.predict_velocity(x, 0.8, 1, *args)
     with no_grad():
-        fused = g.predict_velocity(x, 0.8, 1, **kw)
+        fused = g.predict_velocity(x, 0.8, 1, *args)
     assert taped.requires_grad and not fused.requires_grad
     assert np.any(fused.numpy() != 0.0)
     assert np.array_equal(fused.numpy(), taped.numpy())
@@ -140,10 +142,9 @@ def test_target_only_last_block_matches_the_joint_forward(dtype, tol):
         def forward_and_grads():
             for p in named.values():
                 p.grad = None
-            v = g.predict_velocity(
-                x, [0.4, 0.9], c=[1, 2], ctx=enc.compress(hist), frame_indices=[4, 9],
-                window_latents=np.stack([hist[-2:]] * 2), window_frame_indices=[22, 23],
-            )
+            memory = g.read_memory(enc.compress(np.stack([hist] * 2)), (8, 8))
+            rope = g.row_rope(x.shape, [4, 9], 2)
+            v = g.predict_velocity(x, [0.4, 0.9], [1, 2], memory, rope, np.stack([hist[-2:]] * 2))
             backward((v * probe).sum())
             return v.numpy(), {name: p.grad for name, p in named.items()}
 
@@ -160,9 +161,9 @@ def test_target_only_last_block_matches_the_joint_forward(dtype, tol):
 def test_forward_validation():
     g = _model()
     with pytest.raises(ValueError, match="timestep"):
-        g.predict_velocity(_clip(0), 0.0, c=0)
+        g.predict_velocity(_clip(0), 0.0, 0, None, g.row_rope((1, 2, 8, 8, 4), [0, 1]))
     with pytest.raises(ValueError, match="frame index"):
-        g.predict_velocity(_clip(0), 0.5, c=0, frame_indices=[1, 2, 3])
+        g.row_rope((1, 2, 8, 8, 4), [1, 2, 3])
     with pytest.raises(ValueError, match="4 heads of a multiple of 8 features"):
         _model(inner_dim=48)  # heads of 12 features cannot split their pairs in half and quarters
 
@@ -173,9 +174,10 @@ def test_context_changes_output_after_head_unlock():
     h1 = np.random.default_rng(7).normal(size=(24, 8, 8, 4)).astype(np.float32)
     h2 = np.random.default_rng(8).normal(size=(24, 8, 8, 4)).astype(np.float32)
     x = _clip(9)
+    rope = g.row_rope(x.shape, [0, 1])
     with no_grad():
-        v1 = g.predict_velocity(x, 0.5, 0, ctx=enc.compress(h1), frame_indices=[0, 1]).numpy()
-        v2 = g.predict_velocity(x, 0.5, 0, ctx=enc.compress(h2), frame_indices=[0, 1]).numpy()
+        v1 = g.predict_velocity(x, 0.5, 0, g.read_memory(enc.compress(h1), (8, 8)), rope).numpy()
+        v2 = g.predict_velocity(x, 0.5, 0, g.read_memory(enc.compress(h2), (8, 8)), rope).numpy()
     assert not np.array_equal(v1, v2)
 
 
@@ -285,7 +287,7 @@ def test_fused_block_stages_equal_the_composed_block_bitwise(dtype):
             for p in named.values():
                 p.grad = None
             loss = diffusion.finetune_loss(g, enc, hist[:, :16], hist[:, 16:], [0, 3], seed=4,
-                                           window_latents=hist[:, 12:16], window_frame_indices=[12, 13, 14, 15])
+                                           window_latents=hist[:, 12:16])
             loss = loss + diffusion.retrieval_loss(g, enc, hist, omega, [1, 2], seed=5)
             backward(loss)
             return loss.item(), {name: p.grad for name, p in named.items()}
@@ -310,9 +312,9 @@ def test_lora_is_exact_identity_at_enable():
     x = _clip(12)
     with no_grad():
         ctx = enc.compress(hist)
-        before = g.predict_velocity(x, 0.7, 3, ctx=ctx, frame_indices=[2, 5]).numpy()
+        before = g.predict_velocity(x, 0.7, 3, g.read_memory(ctx, (8, 8)), g.row_rope(x.shape, [2, 5])).numpy()
         g.enable_lora(rank=4, rng=seeding.stream(2, 0xAB))
-        after = g.predict_velocity(x, 0.7, 3, ctx=ctx, frame_indices=[2, 5]).numpy()
+        after = g.predict_velocity(x, 0.7, 3, g.read_memory(ctx, (8, 8)), g.row_rope(x.shape, [2, 5])).numpy()
     assert np.array_equal(before, after)
     with pytest.raises(ValueError, match="already"):
         g.enable_lora(rank=4, rng=seeding.stream(3, 0xAB))
@@ -377,6 +379,21 @@ def test_rotary_scores_depend_only_on_the_frame_offset(delta):
     assert np.all(cos == 1) and np.all(sin == 0)
 
 
+def test_row_angles_place_the_window_on_the_frames_before_the_first_target():
+    """``row_rope``'s rows are the unturned condition row, then a window of w latents at
+    frames first - w … first - 1, then the targets at their own frames."""
+    g = _model()
+    shape = (1, 2, 8, 8, 4)
+    cond = np.zeros((3, 1), np.int64)
+    window = g._positions((3, 8, 8, 4), [7, 8, 9])
+    expected = g._rope(np.concatenate([cond, window, g._positions(shape, [10, 14])], axis=1))
+    for got, want in zip(g.row_rope(shape, [10, 14], 3), expected):
+        assert np.array_equal(got, want)
+    no_window = g._rope(np.concatenate([cond, g._positions(shape, [10, 14])], axis=1))
+    for got, want in zip(g.row_rope(shape, [10, 14]), no_window):
+        assert np.array_equal(got, want)
+
+
 # -- read-only memory ------------------------------------------------------------------
 
 
@@ -408,13 +425,15 @@ def test_sample_with_the_hoisted_memory_equals_the_plain_euler_loop():
     """Building the memory once per clip gives the clip an Euler loop that builds it every step gives, bitwise."""
     enc, g = _unlocked()
     hist = np.random.default_rng(41).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    kw = dict(frame_indices=list(range(24, 32)), window_latents=hist[-2:], window_frame_indices=[22, 23])
+    frames = list(range(24, 32))
     with no_grad():
         ctx = enc.compress(hist)
-        clip = diffusion.sample(g, ctx, 3, (8, 8, 8, 4), seed=7, steps=4, **kw)
+        clip = diffusion.sample(g, ctx, 3, (8, 8, 8, 4), seed=7, steps=4, frame_indices=frames,
+                                window_latents=hist[-2:])
         x = seeding.stream(7, 0x5A3B).standard_normal((8, 8, 8, 4)).astype(np.float32)
         for i in range(4):
-            x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, ctx=ctx, **kw).numpy()[0]
+            memory, rope = g.read_memory(ctx, (8, 8)), g.row_rope((8, 8, 8, 4), frames, 2)
+            x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, memory, rope, hist[None, -2:]).numpy()[0]
     assert np.abs(clip).max() > 0
     assert np.array_equal(clip, x)
 
@@ -424,7 +443,7 @@ def test_sample_with_angles_hoisted_out_of_the_euler_loop_equals_the_per_step_lo
     (with the same hoisted memory) gives the same clip, bitwise."""
     enc, g = _unlocked()
     hist = np.random.default_rng(49).normal(size=(24, 8, 8, 4)).astype(np.float32)
-    kw = dict(frame_indices=list(range(24, 32)), window_latents=hist[-2:], window_frame_indices=[22, 23])
+    frames = list(range(24, 32))
     builds = []
     original = DiTModel._rope
 
@@ -435,12 +454,14 @@ def test_sample_with_angles_hoisted_out_of_the_euler_loop_equals_the_per_step_lo
     monkeypatch.setattr(DiTModel, "_rope", counting)
     with no_grad():
         ctx = enc.compress(hist)
-        clip = diffusion.sample(g, ctx, 3, (8, 8, 8, 4), seed=8, steps=4, **kw)
+        clip = diffusion.sample(g, ctx, 3, (8, 8, 8, 4), seed=8, steps=4, frame_indices=frames,
+                                window_latents=hist[-2:])
         assert builds == [ctx.length, 1 + 2 * 16 + 8 * 16]  # the memory's angles, then the rows'
         memory = g.read_memory(ctx, (8, 8))
         x = seeding.stream(8, 0x5A3B).standard_normal((8, 8, 8, 4)).astype(np.float32)
         for i in range(4):
-            x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, memory=memory, **kw).numpy()[0]
+            rope = g.row_rope((8, 8, 8, 4), frames, 2)
+            x = x - 0.25 * g.predict_velocity(x[None], 1.0 - i * 0.25, 3, memory, rope, hist[None, -2:]).numpy()[0]
     assert len(builds) == 2 + 1 + 4
     assert np.abs(clip).max() > 0
     assert np.array_equal(clip, x)
@@ -468,11 +489,12 @@ def test_read_memory_runs_once_per_clip_and_does_not_depend_on_t(monkeypatch):
     for step in range(1, 8):
         for b in range(len(g.blocks)):
             assert calls[step * len(g.blocks) + b][2] is calls[b][2]
-    # a memory built inside predict_velocity at another t is bitwise the same
+    # a memory built again for a call at another t is bitwise the same
     del calls[:]
+    rope = g.row_rope((1, 8, 8, 8, 4), range(16, 24))
     with no_grad():
         for t in (0.9, 0.2):
-            g.predict_velocity(_clip(43, t=8), t, 0, ctx=ctx, frame_indices=list(range(16, 24)))
+            g.predict_velocity(_clip(43, t=8), t, 0, g.read_memory(ctx, (8, 8)), rope)
     for b in range(len(g.blocks)):
         for i in (0, 1):
             assert np.array_equal(calls[b][2][i].numpy(), calls[len(g.blocks) + b][2][i].numpy())
@@ -486,14 +508,12 @@ def test_no_block_queries_a_context_row(monkeypatch, window):
     calls = _attention_calls(monkeypatch)
     hist = np.random.default_rng(44).normal(size=(2, 24, 8, 8, 4)).astype(np.float32)
     omega = data.sample_omega(24, (0, 1))
-    kw = {}
-    if window:
-        kw = dict(window_latents=hist[:, -window:], window_frame_indices=list(range(24 - window, 24)))
     ctx = enc.compress(hist)
     target = len(omega.indices) * 16  # 2x2 patches of an 8x8 frame
     rows = 1 + window * 16 + target
     x = np.zeros((2, len(omega.indices), 8, 8, 4), np.float32)
-    g.predict_velocity(x, [0.5, 0.7], [0, 1], ctx=ctx, frame_indices=list(omega.indices), **kw)
+    rope = g.row_rope(x.shape, omega.indices, window)
+    g.predict_velocity(x, [0.5, 0.7], [0, 1], g.read_memory(ctx, (8, 8)), rope, hist[:, -window:] if window else None)
     dit_calls = calls[-len(g.blocks):]
     assert [q for q, _, _ in dit_calls] == [rows] * (len(g.blocks) - 1) + [target]
     assert all(kv == rows for _, kv, _ in dit_calls)

@@ -28,7 +28,7 @@ def _dtypes(variant, history):
     out["retrieval_tape"] = {n.dtype.name for n in _tape(loss)}
     loss = diffusion.finetune_loss(
         g, enc, history[:, :16], history[:, 16:], [0, 1], seed=3,
-        window_latents=history[:, 12:16], window_frame_indices=[12, 13, 14, 15],
+        window_latents=history[:, 12:16],
     )
     out["finetune_tape"] = {n.dtype.name for n in _tape(loss)}
     with no_grad():

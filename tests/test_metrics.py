@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memctx import data, metrics
+from memctx import metrics
 from memctx.compressor import CompressionRate, EncoderModel
 from memctx.seeding import stream
 
@@ -186,55 +186,3 @@ def test_ssim_symmetry():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
     assert metrics.ssim(a, b) == pytest.approx(metrics.ssim(b, a), abs=1e-12)
-
-
-# -- retrieval baselines ----------------------------------------------------------
-
-
-def _omega(indices, total):
-    masked = sorted(set(range(total)) - set(indices))
-    rng = np.random.default_rng(0)
-    levels = {f: float(l) for f, l in zip(masked, data.sample_mask_levels(rng, len(masked)))}
-    return data.FrameIndexSet(indices=tuple(indices), mask_noise_levels=levels, total_frames=total)
-
-
-def test_baselines_static_scene_copy_hits_cap():
-    spec = data.SceneSpec.random(5, static=True)
-    lat = data.make_latent_scene(spec, 5).data
-    omega = _omega([0, 7], lat.shape[0])
-    base = metrics.retrieval_baselines(lat, omega)
-    masked = base["masked_indices"]
-    assert metrics.psnr(base["copy_nearest"], lat[masked]) == metrics.PSNR_CAP_DB
-
-
-def test_baselines_all_frames_selected():
-    lat = np.zeros((4, 8, 8, 4), dtype=np.float32)
-    omega = _omega([0, 1, 2, 3], 4)
-    base = metrics.retrieval_baselines(lat, omega)
-    assert base["masked_indices"] == []
-    assert base["copy_nearest"].shape == (0, 8, 8, 4)
-
-
-def test_baselines_moving_scene_fixture():
-    """Direct-evaluation fixture on one moving-sprite scene."""
-    spec = data.SceneSpec.random(11)
-    lat = data.make_latent_scene(spec, 11).data
-    omega = _omega([3, 12, 20], lat.shape[0])
-    base = metrics.retrieval_baselines(lat, omega)
-    masked = base["masked_indices"]
-    copy_db = metrics.psnr(base["copy_nearest"], lat[masked])
-    mean_db = metrics.psnr(base["dataset_mean"], lat[masked])
-    # hand-computed oracle for copy-nearest on this fixture
-    nearest = np.stack([lat[min([3, 12, 20], key=lambda i: (abs(i - f), i))] for f in masked])
-    expected = 10 * math.log10(36.0 / np.mean((nearest - lat[masked]) ** 2))
-    assert copy_db == pytest.approx(expected, abs=1e-5)
-    assert 5.0 < copy_db < 40.0 and 5.0 < mean_db < 40.0
-
-
-def test_baselines_nearest_selection_tie_goes_low():
-    lat = np.arange(4, dtype=np.float32)[:, None, None, None] * np.ones((1, 2, 2, 4), np.float32)
-    omega = _omega([0, 2], 4)
-    base = metrics.retrieval_baselines(lat, omega)
-    # frame 1 ties between clean frames 0 and 2; the lower index wins
-    assert np.allclose(base["copy_nearest"][0], lat[0])
-    assert np.allclose(base["copy_nearest"][1], lat[2])

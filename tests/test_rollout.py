@@ -10,7 +10,7 @@ from memctx.rollout import RolloutSession
 def _session(seed=0, **kw):
     enc, g = training.build_models(0, rate=(4, 4, 2))
     spec = data.SceneSpec.random(5, static=True)
-    seed_clip = data.make_latent_scene(spec, 5, pixel_shape=(32, 64, 64)).data  # 8 latent frames
+    seed_clip = data.make_latent_scene(spec, 5, pixel_shape=(32, 64, 64))  # 8 latent frames
     return RolloutSession(g, enc, seed=seed, seed_clip=seed_clip, **kw), seed_clip
 
 
