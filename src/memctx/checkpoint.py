@@ -2,8 +2,9 @@
 
 Layout: magic "MCCK", version, sha256 config digest, training step
 counter, then a named parameter table of row-major arrays, then an
-optional optimizer-state table in the same layout.  Writes are atomic
-(temp file + rename) and loads round-trip every array bitwise.
+optional optimizer-state table in the same layout, which ends the file.
+Writes are atomic (temp file + rename) and loads round-trip every array
+bitwise.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ def load_checkpoint(path: str, config: dict | None = None):
         params = _read_table(f)
         (has_opt,) = _unpack(f, "<B")
         opt = _read_table(f) if has_opt else None
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise CheckpointMismatch(f"checkpoint {path} has {extra} bytes after its end")
     if config is not None and digest != config_digest(config):
         warnings.warn(f"checkpoint {path} was written under a different config", stacklevel=2)
     return params, step, opt

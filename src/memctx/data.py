@@ -3,6 +3,11 @@
 Synthetic sprite scenes with persistent object identity, a fixed linear
 "toy VAE" that turns pixel videos into 4-channel latents, random frame
 index sets with noise-as-mask levels, and the MCTX binary latent format.
+
+Latents are bitwise reproducible, because the encoder adds in one fixed
+float32 order: each 8-pixel block row pairwise, its 4-pixel halves left to
+right, then the rows of a block one at a time from zero, frame by frame
+(``toy_vae_encode``).
 """
 
 from __future__ import annotations
@@ -96,7 +101,9 @@ def generate_scene(spec: SceneSpec, t_pixel: int, h_pixel: int, w_pixel: int, se
     """Render a (T, H, W, 1) pixel video in [0, 1], deterministic in (spec, seed).
 
     Sprites move smoothly (bouncing) within a shot; a shot change
-    repositions everything while keeping sprite identities fixed.
+    repositions everything while keeping sprite identities fixed.  Each
+    sprite's corners for a whole shot are computed as arrays, then painted
+    frame by frame in sprite order, so later sprites cover earlier ones.
     """
     rt, rh, rw = VAE_RATES
     for name, extent, rate in (("T", t_pixel, rt), ("H", h_pixel, rh), ("W", w_pixel, rw)):
@@ -115,54 +122,63 @@ def generate_scene(spec: SceneSpec, t_pixel: int, h_pixel: int, w_pixel: int, se
         ang = rng.uniform(0, 2 * np.pi, size=n)
         t0 = shot * spec.shot_len
         t1 = min(t_pixel, t0 + spec.shot_len)
-        for t in range(t0, t1):
-            dt = 0.0 if spec.static else float(t - t0)
-            for s in range(n):
-                size = spec.sprite_sizes[s]
-                span_h = max(h_pixel - size, 1)
-                span_w = max(w_pixel - size, 1)
-                vy = spec.speeds[s] * np.sin(ang[s])
-                vx = spec.speeds[s] * np.cos(ang[s])
-                y = _bounce(pos[s, 0] * span_h + vy * dt, span_h)
-                x = _bounce(pos[s, 1] * span_w + vx * dt, span_w)
+        dt = np.zeros(t1 - t0) if spec.static else np.arange(t1 - t0, dtype=np.float64)
+        for s in range(n):
+            size = spec.sprite_sizes[s]
+            span_h = max(h_pixel - size, 1)
+            span_w = max(w_pixel - size, 1)
+            vy = spec.speeds[s] * np.sin(ang[s])
+            vx = spec.speeds[s] * np.cos(ang[s])
+            ys = _bounce(pos[s, 0] * span_h + vy * dt, span_h)
+            xs = _bounce(pos[s, 1] * span_w + vx * dt, span_w)
+            for t, y, x in zip(range(t0, t1), ys, xs):
                 video[t, y : y + size, x : x + size, 0] = spec.sprite_intensities[s]
     return video
 
 
-def _bounce(p: float, span: int) -> int:
-    """Reflect a coordinate into [0, span] (triangle wave)."""
+def _bounce(p: np.ndarray, span: int) -> list:
+    """Reflect coordinates into [0, span] (triangle wave), rounded half to even."""
     period = 2.0 * span
-    p = p % period
-    if p > span:
-        p = period - p
-    return int(round(p))
+    p = np.remainder(p, period)
+    return np.rint(np.where(p > span, period - p, p)).astype(np.int64).tolist()
 
 
-def toy_vae_encode(pixels: np.ndarray, rates=VAE_RATES) -> np.ndarray:
+def toy_vae_encode(pixels: np.ndarray) -> np.ndarray:
     """Linear block encoding: per 4x8x8 block keep (mean, h-diff, v-diff, t-diff).
 
     The three difference channels are half-block mean contrasts divided
     by two, making decode-then-encode an exact identity on latents.
+
+    Every sum runs in one fixed float32 order, numpy's own order for these
+    reductions written out.  Each 8-pixel block row is summed pairwise,
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and its two 4-pixel halves left
+    to right.  The row sums of a block, or of a half block, are then added
+    to zero one at a time, frame-major, and divided by their count, a power
+    of two.  Several channels are averaged first; one channel is read in place.
     """
-    rt, rh, rw = rates
+    rt, rh, rw = VAE_RATES
     t, h, w, c = pixels.shape
     if t % rt or h % rh or w % rw:
-        raise ValueError(f"pixel shape {pixels.shape} not divisible by rates {rates}")
-    blocks = pixels.reshape(t // rt, rt, h // rh, rh, w // rw, rw, c).mean(axis=-1)
-    # blocks: (T', rt, H', rh, W', rw) after averaging channels out
-    mean = blocks.mean(axis=(1, 3, 5))
-    half = rw // 2
-    hdiff = (blocks[..., :half].mean(axis=(1, 3, 5)) - blocks[..., half:].mean(axis=(1, 3, 5))) / 2
-    half = rh // 2
-    vdiff = (blocks[:, :, :, :half].mean(axis=(1, 3, 5)) - blocks[:, :, :, half:].mean(axis=(1, 3, 5))) / 2
-    half = rt // 2
-    tdiff = (blocks[:, :half].mean(axis=(1, 3, 5)) - blocks[:, half:].mean(axis=(1, 3, 5))) / 2
-    return np.stack([mean, hdiff, vdiff, tdiff], axis=-1).astype(np.float32)
+        raise ValueError(f"pixel shape {pixels.shape} not divisible by rates {VAE_RATES}")
+    frames = pixels[..., 0] if c == 1 else pixels.mean(axis=-1)
+    r = frames.reshape(t // rt, rt, h // rh, rh, w // rw, rw).transpose(5, 1, 3, 0, 2, 4)
+    rows = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))  # (rt, rh, T', H', W')
+    left = ((r[0] + r[1]) + r[2]) + r[3]
+    right = ((r[4] + r[5]) + r[6]) + r[7]
+
+    def block_mean(sums, width):  # sums: (frame row, pixel row, T', H', W') sums of `width` pixels
+        return sum(row for frame in sums for row in frame) / (len(sums) * len(sums[0]) * width)
+
+    mean = block_mean(rows, rw)
+    hdiff = (block_mean(left, rw // 2) - block_mean(right, rw // 2)) / 2
+    vdiff = (block_mean(rows[:, : rh // 2], rw) - block_mean(rows[:, rh // 2 :], rw)) / 2
+    tdiff = (block_mean(rows[: rt // 2], rw) - block_mean(rows[rt // 2 :], rw)) / 2
+    return np.stack([mean, hdiff, vdiff, tdiff], axis=-1).astype(np.float32, copy=False)
 
 
-def toy_vae_decode(latents: np.ndarray, rates=VAE_RATES) -> np.ndarray:
+def toy_vae_decode(latents: np.ndarray) -> np.ndarray:
     """Nearest inverse of the toy encoder: rebuild blocks from the 4 features."""
-    rt, rh, rw = rates
+    rt, rh, rw = VAE_RATES
     tl, hl, wl, c = latents.shape
     if c != LATENT_CHANNELS:
         raise ValueError(f"expected {LATENT_CHANNELS} latent channels, got {c}")
@@ -268,9 +284,10 @@ def load_latents(path: str) -> np.ndarray:
         if tag not in _DTYPE_TAGS:
             raise LatentFileError(f"unknown dtype tag {tag}")
         dtype = _DTYPE_TAGS[tag]
-        count = int(np.prod(shape))
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
         payload = f.read()
-        if len(payload) < count * np.dtype(dtype).itemsize:
+        if len(payload) < size:
             raise LatentFileError(f"latent file {path} is truncated: its header gives shape {shape}")
-        data = np.frombuffer(payload, dtype=dtype, count=count)
-    return data.reshape(shape).copy()
+        if len(payload) > size:
+            raise LatentFileError(f"latent file {path} has {len(payload) - size} bytes after the end of its data")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()

@@ -210,7 +210,7 @@ def test_streaming_compression_equals_batch(n_chunks, variant):
         for k in range(n_chunks):
             ctx = enc.compress_streaming(ctx, history[k * enc.chunk_len : (k + 1) * enc.chunk_len])
     assert ctx.provenance == batch.provenance
-    assert np.abs(ctx.tokens.numpy() - batch.tokens.numpy()).max() < 1e-6
+    np.testing.assert_array_equal(ctx.tokens.numpy(), batch.tokens.numpy())
 
 
 # -- 9. step-0 identities ---------------------------------------------------------

@@ -161,6 +161,14 @@ def test_checkpoint_bad_magic(tmp_path):
         checkpoint.load_checkpoint(path)
 
 
+def test_checkpoint_with_bytes_after_the_end_is_refused(tmp_path):
+    path = tmp_path / "m.mcck"
+    checkpoint.save_checkpoint(str(path), _params(), {"seed": 1}, step=1)
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(checkpoint.CheckpointMismatch, match="4 bytes after its end"):
+        checkpoint.load_checkpoint(str(path))
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     """A saved parameter table with optimizer state, and a path to write corrupt copies to."""
@@ -514,10 +522,11 @@ def test_cli_config_that_is_not_text_is_config_error(tmp_path, capsys):
 def _corrupt_latents(path, how):
     data.save_latents(str(path), np.zeros((2, 4, 4, 4), np.float32))
     raw = path.read_bytes()
-    path.write_bytes({"magic": b"NOPE" + raw[4:], "header": raw[:10], "payload": raw[:-4]}[how])
+    corrupt = {"magic": b"NOPE" + raw[4:], "header": raw[:10], "payload": raw[:-4], "trailing": raw + b"\x00"}
+    path.write_bytes(corrupt[how])
 
 
-@pytest.mark.parametrize("how", ["magic", "header", "payload"])
+@pytest.mark.parametrize("how", ["magic", "header", "payload", "trailing"])
 def test_cli_eval_corrupt_latent_file_is_config_error(tmp_path, capsys, how):
     good, bad = tmp_path / "good.mctx", tmp_path / "bad.mctx"
     data.save_latents(str(good), np.zeros((2, 4, 4, 4), np.float32))
@@ -627,6 +636,14 @@ def test_cli_truncated_checkpoint_is_config_error(trained_checkpoint, tmp_path, 
     short.write_bytes(blob[:cut])
     assert cli.main(["rollout", cfg_path, str(short)]) == cli.EXIT_CONFIG
     assert "truncated" in capsys.readouterr().err
+
+
+def test_cli_checkpoint_with_bytes_after_the_end_is_config_error(trained_checkpoint, tmp_path, capsys):
+    cfg_path, blob = trained_checkpoint
+    long = tmp_path / "long.mcck"
+    long.write_bytes(blob + b"\x00" * 4)
+    assert cli.main(["rollout", cfg_path, str(long)]) == cli.EXIT_CONFIG
+    assert "bytes after its end" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["name_not_utf8", "shape_past_the_file"])

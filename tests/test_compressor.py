@@ -138,8 +138,7 @@ def test_streaming_equals_batch():
             stream_ctx = enc.compress_streaming(stream_ctx, hist[ci * 8 : (ci + 1) * 8])
     assert stream_ctx.span_frames == batch_ctx.span_frames
     assert stream_ctx.provenance == batch_ctx.provenance
-    diff = np.abs(stream_ctx.tokens.numpy() - batch_ctx.tokens.numpy()).max()
-    assert diff < 1e-6
+    np.testing.assert_array_equal(stream_ctx.tokens.numpy(), batch_ctx.tokens.numpy())
 
 
 def test_streaming_validation():
@@ -175,7 +174,7 @@ def _assert_streams_like_batch(enc, ctx, history):
         batch = enc.compress(history)
     assert ctx.provenance == batch.provenance == _loop_provenance(enc, history.shape[1] // enc.chunk_len)
     assert ctx.span_frames == batch.span_frames
-    assert np.abs(ctx.tokens.numpy() - batch.tokens.numpy()).max() < 1e-6
+    np.testing.assert_array_equal(ctx.tokens.numpy(), batch.tokens.numpy())
 
 
 @given(

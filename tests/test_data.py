@@ -1,11 +1,13 @@
 """Synthetic scene generator, toy VAE, index-set sampling, and latent file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memctx import data
+from memctx import data, seeding
 
 
 # -- scene generation -------------------------------------------------------------
@@ -37,6 +39,92 @@ def test_moving_scene_frames_differ():
     spec = data.SceneSpec.random(4)
     vid = data.generate_scene(spec, 16, 64, 64, seed=1)
     assert not np.array_equal(vid[0], vid[1])
+
+
+def _reference_bounce(p, span):
+    period = 2.0 * span
+    p = p % period
+    if p > span:
+        p = period - p
+    return int(round(p))
+
+
+def _reference_scene(spec, t_pixel, h_pixel, w_pixel, seed):
+    """The frame-by-frame, sprite-by-sprite scalar renderer ``generate_scene`` vectorizes."""
+    video = np.full((t_pixel, h_pixel, w_pixel, 1), spec.background, dtype=np.float32)
+    n = len(spec.sprite_intensities)
+    for shot in range((t_pixel + spec.shot_len - 1) // spec.shot_len):
+        rng = seeding.stream(seed, spec.condition_code, shot)
+        pos = rng.uniform(0, 1, size=(n, 2))
+        ang = rng.uniform(0, 2 * np.pi, size=n)
+        t0 = shot * spec.shot_len
+        for t in range(t0, min(t_pixel, t0 + spec.shot_len)):
+            dt = 0.0 if spec.static else float(t - t0)
+            for s in range(n):
+                size = spec.sprite_sizes[s]
+                span_h = max(h_pixel - size, 1)
+                span_w = max(w_pixel - size, 1)
+                vy = spec.speeds[s] * np.sin(ang[s])
+                vx = spec.speeds[s] * np.cos(ang[s])
+                y = _reference_bounce(pos[s, 0] * span_h + vy * dt, span_h)
+                x = _reference_bounce(pos[s, 1] * span_w + vx * dt, span_w)
+                video[t, y : y + size, x : x + size, 0] = spec.sprite_intensities[s]
+    return video
+
+
+def _reference_encode(pixels):
+    """The toy encoder as numpy's multi-axis means, whose summation order ``toy_vae_encode`` writes out."""
+    rt, rh, rw = data.VAE_RATES
+    t, h, w, c = pixels.shape
+    blocks = pixels.reshape(t // rt, rt, h // rh, rh, w // rw, rw, c).mean(axis=-1)
+    mean = blocks.mean(axis=(1, 3, 5))
+    hdiff = (blocks[..., : rw // 2].mean(axis=(1, 3, 5)) - blocks[..., rw // 2 :].mean(axis=(1, 3, 5))) / 2
+    vdiff = (blocks[:, :, :, : rh // 2].mean(axis=(1, 3, 5)) - blocks[:, :, :, rh // 2 :].mean(axis=(1, 3, 5))) / 2
+    tdiff = (blocks[:, : rt // 2].mean(axis=(1, 3, 5)) - blocks[:, rt // 2 :].mean(axis=(1, 3, 5))) / 2
+    return np.stack([mean, hdiff, vdiff, tdiff], axis=-1).astype(np.float32)
+
+
+_ORACLE_SHAPES = [(96, 64, 64)] * 50 + [(32, 64, 64)] * 50 + [(24, 32, 32)] * 50 + [(16, 64, 64)] * 50
+_ORACLE_SHAPES += [(1536, 64, 64)] * 2
+
+
+def test_scenes_and_latents_equal_the_scalar_renderer_and_numpy_means_bitwise():
+    """Over 202 scene seeds, half of them static, the generator and the encoder give the references' bytes."""
+    for i, shape in enumerate(_ORACLE_SHAPES):
+        spec = data.SceneSpec.random((20, i), static=bool(i % 2))
+        video = data.generate_scene(spec, *shape, seed=(i, 1))
+        np.testing.assert_array_equal(video, _reference_scene(spec, *shape, (i, 1)))
+        assert data.toy_vae_encode(video).tobytes() == _reference_encode(video).tobytes()
+
+
+def test_bounce_reflects_and_rounds_halves_to_even_like_the_scalar_code():
+    p = np.arange(-80.0, 80.0, 0.25)
+    for span in (1, 5, 18):
+        assert data._bounce(p, span) == [_reference_bounce(x, span) for x in p]
+
+
+def test_sprite_wider_than_the_frame_clamps_its_span_and_clips():
+    """A sprite of size >= H - 1 has a span of 1, and its slice runs past the frame's edge."""
+    for static in (False, True):
+        spec = dataclasses.replace(data.SceneSpec.random(6, static=static), sprite_sizes=(40, 31, 32))
+        for seed in range(8):
+            video = data.generate_scene(spec, 24, 32, 32, seed)
+            np.testing.assert_array_equal(video, _reference_scene(spec, 24, 32, 32, seed))
+            assert data.toy_vae_encode(video).tobytes() == _reference_encode(video).tobytes()
+
+
+@given(
+    blocks=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
+    scale=st.sampled_from((1e-3, 1.0, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_encoder_equals_numpy_means_bitwise_on_random_volumes(blocks, scale, seed):
+    """Any float32 volume of at least two blocks along each axis encodes to the reference's bytes.
+    (With one block along W, numpy joins the block's pixel rows into one 64-wide sum.)"""
+    shape = tuple(n * r for n, r in zip(blocks, data.VAE_RATES)) + (1,)
+    pixels = (np.random.default_rng(seed).standard_normal(shape) * scale).astype(np.float32)
+    assert data.toy_vae_encode(pixels).tobytes() == _reference_encode(pixels).tobytes()
 
 
 def test_scene_divisibility_error():
@@ -163,6 +251,14 @@ def test_latents_truncated_file_is_refused(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(data.LatentFileError, match="truncated"):
             data.load_latents(str(path))
+
+
+def test_latents_with_bytes_after_the_end_are_refused(tmp_path):
+    path = tmp_path / "clip.mctx"
+    data.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
+    path.write_bytes(path.read_bytes() + b"\x00" * 7)
+    with pytest.raises(data.LatentFileError, match="7 bytes after the end"):
+        data.load_latents(str(path))
 
 
 def test_latents_rejects_non_4d(tmp_path):
