@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -522,11 +523,18 @@ def test_cli_config_that_is_not_text_is_config_error(tmp_path, capsys):
 def _corrupt_latents(path, how):
     data.save_latents(str(path), np.zeros((2, 4, 4, 4), np.float32))
     raw = path.read_bytes()
-    corrupt = {"magic": b"NOPE" + raw[4:], "header": raw[:10], "payload": raw[:-4], "trailing": raw + b"\x00"}
+    overflow = raw[:8] + struct.pack("<4I", *[1 << 16] * 4) + raw[24:28]  # 2**64 values, which an int64 product wraps to 0
+    corrupt = {
+        "magic": b"NOPE" + raw[4:],
+        "header": raw[:10],
+        "payload": raw[:-4],
+        "trailing": raw + b"\x00",
+        "overflow": overflow,
+    }
     path.write_bytes(corrupt[how])
 
 
-@pytest.mark.parametrize("how", ["magic", "header", "payload", "trailing"])
+@pytest.mark.parametrize("how", ["magic", "header", "payload", "trailing", "overflow"])
 def test_cli_eval_corrupt_latent_file_is_config_error(tmp_path, capsys, how):
     good, bad = tmp_path / "good.mctx", tmp_path / "bad.mctx"
     data.save_latents(str(good), np.zeros((2, 4, 4, 4), np.float32))

@@ -115,14 +115,15 @@ def test_sprite_wider_than_the_frame_clamps_its_span_and_clips():
 
 @given(
     blocks=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
+    channels=st.integers(1, 3),
     scale=st.sampled_from((1e-3, 1.0, 1e3)),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_encoder_equals_numpy_means_bitwise_on_random_volumes(blocks, scale, seed):
+def test_encoder_equals_numpy_means_bitwise_on_random_volumes(blocks, channels, scale, seed):
     """Any float32 volume of at least two blocks along each axis encodes to the reference's bytes.
     (With one block along W, numpy joins the block's pixel rows into one 64-wide sum.)"""
-    shape = tuple(n * r for n, r in zip(blocks, data.VAE_RATES)) + (1,)
+    shape = tuple(n * r for n, r in zip(blocks, data.VAE_RATES)) + (channels,)
     pixels = (np.random.default_rng(seed).standard_normal(shape) * scale).astype(np.float32)
     assert data.toy_vae_encode(pixels).tobytes() == _reference_encode(pixels).tobytes()
 
