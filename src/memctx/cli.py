@@ -8,13 +8,15 @@ head count times a multiple of 8, a condition schedule not starting at frame
 (bad magic, unsupported version, unknown dtype, truncated), two latent files
 ``eval`` cannot compare (another frame shape, or no frames), an
 ``experiment`` with a negative seed or step budget or fewer than one scene
-(rejected before any training runs), a ``budget`` geometry that is not
-positive and finite or reduces to zero tokens, or a checkpoint that does not
-fit (bad magic, unsupported version, truncated file, a parameter name that
-is not UTF-8, a shape or payload larger than the bytes left in the file or
-that numpy cannot hold, unknown dtype, missing, unknown or mis-shaped
-parameters or optimizer state); 3 for a runtime or numeric failure: diverged
-training, or any other ValueError or ArithmeticError.  Argument errors that
+(rejected before any training runs), a ``finetune`` whose
+``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``budget``
+geometry that is not positive and finite or reduces to zero tokens, or a
+checkpoint that does not fit (bad magic, unsupported version, truncated
+file, a parameter name that is not UTF-8, a shape or payload larger than the
+bytes left in the file or that numpy cannot hold, unknown dtype, missing,
+unknown or mis-shaped parameters or optimizer state); 3 for a runtime or
+numeric failure: diverged training, or any other ValueError or
+ArithmeticError.  Argument errors that
 argparse reports (a missing or non-numeric argument, an unknown experiment
 recipe) also exit 2.  All commands are deterministic given config + seed;
 checkpoints are written atomically and training can resume from them.
@@ -141,6 +143,12 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = config_mod.load_config(args.config)
+    chunk_len, scene_len = cfg["encoder"]["chunk_len"], data.DESK_LATENT[0]
+    if scene_len // chunk_len < 2:  # a history chunk and the chunk after it
+        raise config_mod.ConfigError(
+            f"encoder.chunk_len {chunk_len} leaves one chunk per {scene_len}-frame scene;"
+            " finetuning needs two chunks per scene"
+        )
     return _train_command(cfg, args.resume, "next_clip", "finetune", init_from=args.pretrained)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "FrameIndexSet",
     "generate_scene",
     "toy_vae_encode",
-    "toy_vae_decode",
     "sample_omega",
     "sample_mask_levels",
     "make_latent_scene",
@@ -148,7 +147,7 @@ def toy_vae_encode(pixels: np.ndarray) -> np.ndarray:
     """Linear block encoding: per 4x8x8 block keep (mean, h-diff, v-diff, t-diff).
 
     The three difference channels are half-block mean contrasts divided
-    by two, making decode-then-encode an exact identity on latents.
+    by two.
 
     Every sum runs in one fixed float32 order, numpy's own order for these
     reductions written out.  Each 8-pixel block row is summed pairwise,
@@ -176,21 +175,6 @@ def toy_vae_encode(pixels: np.ndarray) -> np.ndarray:
     vdiff = (block_mean(rows[:, : rh // 2], rw) - block_mean(rows[:, rh // 2 :], rw)) / 2
     tdiff = (block_mean(rows[: rt // 2], rw) - block_mean(rows[rt // 2 :], rw)) / 2
     return np.stack([mean, hdiff, vdiff, tdiff], axis=-1).astype(np.float32, copy=False)
-
-
-def toy_vae_decode(latents: np.ndarray) -> np.ndarray:
-    """Nearest inverse of the toy encoder: rebuild blocks from the 4 features."""
-    rt, rh, rw = VAE_RATES
-    tl, hl, wl, c = latents.shape
-    if c != LATENT_CHANNELS:
-        raise ValueError(f"expected {LATENT_CHANNELS} latent channels, got {c}")
-    st = np.where(np.arange(rt) < rt // 2, 1.0, -1.0)[:, None, None]
-    sv = np.where(np.arange(rh) < rh // 2, 1.0, -1.0)[None, :, None]
-    sh = np.where(np.arange(rw) < rw // 2, 1.0, -1.0)[None, None, :]
-    mean, hd, vd, td = (latents[..., i][..., None, None, None] for i in range(4))
-    blocks = mean + hd * sh + vd * sv + td * st  # (T', H', W', rt, rh, rw)
-    out = blocks.transpose(0, 3, 1, 4, 2, 5).reshape(tl * rt, hl * rh, wl * rw, 1)
-    return out.astype(np.float32)
 
 
 # Fixed standardization of generator latents to roughly unit per-channel

@@ -3,8 +3,11 @@
 Each recipe trains a set of arms that differ in exactly one factor
 (compression structure, pretraining, or index-set policy) under shared
 datasets, seeds, and step budgets, then evaluates them with the retrieval
-or rollout protocol and reports the resulting orderings.  Reports are
-deterministic given the recipe, and can be written as text and CSV.
+or rollout protocol and reports the resulting orderings.  One runner serves
+every recipe: it runs one job per (arm, seed), arm-major, and hands the
+results to the recipe's summary.  Each job seeds its own streams, so job
+order does not change them.  Reports are deterministic given the recipe,
+and can be written as text and CSV.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import dataclasses
 import io
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,33 +25,24 @@ from . import diffusion, rollout, training
 
 __all__ = [
     "ExperimentRecipe",
-    "ABLATION_ARMS",
+    "Arm",
+    "COMPRESSION_ARMS",
     "run_ablation_compression",
     "run_pretrain_ablation",
     "run_omega_policy_ablation",
     "write_report",
 ]
 
-
-# Compression-structure arms: (name, rate, encoder variant).
-ABLATION_ARMS = (
-    ("2x2x1", (2, 2, 1), "dual"),
-    ("2x2x2", (2, 2, 2), "dual"),
-    ("4x4x2", (4, 4, 2), "dual"),
-    ("only_lr_4x4x2", (4, 4, 2), "only_lr"),
-    ("without_lr_4x4x2", (4, 4, 2), "without_lr"),
-    ("large_patchifier_4x4x2", (4, 4, 2), "large_patchifier"),
-)
-
-# Expected quality orderings between compression arms (better, worse),
-# asserted with the recipe margin.
-ABLATION_ORDERINGS = (
-    ("2x2x1", "2x2x2"),
-    ("2x2x2", "4x4x2"),
-    ("4x4x2", "only_lr_4x4x2"),
-    ("4x4x2", "without_lr_4x4x2"),
-    ("4x4x2", "large_patchifier_4x4x2"),
-)
+# Settings every recipe shares; the CLI sets only the ExperimentRecipe fields.
+DATASET_SEED = 100  # training scenes; +1000 for held-out eval scenes, +2000 for static ones
+EVAL_SEED = 9
+N_EVAL = 8
+BATCH = 4
+LR = 3e-3
+TIMESTEPS = diffusion.TimestepDistribution(mu=2.0, sigma=0.8)
+MARGIN_DB = 0.5
+SAMPLE_STEPS = 8
+ROLLOUT_STEPS = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,20 +50,10 @@ class ExperimentRecipe:
     """One self-contained experiment: arms share everything but the ablated factor."""
 
     name: str
-    dataset_seed: int = 100
-    n_scenes: int = 256
-    eval_seed: int = 9
-    n_eval: int = 8
-    seeds: tuple = (0, 1, 2)
-    pretrain_steps: int = 2000
-    finetune_steps: int = 1000
-    batch: int = 4
-    lr: float = 3e-3
-    timestep_mu: float = 2.0
-    timestep_sigma: float = 0.8
-    margin_db: float = 0.5
-    sample_steps: int = 8
-    rollout_steps: int = 2
+    seeds: tuple
+    pretrain_steps: int
+    finetune_steps: int
+    n_scenes: int
 
     def __post_init__(self):
         if not self.seeds:
@@ -81,72 +66,96 @@ class ExperimentRecipe:
             raise ValueError(f"a recipe needs at least one scene, got {self.n_scenes}")
 
 
-def _train_arm(recipe, seed, rate, variant, dataset, omega_policy="uniform"):
-    enc, g = training.build_models(seed, rate=rate, variant=variant)
-    if recipe.pretrain_steps:
+@dataclasses.dataclass(frozen=True)
+class Arm:
+    """One trained model per seed: its encoder, and whether and how it is pretrained."""
+
+    name: str
+    rate: tuple = (4, 4, 2)
+    variant: str = "dual"
+    pretrained: bool = True
+    omega_policy: str = "uniform"
+
+
+COMPRESSION_ARMS = (
+    Arm("2x2x1", (2, 2, 1)),
+    Arm("2x2x2", (2, 2, 2)),
+    Arm("4x4x2"),
+    Arm("only_lr_4x4x2", variant="only_lr"),
+    Arm("without_lr_4x4x2", variant="without_lr"),
+    Arm("large_patchifier_4x4x2", variant="large_patchifier"),
+)
+
+# Expected quality orderings between compression arms (better, worse), asserted with MARGIN_DB.
+COMPRESSION_ORDERINGS = (
+    ("2x2x1", "2x2x2"),
+    ("2x2x2", "4x4x2"),
+    ("4x4x2", "only_lr_4x4x2"),
+    ("4x4x2", "without_lr_4x4x2"),
+    ("4x4x2", "large_patchifier_4x4x2"),
+)
+PRETRAIN_ARMS = (Arm("pretrained"), Arm("scratch", pretrained=False))
+OMEGA_ARMS = (Arm("uniform"), Arm("fixed_endpoints", omega_policy="fixed-endpoints"))
+
+
+def _run(recipe: ExperimentRecipe, out_dir, kind, arms, job, summary) -> dict:
+    """Run ``job`` once per (arm, seed), arm-major; report ``summary`` of the results by seed."""
+    data = SimpleNamespace(
+        train=training.make_dataset(DATASET_SEED, recipe.n_scenes),
+        eval=training.make_dataset(DATASET_SEED + 1000, N_EVAL // 2),
+        static=training.make_dataset(DATASET_SEED + 2000, 2, static=True),
+    )
+    t0 = time.time()
+    jobs = [(arm, seed) for arm in arms for seed in recipe.seeds]
+    results = {(arm.name, seed): job(recipe, arm, seed, data) for arm, seed in jobs}
+    per_seed = [{arm.name: results[arm.name, seed] for arm in arms} for seed in recipe.seeds]
+    report = {"recipe": recipe.name, "kind": kind, **summary(per_seed)}
+    report["wall_clock_s"] = round(time.time() - t0, 1)
+    if out_dir:
+        write_report(report, out_dir)
+    return report
+
+
+def _trained(recipe, arm, seed, dataset):
+    enc, g = training.build_models(seed, rate=arm.rate, variant=arm.variant)
+    if arm.pretrained and recipe.pretrain_steps:
         training.pretrain_retrieval(
-            enc,
-            g,
-            dataset,
-            steps=recipe.pretrain_steps,
-            seed=seed,
-            batch=recipe.batch,
-            lr=recipe.lr,
-            omega_policy=omega_policy,
-            timestep_dist=diffusion.TimestepDistribution(
-                mu=recipe.timestep_mu, sigma=recipe.timestep_sigma
-            ),
+            enc, g, dataset, steps=recipe.pretrain_steps, seed=seed, batch=BATCH, lr=LR,
+            omega_policy=arm.omega_policy, timestep_dist=TIMESTEPS,
         )
     return enc, g
 
 
+def _retrieval(enc, g, eval_ds, positions="random") -> dict:
+    return training.evaluate_retrieval(enc, g, eval_ds, seed=EVAL_SEED, n_eval=N_EVAL,
+                                       positions=positions, sample_steps=SAMPLE_STEPS)
+
+
 def run_ablation_compression(recipe: ExperimentRecipe, out_dir: str | None = None) -> dict:
     """Train every compression arm on retrieval and report PSNR/SSIM orderings."""
-    dataset = training.make_dataset(recipe.dataset_seed, recipe.n_scenes)
-    eval_ds = training.make_dataset(recipe.dataset_seed + 1000, max(recipe.n_eval // 2, 1))
+    return _run(recipe, out_dir, "compression_ablation", COMPRESSION_ARMS,
+                _compression_job, _compression_summary)
+
+
+def _compression_job(recipe, arm, seed, data):
+    return _retrieval(*_trained(recipe, arm, seed, data.train), data.eval)
+
+
+def _compression_summary(per_seed) -> dict:
     arms = {}
-    t0 = time.time()
-    for name, rate, variant in ABLATION_ARMS:
-        psnrs, ssims = [], []
-        for seed in recipe.seeds:
-            enc, g = _train_arm(recipe, seed, rate, variant, dataset)
-            res = training.evaluate_retrieval(
-                enc,
-                g,
-                eval_ds,
-                seed=recipe.eval_seed,
-                n_eval=recipe.n_eval,
-                sample_steps=recipe.sample_steps,
-            )
-            psnrs.append(res["psnr"])
-            ssims.append(res["ssim"])
-        arms[name] = {
-            "psnr": float(np.mean(psnrs)),
-            "ssim": float(np.mean(ssims)),
-            "per_seed_psnr": [float(p) for p in psnrs],
+    for arm in COMPRESSION_ARMS:
+        runs = [s[arm.name] for s in per_seed]
+        arms[arm.name] = {
+            "psnr": float(np.mean([r["psnr"] for r in runs])),
+            "ssim": float(np.mean([r["ssim"] for r in runs])),
+            "per_seed_psnr": [r["psnr"] for r in runs],
         }
     orderings = []
-    for better, worse in ABLATION_ORDERINGS:
+    for better, worse in COMPRESSION_ORDERINGS:
         gap = arms[better]["psnr"] - arms[worse]["psnr"]
-        orderings.append(
-            {
-                "better": better,
-                "worse": worse,
-                "gap_db": float(gap),
-                "holds": bool(gap >= recipe.margin_db),
-            }
-        )
-    report = {
-        "recipe": recipe.name,
-        "kind": "compression_ablation",
-        "arms": arms,
-        "orderings": orderings,
-        "all_orderings_hold": all(o["holds"] for o in orderings),
-        "wall_clock_s": round(time.time() - t0, 1),
-    }
-    if out_dir:
-        write_report(report, out_dir)
-    return report
+        orderings.append(dict(better=better, worse=worse, gap_db=gap, holds=gap >= MARGIN_DB))
+    holds = all(o["holds"] for o in orderings)
+    return {"arms": arms, "orderings": orderings, "all_orderings_hold": holds}
 
 
 def run_pretrain_ablation(recipe: ExperimentRecipe, out_dir: str | None = None) -> dict:
@@ -156,31 +165,36 @@ def run_pretrain_ablation(recipe: ExperimentRecipe, out_dir: str | None = None) 
     consistency (PSNR of each generated clip against the seed clip on a
     static-background scene) after fine-tuning.
     """
-    dataset = training.make_dataset(recipe.dataset_seed, recipe.n_scenes)
-    eval_ds = training.make_dataset(recipe.dataset_seed + 1000, max(recipe.n_eval // 2, 1))
-    static_ds = training.make_dataset(recipe.dataset_seed + 2000, 2, static=True)
-    t0 = time.time()
-    per_seed = []
-    for seed in recipe.seeds:
-        arms = {}
-        for arm_name, presteps in (("pretrained", recipe.pretrain_steps), ("scratch", 0)):
-            sub = dataclasses.replace(recipe, pretrain_steps=presteps)
-            enc, g = _train_arm(sub, seed, (4, 4, 2), "dual", dataset)
-            retrieval = training.evaluate_retrieval(
-                enc, g, eval_ds, seed=recipe.eval_seed, n_eval=recipe.n_eval,
-                sample_steps=recipe.sample_steps,
-            )["psnr"]
-            if recipe.finetune_steps:
-                training.finetune_next_clip(
-                    enc, g, dataset, steps=recipe.finetune_steps, seed=seed,
-                    batch=recipe.batch, lr=recipe.lr,
-                )
-            consistency = _rollout_consistency(enc, g, static_ds, seed, recipe)
-            arms[arm_name] = {
-                "retrieval_psnr_pre_finetune": float(retrieval),
-                "rollout_consistency_psnr": float(consistency),
-            }
-        per_seed.append(arms)
+    return _run(recipe, out_dir, "pretrain_ablation", PRETRAIN_ARMS,
+                _pretrain_job, _pretrain_summary)
+
+
+def _pretrain_job(recipe, arm, seed, data):
+    enc, g = _trained(recipe, arm, seed, data.train)
+    retrieval = _retrieval(enc, g, data.eval)["psnr"]
+    if recipe.finetune_steps:
+        training.finetune_next_clip(
+            enc, g, data.train, steps=recipe.finetune_steps, seed=seed, batch=BATCH, lr=LR
+        )
+    return {
+        "retrieval_psnr_pre_finetune": retrieval,
+        "rollout_consistency_psnr": _rollout_consistency(enc, g, data.static, seed),
+    }
+
+
+def _rollout_consistency(enc, g, static_ds, seed):
+    scores = []
+    for lat, cond in static_ds:
+        session = rollout.RolloutSession(
+            g, enc, seed=(seed, 0x2011), condition_schedule=((0, cond),),
+            sample_steps=SAMPLE_STEPS, seed_clip=lat[: enc.chunk_len],
+        )
+        _, records = session.run(ROLLOUT_STEPS)
+        scores.append(np.mean([r["consistency_psnr"] for r in records]))
+    return float(np.mean(scores))
+
+
+def _pretrain_summary(per_seed) -> dict:
     wins = sum(
         s["pretrained"]["rollout_consistency_psnr"] >= s["scratch"]["rollout_consistency_psnr"]
         for s in per_seed
@@ -189,35 +203,13 @@ def run_pretrain_ablation(recipe: ExperimentRecipe, out_dir: str | None = None) 
         s["pretrained"]["retrieval_psnr_pre_finetune"] > s["scratch"]["retrieval_psnr_pre_finetune"]
         for s in per_seed
     )
-    report = {
-        "recipe": recipe.name,
-        "kind": "pretrain_ablation",
+    return {
         "per_seed": per_seed,
         "consistency_wins": int(wins),
         "retrieval_wins": int(retrieval_wins),
-        "n_seeds": len(recipe.seeds),
-        "majority_holds": bool(wins * 2 > len(recipe.seeds)),
-        "wall_clock_s": round(time.time() - t0, 1),
+        "n_seeds": len(per_seed),
+        "majority_holds": bool(wins * 2 > len(per_seed)),
     }
-    if out_dir:
-        write_report(report, out_dir)
-    return report
-
-
-def _rollout_consistency(enc, g, static_ds, seed, recipe):
-    scores = []
-    for lat, cond in static_ds:
-        session = rollout.RolloutSession(
-            g,
-            enc,
-            seed=(seed, 0x2011),
-            condition_schedule=((0, cond),),
-            sample_steps=recipe.sample_steps,
-            seed_clip=lat[: enc.chunk_len],
-        )
-        _, records = session.run(recipe.rollout_steps)
-        scores.append(np.mean([r["consistency_psnr"] for r in records]))
-    return float(np.mean(scores))
 
 
 def run_omega_policy_ablation(recipe: ExperimentRecipe, out_dir: str | None = None) -> dict:
@@ -227,47 +219,32 @@ def run_omega_policy_ablation(recipe: ExperimentRecipe, out_dir: str | None = No
     policy should do at least as well at its own endpoint position as at
     random positions (it shortcuts to reproducing the final frame).
     """
-    dataset = training.make_dataset(recipe.dataset_seed, recipe.n_scenes)
-    eval_ds = training.make_dataset(recipe.dataset_seed + 1000, max(recipe.n_eval // 2, 1))
-    t0 = time.time()
-    per_seed = []
-    for seed in recipe.seeds:
-        arms = {}
-        for arm_name, policy in (("uniform", "uniform"), ("fixed_endpoints", "fixed-endpoints")):
-            enc, g = _train_arm(recipe, seed, (4, 4, 2), "dual", dataset, omega_policy=policy)
-            random_psnr = training.evaluate_retrieval(
-                enc, g, eval_ds, seed=recipe.eval_seed, n_eval=recipe.n_eval,
-                sample_steps=recipe.sample_steps,
-            )["psnr"]
-            endpoint_psnr = training.evaluate_retrieval(
-                enc, g, eval_ds, seed=recipe.eval_seed, n_eval=recipe.n_eval,
-                positions="endpoint", sample_steps=recipe.sample_steps,
-            )["psnr"]
-            arms[arm_name] = {
-                "random_position_psnr": float(random_psnr),
-                "endpoint_psnr": float(endpoint_psnr),
-            }
-        per_seed.append(arms)
+    return _run(recipe, out_dir, "omega_policy_ablation", OMEGA_ARMS, _omega_job, _omega_summary)
+
+
+def _omega_job(recipe, arm, seed, data):
+    enc, g = _trained(recipe, arm, seed, data.train)
+    return {
+        "random_position_psnr": _retrieval(enc, g, data.eval)["psnr"],
+        "endpoint_psnr": _retrieval(enc, g, data.eval, positions="endpoint")["psnr"],
+    }
+
+
+def _omega_summary(per_seed) -> dict:
     mean_uniform = float(np.mean([s["uniform"]["random_position_psnr"] for s in per_seed]))
     mean_fixed = float(np.mean([s["fixed_endpoints"]["random_position_psnr"] for s in per_seed]))
     fixed_endpoint_ok = all(
         s["fixed_endpoints"]["endpoint_psnr"] >= s["fixed_endpoints"]["random_position_psnr"]
         for s in per_seed
     )
-    report = {
-        "recipe": recipe.name,
-        "kind": "omega_policy_ablation",
+    return {
         "per_seed": per_seed,
         "uniform_random_psnr": mean_uniform,
         "fixed_random_psnr": mean_fixed,
         "gap_db": mean_uniform - mean_fixed,
         "uniform_wins": bool(mean_uniform - mean_fixed >= 1.0),
         "fixed_best_at_endpoint": bool(fixed_endpoint_ok),
-        "wall_clock_s": round(time.time() - t0, 1),
     }
-    if out_dir:
-        write_report(report, out_dir)
-    return report
 
 
 def _flatten(prefix: str, value, rows: list) -> None:

@@ -22,7 +22,6 @@ __all__ = [
     "set_default_dtype",
     "default_dtype",
     "using_dtype",
-    "set_debug_checks",
     "no_grad",
 ]
 
@@ -32,7 +31,6 @@ _state = threading.local()
 def _st():
     if not hasattr(_state, "dtype"):
         _state.dtype = np.float32
-        _state.debug = False
         _state.grad_enabled = True
         _state.counter = itertools.count()
     return _state
@@ -68,11 +66,6 @@ def using_dtype(name: str):
         set_default_dtype(prev)
 
 
-def set_debug_checks(enabled: bool) -> None:
-    """When on, every op validates inputs/outputs for NaN/Inf."""
-    _st().debug = bool(enabled)
-
-
 @contextlib.contextmanager
 def no_grad():
     st = _st()
@@ -87,11 +80,6 @@ def no_grad():
 def _tracks(parents) -> bool:
     """Whether an op over ``parents`` records a tape node."""
     return _st().grad_enabled and any(p.requires_grad for p in parents)
-
-
-def _check_finite(arr, what):
-    if _st().debug and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {what}")
 
 
 class Tensor:
@@ -109,7 +97,6 @@ class Tensor:
         self._parents = ()
         self._vjp = None
         self._id = next(_st().counter)
-        _check_finite(self.data, "tensor constructor input")
 
     # -- graph construction -------------------------------------------------
 
@@ -128,7 +115,6 @@ class Tensor:
         else:
             out._parents = ()
             out._vjp = None
-        _check_finite(data, "op output")
         return out
 
     @property

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memctx import checkpoint, cli, compressor, config, data, training
+from memctx import checkpoint, cli, compressor, config, data, diffusion, training
 from memctx.tensor import Tensor, no_grad
 
 
@@ -324,6 +324,25 @@ def test_cli_finetune_from_pretrained(tmp_path, capsys):
     ckpt = str(tmp_path / "out" / "pretrain.mcck")
     assert cli.main(["finetune", cfg_path, "--pretrained", ckpt]) == cli.EXIT_OK
     assert os.path.exists(str(tmp_path / "out" / "finetune.mcck"))
+
+
+def test_cli_pretrain_refuses_a_non_finite_loss(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(diffusion, "retrieval_loss", lambda *a, **kw: Tensor(np.array(np.nan)))
+    assert cli.main(["pretrain", _tiny_cfg(tmp_path)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "training diverged at step 0" in err and "Traceback" not in err
+
+
+def test_cli_finetune_refuses_a_one_chunk_history_before_building(tmp_path, capsys, monkeypatch):
+    """A 24-frame chunk passes validation and pretrains, but a finetune step needs two chunks."""
+    def no_models(*a, **kw):
+        raise AssertionError("models built")
+
+    monkeypatch.setattr(training, "build_models", no_models)
+    cfg_path = _tiny_cfg(tmp_path, encoder={"chunk_len": 24})
+    assert cli.main(["finetune", cfg_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "encoder.chunk_len 24" in err and "two chunks per scene" in err and "Traceback" not in err
 
 
 def test_cli_lora_finetune_from_plain_pretrain_checkpoint(tmp_path, capsys):

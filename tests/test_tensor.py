@@ -14,7 +14,6 @@ from memctx.tensor import (
     concat,
     default_dtype,
     no_grad,
-    set_debug_checks,
     using_dtype,
 )
 
@@ -358,15 +357,6 @@ def test_float32_gradients_stay_float32():
 def test_invalid_dtype_rejected():
     with pytest.raises(ValueError):
         using_dtype("float16").__enter__()
-
-
-def test_debug_checks_catch_nonfinite():
-    set_debug_checks(True)
-    try:
-        with pytest.raises(FloatingPointError):
-            Tensor(np.array([1.0, np.inf]))
-    finally:
-        set_debug_checks(False)
 
 
 def test_reduce_invalid_axis_raises():
