@@ -18,7 +18,7 @@ def main():
     spec = metrics.BudgetSpec(width=832, height=480, fps=24, duration_s=60)
     report = metrics.context_length(spec, exact=True)
     print(f"60 s of 832x480 @ 24 fps, VAE 16x spatial / 4x temporal:")
-    print(f"  uncompressed context length: {report.total:,} tokens\n")
+    print(f"  uncompressed context length: {report.uncompressed:,} tokens\n")
 
     print(f"{'rate':>8} {'tokens':>10} {'reduction':>10}")
     for rate in ((2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)):
@@ -27,7 +27,7 @@ def main():
         )
         tokens = row.compressed
         name = "x".join(str(r) for r in rate)
-        print(f"{name:>8} {tokens:>10,} {report.total / tokens:>9.1f}x")
+        print(f"{name:>8} {tokens:>10,} {report.uncompressed / tokens:>9.1f}x")
 
     short = metrics.BudgetSpec(width=832, height=480, fps=24, duration_s=20, rate=(4, 4, 2))
     tokens = metrics.context_length(short).compressed

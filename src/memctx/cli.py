@@ -9,7 +9,8 @@ head count times a multiple of 8, a condition schedule not starting at frame
 ``eval`` cannot compare (another frame shape, or no frames), an
 ``experiment`` with a negative seed or step budget or fewer than one scene
 (rejected before any training runs), a ``finetune`` whose
-``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``budget``
+``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``--resume``
+checkpoint whose step is past ``training.steps``, a ``budget``
 geometry that is not positive and finite or reduces to zero tokens, or a
 checkpoint that does not fit (bad magic, unsupported version, truncated
 file, a parameter name that is not UTF-8, a shape or payload larger than the
@@ -84,6 +85,10 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
         checkpoint.restore_into({k: p for k, p in named.items() if k in params or ".lora." not in k}, params)
     if resume:
         params, start_step, opt_arrays = checkpoint.load_checkpoint(resume, cfg)
+        if start_step > tr["steps"]:
+            raise config_mod.ConfigError(
+                f"{resume} is at step {start_step}, past training.steps {tr['steps']}"
+            )
         checkpoint.restore_into(named, params)
         if opt_arrays is not None:
             optimizer = training.nn.Adam(named, lr=tr["lr"])
@@ -191,7 +196,7 @@ def cmd_eval(args) -> int:
     n = min(a.shape[0], b.shape[0])
     scores = {
         "psnr": metrics.psnr(a[:n], b[:n]),
-        "ssim": metrics.ssim(a[:n], b[:n], window=min(7, a.shape[2])),
+        "ssim": metrics.ssim(a[:n], b[:n], window=min(7, *a.shape[1:3])),
         "frames_compared": int(n),
     }
     if args.out:

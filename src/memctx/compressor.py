@@ -19,13 +19,14 @@ import dataclasses
 import numpy as np
 
 from . import nn
-from .data import DESK_LATENT
+from .data import DESK_LATENT, LATENT_CHANNELS
 from .tensor import Tensor, as_default_dtype, concat, default_dtype, no_grad
 
 __all__ = ["CompressionRate", "EncoderModel", "CompressedContext", "Provenance"]
 
 VARIANTS = ("dual", "only_lr", "without_lr", "large_patchifier")
 CHANNELS = (8, 16, 32, 64)  # conv widths of the high-rate branch
+HEADS = 4  # of the high-rate branch's chunk-local attention
 POS_POOL = 65536  # fewest floats an encoder draws for its chunk-position table
 
 
@@ -161,26 +162,22 @@ class EncoderModel:
         self,
         rate: CompressionRate,
         rng,
-        latent_channels: int = 4,
         model_dim: int = 64,
         chunk_len: int = 8,
         variant: str = "dual",
-        channels=CHANNELS,
-        heads: int = 4,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         if chunk_len % rate.r_t:
             raise ValueError(f"chunk length {chunk_len} not divisible by temporal rate {rate.r_t}")
         self.rate = rate
-        self.latent_channels = latent_channels
         self.model_dim = model_dim
         self.chunk_len = chunk_len
         self.variant = variant
         self._first_chunk_records: dict = {}  # (H, W) -> chunk 0's provenance records
         if variant == "large_patchifier":
             # one rate-sized block per token: its only parameter is this map
-            self.patch_proj = nn.Linear(rate.volume * latent_channels, model_dim, rng)
+            self.patch_proj = nn.Linear(rate.volume * LATENT_CHANNELS, model_dim, rng)
             return
 
         # stride schedule: consume all temporal reduction before spatial
@@ -191,19 +188,19 @@ class EncoderModel:
         h_factors += [1] * (n_sp - len(h_factors))
         w_factors += [1] * (n_sp - len(w_factors))
         strides = [(f, 1, 1) for f in t_factors] + [(1, fh, fw) for fh, fw in zip(h_factors, w_factors)]
-        n_layers = max(len(channels), len(strides))
+        n_layers = max(len(CHANNELS), len(strides))
         strides += [(1, 1, 1)] * (n_layers - len(strides))
 
         self.convs = []
-        c_in = latent_channels
+        c_in = LATENT_CHANNELS
         for i, stride in enumerate(strides):
-            c_out = channels[min(i, len(channels) - 1)]
+            c_out = CHANNELS[min(i, len(CHANNELS) - 1)]
             kernel = tuple(max(3, s) if s % 2 else max(3, s + 1) for s in stride)
             # k odd with p = (k - s + 1) // 2 downsamples exactly by s on divisible extents
             padding = tuple((k - s + 1) // 2 for k, s in zip(kernel, stride))
             self.convs.append(nn.Conv3dLayer(c_in, c_out, kernel, stride, padding, rng))
             c_in = c_out
-        self.attn = nn.AttentionLayer(c_in, heads, rng)
+        self.attn = nn.AttentionLayer(c_in, HEADS, rng)
         # one learned position row per token of a desk-grid chunk, shared across chunks; every
         # variant draws the same pool of at least POS_POOL floats, so the parameters drawn
         # after it keep their seeded values
@@ -213,7 +210,7 @@ class EncoderModel:
         if variant != "only_lr":
             self.pos = Tensor(pool[: n_pos * c_in].reshape(n_pos, c_in).copy(), requires_grad=True)
         self.hr_proj = nn.Linear(c_in, model_dim, rng)
-        self.lr_proj = nn.Linear(latent_channels, model_dim, rng)
+        self.lr_proj = nn.Linear(LATENT_CHANNELS, model_dim, rng)
 
     # -- forward ---------------------------------------------------------------
 
@@ -227,8 +224,8 @@ class EncoderModel:
         ):
             if extent % div:
                 raise ValueError(f"history axis {axis}={extent} not divisible by {div}")
-        if c != self.latent_channels:
-            raise ValueError(f"expected {self.latent_channels} latent channels, got {c}")
+        if c != LATENT_CHANNELS:
+            raise ValueError(f"expected {LATENT_CHANNELS} latent channels, got {c}")
 
     def compress_chunk(self, chunk: Tensor) -> Tensor:
         """Compress one (N, chunk_len, H, W, C) chunk into (N, L_chunk, D) tokens."""

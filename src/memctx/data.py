@@ -13,7 +13,6 @@ right, then the rows of a block one at a time from zero, frame by frame
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import struct
@@ -190,9 +189,9 @@ def make_latent_scene(spec: SceneSpec, seed: int, pixel_shape=DESK_PIXEL) -> np.
     return (toy_vae_encode(pixels) - LATENT_SHIFT) * LATENT_SCALE
 
 
-def sample_mask_levels(rng: np.random.Generator, count: int, mu=0.0, sigma=1.0) -> np.ndarray:
-    """Noise-as-mask levels: logit-normal draws affinely rescaled into (0.2, 1]."""
-    u = 1.0 / (1.0 + np.exp(-(mu + sigma * rng.standard_normal(count))))
+def sample_mask_levels(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Noise-as-mask levels: standard logit-normal draws affinely rescaled into (0.2, 1]."""
+    u = 1.0 / (1.0 + np.exp(-rng.standard_normal(count)))
     return 0.2 + 0.8 * u
 
 
@@ -226,7 +225,7 @@ def sample_omega(t_h: int, seed: int, policy: str = "uniform") -> FrameIndexSet:
 # -- MCTX flat binary latent format --------------------------------------------
 
 
-def save_latents(path: str, array: np.ndarray, meta: dict | None = None) -> None:
+def save_latents(path: str, array: np.ndarray) -> None:
     """Write a 4-d array as magic/version/shape/dtype header + row-major values."""
     if array.ndim != 4:
         raise ValueError(f"MCTX stores 4-d latents, got shape {array.shape}")
@@ -240,9 +239,6 @@ def save_latents(path: str, array: np.ndarray, meta: dict | None = None) -> None
         f.write(struct.pack("<I", tag))
         f.write(arr.tobytes(order="C"))
     os.replace(tmp, path)
-    if meta is not None:
-        with open(path + ".json", "w") as f:
-            json.dump(meta, f, indent=2, sort_keys=True)
 
 
 class LatentFileError(ValueError):

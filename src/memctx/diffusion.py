@@ -51,6 +51,9 @@ class TimestepDistribution:
         return s * u / (1.0 + (s - 1.0) * u)
 
 
+FINETUNE_TIMESTEPS = TimestepDistribution()  # the standard logit-normal: μ 0, σ 1, shift 1
+
+
 def _mask_history(history: np.ndarray, omega: FrameIndexSet, rng) -> np.ndarray:
     """Noise-as-mask: non-selected frames interpolated toward noise at their level."""
     masked = history.copy()
@@ -110,13 +113,13 @@ def finetune_loss(
     x0_future,
     c,
     seed: int,
-    timestep_dist: TimestepDistribution | None = None,
     freeze_encoder: bool = False,
     window_latents=None,
 ) -> Tensor:
     """Next-clip objective: predict the velocity of the future clip given
     the compressed history and, optionally, its last w frames uncompressed
-    as (N, w, H, W, C) ``window_latents``."""
+    as (N, w, H, W, C) ``window_latents``.  Timesteps follow
+    ``FINETUNE_TIMESTEPS``."""
     history = np.asarray(history)
     x0 = np.asarray(x0_future)
     batched = history.ndim == 5
@@ -124,12 +127,11 @@ def finetune_loss(
     x0 = x0 if batched else x0[None]
     if h.shape[0] != x0.shape[0] or h.shape[2:] != x0.shape[2:]:
         raise ValueError(f"history {h.shape} and future clip {x0.shape} disagree")
-    dist = timestep_dist or TimestepDistribution()
     rng = seeding.stream(seed, 0xF17E)
 
     n = h.shape[0]
     eps = rng.standard_normal(x0.shape).astype(h.dtype)
-    t = dist.sample(rng, size=n)
+    t = FINETUNE_TIMESTEPS.sample(rng, size=n)
     x_t = (1.0 - t[:, None, None, None, None]) * x0 + t[:, None, None, None, None] * eps
     frame_idx = range(h.shape[1], h.shape[1] + x0.shape[1])
     window_frames = 0 if window_latents is None else np.shape(window_latents)[1]

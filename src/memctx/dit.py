@@ -25,11 +25,13 @@ import numpy as np
 
 from . import nn
 from .compressor import CompressedContext
+from .data import LATENT_CHANNELS
 from .nn import _into_first
 from .tensor import Tensor, _unbroadcast, as_default_dtype, concat, default_dtype
 
 __all__ = ["DiTModel"]
 
+PATCH = (1, 2, 2)  # latent frames, rows and columns per token
 ROPE_BASE = 10000.0  # pair i of a rotary group of n turns ROPE_BASE ** (-i / n) radians per step
 
 
@@ -150,16 +152,13 @@ class DiTModel:
         inner_dim: int = 64,
         n_blocks: int = 4,
         n_heads: int = 4,
-        patch=(1, 2, 2),
-        latent_channels: int = 4,
         cond_vocab: int = 16,
     ):
         self.inner_dim, self.head_dim = inner_dim, inner_dim // n_heads
         if inner_dim % n_heads or self.head_dim % 8:  # _rope splits a head's pairs in half and quarters
             raise ValueError(f"inner_dim {inner_dim} must be {n_heads} heads of a multiple of 8 features")
-        self.patch = tuple(patch)
-        self.latent_channels = latent_channels
-        patch_in = int(np.prod(self.patch)) * latent_channels
+        self.patch = PATCH
+        patch_in = int(np.prod(PATCH)) * LATENT_CHANNELS
         self.patch_proj = nn.Linear(patch_in, inner_dim, rng)
         self.cond_emb = nn.Embedding(cond_vocab, inner_dim, rng)
         self.t_fc1 = nn.Linear(inner_dim, inner_dim, rng)
@@ -180,8 +179,8 @@ class DiTModel:
     def _grid(self, shape):
         t, h, w, c = shape[-4:]
         pt, ph, pw = self.patch
-        if c != self.latent_channels:
-            raise ValueError(f"expected {self.latent_channels} channels, got {c}")
+        if c != LATENT_CHANNELS:
+            raise ValueError(f"expected {LATENT_CHANNELS} channels, got {c}")
         for axis, extent, p in (("T", t, pt), ("H", h, ph), ("W", w, pw)):
             if extent % p:
                 raise ValueError(f"latent axis {axis}={extent} not divisible by patch {p}")
@@ -193,9 +192,8 @@ class DiTModel:
         n = x.shape[0]
         gt, gh, gw = self._grid(x.shape)
         pt, ph, pw = self.patch
-        c = self.latent_channels
-        x = x.reshape(n, gt, pt, gh, ph, gw, pw, c)
-        x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(n, gt * gh * gw, pt * ph * pw * c)
+        x = x.reshape(n, gt, pt, gh, ph, gw, pw, LATENT_CHANNELS)
+        x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(n, gt * gh * gw, pt * ph * pw * LATENT_CHANNELS)
         return self.patch_proj(x)
 
     def _unpatchify(self, tokens: Tensor, shape) -> Tensor:

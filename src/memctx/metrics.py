@@ -41,16 +41,12 @@ class BudgetSpec:
     vae_spatial: int = 16
     vae_temporal: int = 4
     rate: tuple | None = None  # (r_h, r_w, r_t) of the memory encoder
-    window_frames: int = 0
-    window_patch_spatial: int = 1
 
 
 @dataclasses.dataclass(frozen=True)
 class BudgetReport:
     uncompressed: int
     compressed: int  # the history after the encoder; ``uncompressed`` without a rate
-    window_tokens: int
-    total: int
     accounting: str = "exact"  # "total/volume" when the rate does not tile the token grid
 
 
@@ -63,7 +59,7 @@ def _div(n: int, d: int, axis: str, exact: bool) -> int:
 
 
 def context_length(spec: BudgetSpec, exact: bool = False) -> BudgetReport:
-    """Token budget: uncompressed, compressed, window, total.
+    """Token budget: uncompressed and compressed.
 
     Non-divisible extents floor with a warning unless ``exact`` is set,
     matching the approximate published-scale accounting; so does a rate
@@ -104,14 +100,7 @@ def _budget(spec: BudgetSpec, exact: bool) -> BudgetReport:
             compressed = uncompressed // (r_h * r_w * r_t)
         else:
             compressed = (h_tok // r_h) * (w_tok // r_w) * (t_tok // r_t)
-    win = 0
-    if spec.window_frames:
-        ws = spec.window_patch_spatial
-        win = spec.window_frames * _div(h_tok, ws, "height", exact) * _div(w_tok, ws, "width", exact)
-    return BudgetReport(
-        uncompressed=uncompressed, compressed=compressed, window_tokens=win, total=compressed + win,
-        accounting=accounting,
-    )
+    return BudgetReport(uncompressed=uncompressed, compressed=compressed, accounting=accounting)
 
 
 def budget_table(spec: BudgetSpec, rate_grid) -> list:
@@ -126,7 +115,7 @@ def budget_table(spec: BudgetSpec, rate_grid) -> list:
         rows.append(
             {
                 "rate": f"{rate[0]}x{rate[1]}x{rate[2]}",
-                "tokens": rep.total,
+                "tokens": rep.compressed,
                 "uncompressed": rep.uncompressed,
                 "reduction": rep.uncompressed / max(rep.compressed, 1),
                 "accounting": rep.accounting,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _tracks, _unbroadcast, default_dtype
+from .tensor import Tensor, _unbroadcast, default_dtype
 
 __all__ = [
     "Linear",
@@ -272,16 +272,9 @@ def _columns(layer: Conv3dLayer, x: np.ndarray):
     return xp, np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * idx.shape[0], -1)
 
 
-def softmax(x: Tensor, axis: int = -1, *, out: np.ndarray | None = None) -> Tensor:
-    """Softmax along ``axis``: one tape node whose backward is y·(g − Σ g·y).
-
-    ``out`` is an array of ``x``'s shape and dtype that a call recording no
-    tape writes its result into; it may be ``x.data`` itself, which saves a
-    buffer when the caller owns the logits.
-    """
-    if out is not None and _tracks((x,)):
-        raise ValueError("softmax out= needs a call that records no tape")
-    y = np.subtract(x.data, x.data.max(axis=axis, keepdims=True), out=out)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``: one tape node whose backward is y·(g − Σ g·y)."""
+    y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return Tensor._make(y, (x,), lambda g: (_softmax_vjp(g, y, axis),))
@@ -486,11 +479,11 @@ def rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 class Embedding:
     """Learned lookup table of shape (vocab, dim)."""
 
-    def __init__(self, vocab, dim, rng, scale=0.02):
-        self.table = _param(rng.normal(0.0, scale, size=(vocab, dim)))
+    def __init__(self, vocab, dim, rng):
+        self.table = _param(rng.normal(0.0, 0.02, size=(vocab, dim)))
 
     def __call__(self, idx) -> Tensor:
-        return self.table.index_select(np.asarray(idx, dtype=np.int64))
+        return self.table[np.asarray(idx, dtype=np.int64)]
 
     def named_parameters(self, prefix):
         return {f"{prefix}.table": self.table}

@@ -21,17 +21,17 @@ __all__ = ["RolloutSession"]
 
 
 class RolloutSession:
-    """Single-owner autoregressive generation state."""
+    """Single-owner autoregressive generation state, primed by a seed clip that fixes the latent geometry."""
 
     def __init__(
         self,
         dit,
         encoder,
         seed: int,
+        seed_clip: np.ndarray,
         condition_schedule=((0, 0),),
         window_frames: int = 0,
         sample_steps: int = 8,
-        seed_clip: np.ndarray | None = None,
     ):
         self.dit = dit
         self.encoder = encoder
@@ -45,8 +45,7 @@ class RolloutSession:
         self.history: list = []
         self.ctx: CompressedContext | None = None
         self.steps_taken = 0
-        if seed_clip is not None:
-            self._append(np.asarray(seed_clip, dtype=default_dtype()))
+        self._append(np.asarray(seed_clip, dtype=default_dtype()))
 
     # -- state ------------------------------------------------------------------
 
@@ -55,8 +54,6 @@ class RolloutSession:
         return sum(clip.shape[0] for clip in self.history)
 
     def full_history(self) -> np.ndarray:
-        if not self.history:
-            raise ValueError("empty session history")
         return np.concatenate(self.history, axis=0)
 
     def window_latents(self) -> np.ndarray | None:
@@ -65,7 +62,7 @@ class RolloutSession:
         Reads only the trailing clips that cover the window, so its cost does
         not grow with the history.
         """
-        if self.window_frames <= 0 or not self.history:
+        if self.window_frames <= 0:
             return None
         clips, frames = [], 0
         for clip in reversed(self.history):
@@ -100,12 +97,11 @@ class RolloutSession:
     def step(self) -> np.ndarray:
         """Generate the next clip, append it to history, extend the context."""
         base = self.generated_frames
-        shape = self._clip_shape()
         clip = diffusion.sample(
             self.dit,
             self.ctx,
             self.active_condition(),
-            shape,
+            (self.clip_len,) + self.history[0].shape[1:],
             seed=(self.seed, self.steps_taken),
             steps=self.sample_steps,
             frame_indices=range(base, base + self.clip_len),
@@ -114,13 +110,6 @@ class RolloutSession:
         self._append(clip)
         self.steps_taken += 1
         return clip
-
-    def _clip_shape(self):
-        if self.history:
-            spatial = self.history[0].shape[1:]
-        else:
-            raise ValueError("session needs a seed clip to fix the latent geometry")
-        return (self.clip_len,) + spatial
 
     def run(self, n_steps: int):
         """Roll out n clips; returns (full video, per-step metric records).

@@ -77,11 +77,6 @@ def no_grad():
         st.grad_enabled = prev
 
 
-def _tracks(parents) -> bool:
-    """Whether an op over ``parents`` records a tape node."""
-    return _st().grad_enabled and any(p.requires_grad for p in parents)
-
-
 class Tensor:
     """n-d array with optional gradient accumulator."""
 
@@ -103,11 +98,12 @@ class Tensor:
     @staticmethod
     def _make(data, parents, vjp):
         """Internal: wrap an op result, recording adjoints if needed."""
+        st = _st()
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out._id = next(_st().counter)
-        track = _tracks(parents)
+        out._id = next(st.counter)
+        track = st.grad_enabled and any(p.requires_grad for p in parents)
         out.requires_grad = track
         if track:
             out._parents = tuple(parents)
@@ -179,9 +175,6 @@ class Tensor:
             "sub",
         )
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other) - self
-
     def __mul__(self, other):
         return self._binary(
             other,
@@ -194,23 +187,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(
-            other,
-            np.divide,
-            lambda a, b, out: lambda g: (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            ),
-            "div",
-        )
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
-    def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,))
 
     def astype(self, dtype) -> "Tensor":
         """Differentiable cast; the tensor itself when it already has ``dtype``."""
@@ -225,14 +201,6 @@ class Tensor:
 
     def square(self) -> "Tensor":
         return Tensor._make(self.data * self.data, (self,), lambda g: (2.0 * self.data * g,))
-
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return Tensor._make(out, (self,), lambda g: (g * 0.5 / out,))
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return Tensor._make(out, (self,), lambda g: (g * out,))
 
     def silu(self) -> "Tensor":
         """x·σ(x).  The node keeps only its input: backward recomputes σ(x) as the forward did."""
@@ -284,38 +252,7 @@ class Tensor:
 
         return Tensor._make(np.ascontiguousarray(data), (self,), vjp)
 
-    def index_select(self, idx) -> "Tensor":
-        """Row lookup along axis 0 (embedding-table gather)."""
-        idx = np.asarray(idx)
-        data = self.data[idx]
-        shape = self.shape
-
-        def vjp(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, idx, g)
-            return (full,)
-
-        return Tensor._make(data, (self,), vjp)
-
-    # -- contraction & reduction ----------------------------------------------
-
-    def matmul(self, other) -> "Tensor":
-        other = Tensor._coerce(other)
-        a, b = self.data, other.data
-        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise ValueError(
-                f"matmul: inner dims disagree for shapes {a.shape} and {b.shape}"
-            )
-        data = np.matmul(a, b)
-
-        def vjp(g):
-            ga = np.matmul(g, np.swapaxes(b, -1, -2)) if b.ndim > 1 else np.multiply.outer(g, b)
-            gb = np.matmul(np.swapaxes(a, -1, -2), g)
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-        return Tensor._make(data, (self, other), vjp)
-
-    __matmul__ = matmul
+    # -- reduction ------------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         axis = _norm_axes(axis, self.ndim)
@@ -339,22 +276,6 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy() / n,)
-
-        return Tensor._make(np.asarray(data), (self,), vjp)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        axis = _norm_axes(axis, self.ndim)
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        src = self.data
-
-        def vjp(g):
-            expanded = data if keepdims or axis is None else np.expand_dims(data, axis)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            mask = (src == expanded)
-            # ties split gradient evenly; a strict-max input routes to one slot
-            counts = mask.sum(axis=axis, keepdims=axis is not None, dtype=g.dtype)
-            return (mask * (g / counts),)
 
         return Tensor._make(np.asarray(data), (self,), vjp)
 

@@ -158,14 +158,13 @@ def evaluate_retrieval(
     seed: int,
     n_eval: int = 6,
     positions: str = "random",
-    max_targets: int = 4,
     sample_steps: int = 8,
 ):
     """Held-out retrieval PSNR under the training-style masking protocol.
 
     Per scene: draw an index set, mask the history (index-set frames kept
     clean, all others noised), compress, then sample reconstructions at the
-    clean index positions — random positions (``positions='random'``) or
+    first four clean index positions — random positions (``positions='random'``) or
     the final frame only (``positions='endpoint'``).
     """
     scores = []
@@ -176,7 +175,7 @@ def evaluate_retrieval(
         policy = "fixed-endpoints" if positions == "endpoint" else "uniform"
         omega = data.sample_omega(t_h, (seed, 0xE7A1, k), policy=policy)
         masked_hist = diffusion.mask_history(lat, omega, (seed, 0xE7A3, k))
-        targets = sorted(omega.indices)[:max_targets]
+        targets = sorted(omega.indices)[:4]
         with no_grad():
             ctx = enc.compress(masked_hist)
         recon = diffusion.sample(

@@ -572,6 +572,16 @@ def test_cli_eval_latents_it_cannot_compare_are_config_error(tmp_path, capsys, o
     assert "cannot compare" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(2, 4, 8, 4), (2, 8, 4, 4)], ids=["short", "narrow"])
+def test_cli_eval_fits_the_ssim_window_to_small_frames(tmp_path, capsys, shape):
+    """The SSIM window shrinks to the smaller of a frame's height and width."""
+    path = str(tmp_path / "a.mctx")
+    data.save_latents(path, np.random.default_rng(3).normal(size=shape).astype(np.float32))
+    assert cli.main(["eval", path, path]) == cli.EXIT_OK
+    scores = json.loads(capsys.readouterr().out)
+    assert scores["frames_compared"] == 2 and scores["ssim"] == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -646,6 +656,26 @@ def test_cli_resume_digest_ignores_step_budget_only(tmp_path):
     changed = _tiny_cfg(tmp_path, training={"steps": 3, "lr": 1e-3})
     with pytest.warns(UserWarning, match="different config"):
         assert cli.main(["pretrain", changed, "--resume", ckpt]) == cli.EXIT_OK
+
+
+def test_cli_resume_past_the_step_budget_is_config_error(tmp_path, capsys):
+    """A step-4 checkpoint resumed under 2 steps exits 2 and writes nothing; under 4 steps it is a no-op."""
+    assert cli.main(["pretrain", _tiny_cfg(tmp_path, training={"steps": 4})]) == cli.EXIT_OK
+    ckpt = str(tmp_path / "out" / "pretrain.mcck")
+    params, _, _ = checkpoint.load_checkpoint(ckpt)
+
+    shorter = _tiny_cfg(tmp_path, training={"steps": 2}, output={"dir": str(tmp_path / "short")})
+    capsys.readouterr()
+    assert cli.main(["pretrain", shorter, "--resume", ckpt]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at step 4, past training.steps 2" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "short" / "pretrain.mcck")
+
+    same = _tiny_cfg(tmp_path, training={"steps": 4}, output={"dir": str(tmp_path / "same")})
+    assert cli.main(["pretrain", same, "--resume", ckpt]) == cli.EXIT_OK
+    again, step, opt = checkpoint.load_checkpoint(str(tmp_path / "same" / "pretrain.mcck"))
+    assert step == 4 and opt["adam.step"][0] == 4
+    assert all(np.array_equal(params[name], again[name]) for name in params)
 
 
 @pytest.fixture(scope="module")

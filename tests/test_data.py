@@ -222,7 +222,7 @@ def test_latents_round_trip_bitwise(tmp_path):
     for dtype in (np.float32, np.float64):
         arr = rng.normal(size=(6, 8, 8, 4)).astype(dtype)
         path = str(tmp_path / f"clip_{arr.dtype}.mctx")
-        data.save_latents(path, arr, meta={"seed": 9})
+        data.save_latents(path, arr)
         back = data.load_latents(path)
         assert back.dtype == arr.dtype
         assert np.array_equal(back, arr)

@@ -28,7 +28,7 @@ def test_published_geometry_uncompressed_count():
     # 52 * 30 * 360 independent hand computation
     assert (832 // 16) * (480 // 16) * (24 * 60 // 4) == 561_600
     assert rep.uncompressed == 561_600
-    assert rep.total == 561_600
+    assert rep.compressed == 561_600
 
 
 def test_twenty_second_4x4x2_count():
@@ -58,15 +58,6 @@ def test_non_divisible_floors_with_warning():
     with pytest.warns(UserWarning, match="height"):
         rep = metrics.context_length(spec)
     assert rep.uncompressed == 52 * (470 // 16) * 120
-
-
-def test_window_tokens_added():
-    spec = dataclasses.replace(
-        PUBLISHED, rate=(4, 4, 2), window_frames=5, window_patch_spatial=2
-    )
-    rep = metrics.context_length(spec)
-    assert rep.window_tokens == 5 * (30 // 2) * (52 // 2)
-    assert rep.total == rep.compressed + rep.window_tokens
 
 
 def test_budget_table_rows():

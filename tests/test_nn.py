@@ -12,7 +12,7 @@ from memctx import nn, training
 from memctx.dit import _adaln, _gated
 from memctx.tensor import Tensor, backward, concat, no_grad, using_dtype
 
-from test_tensor import check_grad, check_grads, finite_diff, held_arrays, tape_nodes
+from test_tensor import check_grad, check_grads, finite_diff, held_arrays, matmul, tape_nodes
 
 RNG = None  # bound per test by _rng_per_test
 
@@ -494,17 +494,6 @@ def test_fused_softmax_and_layernorm_equal_taped_bitwise(x_dtype, param_dtype, e
         assert np.array_equal(fused.numpy(), tape.numpy())
 
 
-def test_softmax_out_overwrites_logits_only_without_tape():
-    x = RNG.standard_normal((3, 7))
-    expected = nn.softmax(Tensor(x)).numpy()
-    logits = x.copy()
-    out = nn.softmax(Tensor(logits), out=logits)
-    assert out.numpy() is logits
-    assert np.array_equal(logits, expected)
-    with pytest.raises(ValueError, match="no tape"):
-        nn.softmax(Tensor(x, requires_grad=True), out=x.copy())
-
-
 # -- attention -----------------------------------------------------------------
 
 
@@ -667,8 +656,8 @@ def test_attention_gradients_through_the_memory_pair(heads):
 def _composed_attention(q, k, v, heads):
     """softmax(q·kᵀ/√d)·v per head from separate taped ops: the reference for the fused core."""
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-    scores = qh.matmul(kh.transpose(0, 1, 3, 2)).scale(float(1.0 / np.sqrt(qh.shape[-1])))
-    return _merge_heads(nn.softmax(scores).matmul(vh))
+    scores = matmul(qh, kh.transpose(0, 1, 3, 2)).scale(float(1.0 / np.sqrt(qh.shape[-1])))
+    return _merge_heads(matmul(nn.softmax(scores), vh))
 
 
 @pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from memctx.tensor import (
     Tensor,
+    _unbroadcast,
     as_default_dtype,
     backward,
     concat,
@@ -125,12 +126,25 @@ def tape_bytes(out):
     return sum(buffers.values())
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over the last two axes, leading axes broadcast, as one tape node.
+
+    No program path needs a taped matmul (``nn.linear`` and ``nn.attention``
+    multiply inside their own nodes); composed reference paths build on this one.
+    """
+    data = np.matmul(a.data, b.data)
+
+    def vjp(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+
+    return Tensor._make(data, (a, b), vjp)
+
+
 UNARY_CASES = {
-    "neg": lambda t: (-t).square().mean(),
     "square": lambda t: t.square().mean(),
-    "exp": lambda t: t.exp().mean(),
     "silu": lambda t: t.silu().square().mean(),
-    "sqrt_shifted": lambda t: (t.square() + 1.0).sqrt().mean(),
     "scale": lambda t: t.scale(3.5).square().mean(),
     "reshape": lambda t: t.reshape(6, 2).square().mean(),
     "transpose": lambda t: t.transpose(1, 0).square().mean(),
@@ -150,7 +164,6 @@ BINARY_CASES = {
     "add": lambda a, b: (a + b).square().mean(),
     "sub": lambda a, b: (a - b).square().mean(),
     "mul": lambda a, b: (a * b).mean(),
-    "div": lambda a, b: (a / (b.square() + 1.0)).mean(),
 }
 
 
@@ -167,7 +180,7 @@ def test_binary_op_gradients_with_broadcasting(name, b_shape):
 def test_matmul_forward_matches_triple_loop():
     a = RNG.standard_normal((4, 5))
     b = RNG.standard_normal((5, 3))
-    out = Tensor(a).matmul(Tensor(b)).numpy()
+    out = matmul(Tensor(a), Tensor(b)).numpy()
     expect = np.zeros((4, 3))
     for i in range(4):
         for j in range(3):
@@ -179,15 +192,15 @@ def test_matmul_forward_matches_triple_loop():
 def test_matmul_gradients():
     a = RNG.standard_normal((4, 5))
     b = RNG.standard_normal((5, 3))
-    check_grad(lambda t: t.matmul(Tensor(b)).square().mean(), a)
-    check_grad(lambda t: Tensor(a).matmul(t).square().mean(), b)
+    check_grad(lambda t: matmul(t, Tensor(b)).square().mean(), a)
+    check_grad(lambda t: matmul(Tensor(a), t).square().mean(), b)
 
 
 def test_batched_matmul_gradients():
     a = RNG.standard_normal((2, 3, 4))
     b = RNG.standard_normal((2, 4, 5))
-    check_grad(lambda t: t.matmul(Tensor(b)).square().mean(), a)
-    check_grad(lambda t: Tensor(a).matmul(t).square().mean(), b)
+    check_grad(lambda t: matmul(t, Tensor(b)).square().mean(), a)
+    check_grad(lambda t: matmul(Tensor(a), t).square().mean(), b)
 
 
 def test_broadcast_add_forward_matches_explicit_loop():
@@ -204,50 +217,41 @@ def test_broadcast_add_forward_matches_explicit_loop():
 def test_getitem_gradient_scatters_with_duplicate_indices():
     x = RNG.standard_normal((5, 2))
     idx = np.array([1, 1, 3])
-    check_grad(lambda t: t.index_select(idx).square().mean(), x)
+    check_grad(lambda t: t[idx].square().mean(), x)
 
 
 @pytest.mark.parametrize(
-    "key",
+    "key,shape",
     [
-        np.s_[1:3],
-        np.s_[::-2],
-        np.s_[4:0:-1, 1],
-        2,
-        np.int64(-1),
-        np.s_[..., 0],
-        np.s_[:, None, 1:],
-        np.s_[:, :, -2],
-        np.array([1, 1, 3]),
-        np.s_[[0, 0, 4], 1:],
-    ],
+        (key, (5, 3, 4))
+        for key in (
+            np.s_[1:3],
+            np.s_[::-2],
+            np.s_[4:0:-1, 1],
+            2,
+            np.int64(-1),
+            np.s_[..., 0],
+            np.s_[:, None, 1:],
+            np.s_[:, :, -2],
+            np.array([1, 1, 3]),
+            np.s_[[0, 0, 4], 1:],
+        )
+    ]
+    + [(np.array([3, 0, 3, 3], np.int64), (6, 4))],  # nn.Embedding's lookup: repeated rows of a 2-D table
     ids=[
         "slice", "neg_step", "neg_step_int", "int", "np_int",
-        "ellipsis", "newaxis", "last_axis", "array", "mixed",
+        "ellipsis", "newaxis", "last_axis", "array", "mixed", "embedding_rows",
     ],
 )
-def test_getitem_gradient_equals_add_at_scatter(key):
+def test_getitem_gradient_equals_add_at_scatter(key, shape):
     """Basic indices write the gradient, advanced ones accumulate it; both match np.add.at."""
-    x = np.random.default_rng(41).standard_normal((5, 3, 4))
+    x = np.random.default_rng(41).standard_normal(shape)
     t = Tensor(x, requires_grad=True)
     w = np.random.default_rng(42).standard_normal(x[key].shape)
     backward((t[key] * Tensor(w)).sum())
     expect = np.zeros_like(x)
     np.add.at(expect, key, w)
     assert np.array_equal(t.grad, expect)
-
-
-def test_max_gradient_at_tie_splits_evenly():
-    with using_dtype("float64"):
-        t = Tensor(np.array([2.0, 2.0, 1.0]), requires_grad=True)
-        loss = t.max()
-        backward(loss)
-        np.testing.assert_allclose(t.grad, [0.5, 0.5, 0.0])
-
-
-def test_max_gradient_matches_finite_differences_off_ties():
-    x = np.array([[1.0, 3.0, -2.0], [0.5, -1.0, 4.0]])
-    check_grad(lambda t: t.max(axis=1).square().mean(), x)
 
 
 def test_concat_gradients():
@@ -261,8 +265,8 @@ def test_composite_expression_gradient():
     x = RNG.standard_normal((4, 4))
 
     def f(t):
-        y = (t.matmul(t.transpose(1, 0)) + 1.0).silu()
-        return (y * y.exp()).mean()
+        y = (matmul(t, t.transpose(1, 0)) + 1.0).silu()
+        return (y * y.silu()).mean()
 
     check_grad(f, x)
 
@@ -350,7 +354,7 @@ def test_as_default_dtype_casts_and_routes_gradients_back():
 
 def test_float32_gradients_stay_float32():
     x = Tensor(RNG.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-    backward(x.max(axis=1).sum() + x.max() + x.mean(axis=0).sum())
+    backward(x[:, 1:].sum() + x.square().mean() + x.mean(axis=0).sum())
     assert x.grad.dtype == np.float32
 
 
