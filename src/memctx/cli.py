@@ -6,12 +6,13 @@ head count times a multiple of 8, a condition schedule not starting at frame
 0 or a code outside the vocabulary), a file that cannot be read or written
 (missing, a directory, no permission: any OSError), a corrupt latent file
 (bad magic, unsupported version, unknown dtype, truncated), two latent files
-``eval`` cannot compare (another frame shape, or no frames), an
-``experiment`` with a negative seed or step budget or fewer than one scene
-(rejected before any training runs), a ``finetune`` whose
+``eval`` cannot compare (another frame shape, no frames, or frames with no
+pixels), an ``experiment`` with a negative seed or step budget or fewer than
+one scene (rejected before any training runs), a ``finetune`` whose
 ``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``--resume``
 checkpoint whose step is past ``training.steps``, a ``budget``
-geometry that is not positive and finite or reduces to zero tokens, or a
+geometry that is not positive and finite, whose frame count (fps times
+duration) is not finite, or that reduces to zero tokens, or a
 checkpoint that does not fit (bad magic, unsupported version, truncated
 file, a parameter name that is not UTF-8, a shape or payload larger than the
 bytes left in the file or that numpy cannot hold, unknown dtype, missing,
@@ -191,7 +192,7 @@ def cmd_rollout(args) -> int:
 def cmd_eval(args) -> int:
     a = data.load_latents(args.generated)
     b = data.load_latents(args.reference)
-    if a.shape[1:] != b.shape[1:] or 0 in (a.shape[0], b.shape[0]):
+    if a.shape[1:] != b.shape[1:] or 0 in a.shape + b.shape:
         raise config_mod.ConfigError(f"cannot compare latents of shapes {a.shape} and {b.shape}")
     n = min(a.shape[0], b.shape[0])
     scores = {
@@ -223,7 +224,7 @@ def cmd_budget(args) -> int:
     grid = [(1, 1, 1), (2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)]
     try:
         rows = metrics.budget_table(spec, grid)
-    except ValueError as e:  # a geometry smaller than one token on some axis
+    except ValueError as e:  # an infinite frame count, or less than one token on some axis
         raise config_mod.ConfigError(str(e)) from None
     print(f"uncompressed context length: {rows[0]['uncompressed']}")
     print(f"{'rate':>8} {'tokens':>12} {'reduction':>10}  accounting")

@@ -78,15 +78,14 @@ def retrieval_loss(
 ) -> Tensor:
     """Frame-retrieval objective.
 
-    The clean frames at the selected indices are cloned as the diffusion
-    target while the compressed input carries the noise-masked history;
-    the model regresses the flow velocity toward those targets.
+    The clean frames at the selected indices of the (N, T, H, W, C) history
+    are cloned as the diffusion target while the compressed input carries
+    the noise-masked history; the model regresses the flow velocity toward
+    those targets.
     """
     if len(omega.indices) == 0:
         raise ValueError("retrieval needs at least one selected frame")
-    history = np.asarray(history)
-    batched = history.ndim == 5
-    h = history if batched else history[None]
+    h = np.asarray(history)
     n = h.shape[0]
     if omega.total_frames != h.shape[1]:
         raise ValueError("index set does not match history length")
@@ -116,15 +115,12 @@ def finetune_loss(
     freeze_encoder: bool = False,
     window_latents=None,
 ) -> Tensor:
-    """Next-clip objective: predict the velocity of the future clip given
-    the compressed history and, optionally, its last w frames uncompressed
-    as (N, w, H, W, C) ``window_latents``.  Timesteps follow
-    ``FINETUNE_TIMESTEPS``."""
-    history = np.asarray(history)
+    """Next-clip objective: predict the velocity of the (N, T', H, W, C)
+    future clip given the compressed (N, T, H, W, C) history and,
+    optionally, its last w frames uncompressed as (N, w, H, W, C)
+    ``window_latents``.  Timesteps follow ``FINETUNE_TIMESTEPS``."""
+    h = np.asarray(history)
     x0 = np.asarray(x0_future)
-    batched = history.ndim == 5
-    h = history if batched else history[None]
-    x0 = x0 if batched else x0[None]
     if h.shape[0] != x0.shape[0] or h.shape[2:] != x0.shape[2:]:
         raise ValueError(f"history {h.shape} and future clip {x0.shape} disagree")
     rng = seeding.stream(seed, 0xF17E)

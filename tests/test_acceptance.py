@@ -45,15 +45,16 @@ from test_tensor import matmul
 
 def test_uncompressed_minute_budget_is_exact():
     spec = metrics.BudgetSpec(width=832, height=480, fps=24, duration_s=60)
-    assert metrics.context_length(spec, exact=True).compressed == 561_600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no axis floors
+        (row,) = metrics.budget_table(spec, [(1, 1, 1)])
+    assert row["accounting"] == "exact" and row["tokens"] == 561_600
 
 
 def test_twenty_second_4x4x2_budget_lands_near_five_thousand():
-    spec = metrics.BudgetSpec(
-        width=832, height=480, fps=24, duration_s=20, rate=(4, 4, 2)
-    )
-    report = metrics.context_length(spec)
-    compressed = report.compressed
+    spec = metrics.BudgetSpec(width=832, height=480, fps=24, duration_s=20)
+    (row,) = metrics.budget_table(spec, [(4, 4, 2)])
+    compressed = row["tokens"]
     # [DERIVED] fixture: 52*30*120 tokens / 32 with floor semantics.
     assert compressed == 5_850
     assert 4_500 <= compressed <= 6_500

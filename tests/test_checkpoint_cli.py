@@ -572,6 +572,14 @@ def test_cli_eval_latents_it_cannot_compare_are_config_error(tmp_path, capsys, o
     assert "cannot compare" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 8, 4), (2, 8, 0, 4), (2, 8, 8, 0)], ids=["no_rows", "no_columns", "no_channels"])
+def test_cli_eval_frames_with_no_pixels_are_config_error(tmp_path, capsys, shape):
+    path = str(tmp_path / "a.mctx")
+    data.save_latents(path, np.zeros(shape, np.float32))
+    assert cli.main(["eval", path, path]) == cli.EXIT_CONFIG
+    assert "cannot compare" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("shape", [(2, 4, 8, 4), (2, 8, 4, 4)], ids=["short", "narrow"])
 def test_cli_eval_fits_the_ssim_window_to_small_frames(tmp_path, capsys, shape):
     """The SSIM window shrinks to the smaller of a frame's height and width."""
@@ -593,6 +601,7 @@ def test_cli_eval_fits_the_ssim_window_to_small_frames(tmp_path, capsys, shape):
         ["--vae-spatial", "0"],
         ["--vae-temporal", "-4"],
         ["--width", "8"],  # positive, but less than one token wide
+        ["--fps", "1e308", "--duration", "10"],  # each finite, the frame count not
     ],
 )
 def test_cli_budget_rejects_bad_geometry_as_config_error(args, capsys):

@@ -10,8 +10,8 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def _load(name):
-    """Import ``demos/<name>.py`` inside the calling test, so module-level settings
-    (``budget_table`` installs a warnings filter) stay within the test."""
+    """Import ``demos/<name>.py`` inside the calling test, so its module-level code
+    runs, and fails, within that test rather than at collection."""
     spec = importlib.util.spec_from_file_location(f"demo_{name}", DEMOS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
