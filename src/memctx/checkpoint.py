@@ -1,15 +1,14 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format, and the record layer it shares with MCTX latent files.
 
-Layout: magic "MCCK", version, sha256 config digest, training step
-counter, then a named parameter table of row-major arrays, then an
-optional optimizer-state table in the same layout, which ends the file.
-Writes are atomic (temp file + rename) and loads round-trip every array
-bitwise.
+Layout: magic "MCCK", version, sha256 config digest, training step counter,
+then a named parameter table of array records (shape, dtype tag, row-major
+values), then an optional optimizer-state table in the same layout, which
+ends the file. Writes are atomic (temp file + rename), reads refuse a
+truncated file or bytes after its end, and loads round-trip every array bitwise.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -22,10 +21,10 @@ MCCK_MAGIC = b"MCCK"
 # 2: the DiT reads context tokens as read-only memory; a version-1 checkpoint was
 # trained with context tokens as joint rows, so it is refused rather than loaded
 MCCK_VERSION = 2
-_DTYPES = {0: np.float32, 1: np.float64}
-_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # an array record's dtype tag indexes this
 
-__all__ = ["config_digest", "save_checkpoint", "load_checkpoint", "CheckpointMismatch"]
+__all__ = ["config_digest", "save_checkpoint", "load_checkpoint", "CheckpointMismatch",
+           "RecordFile", "array_record", "write_records"]
 
 
 class CheckpointMismatch(Exception):
@@ -38,6 +37,7 @@ _UNDIGESTED = (("training", "steps"), ("output", "dir"))
 
 
 def config_digest(config: dict) -> bytes:
+    import hashlib  # imported here: it loads OpenSSL, which a process that only moves latents need not
     kept = dict(config)
     for block, key in _UNDIGESTED:
         if isinstance(kept.get(block), dict):
@@ -46,55 +46,83 @@ def config_digest(config: dict) -> bytes:
     return hashlib.sha256(blob).digest()
 
 
-def _write_table(f, arrays: dict):
-    f.write(struct.pack("<I", len(arrays)))
+def write_records(path: str, magic: bytes, version: int, chunks: list) -> None:
+    """Write a record file atomically (a temporary file, then a rename): magic, version, ``chunks``."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.writelines([magic, struct.pack("<I", version), *chunks])
+    os.replace(tmp, path)
+
+
+def array_record(arr: np.ndarray, what: str, name: str) -> list:
+    """The chunks of one array record; only float32 and float64 arrays have a tag."""
+    if arr.dtype not in _DTYPES:
+        raise ValueError(f"unsupported {what} dtype {arr.dtype} for {name}")
+    return [struct.pack(f"<{arr.ndim}I", *arr.shape), struct.pack("<I", _DTYPES.index(arr.dtype)), arr.tobytes()]
+
+
+class RecordFile:
+    """A record file read front to back once its magic and version match. A field past the end
+    of the file is refused before it is read, so a corrupt size field cannot ask for more
+    memory than the file holds; each refusal raises ``error`` naming the format ``what``."""
+
+    def __init__(self, path: str, magic: bytes, version: int, what: str, error: type):
+        with open(path, "rb") as f:
+            self.view = memoryview(f.read())
+        self.path, self.what, self.error, self.at = path, what, error, 0
+        found = bytes(self.take(len(magic)))
+        if found != magic:
+            raise error(f"bad {what} magic {found!r} in {path}")
+        (found_version,) = self.unpack("<I")
+        if found_version != version:
+            raise error(f"unsupported {what} version {found_version}")
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.view) - self.at:
+            raise self.error(f"{self.what} {self.path} is truncated at byte {self.at}")
+        self.at += n
+        return self.view[self.at - n : self.at]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, name: str, ndim: int) -> np.ndarray:
+        shape = self.unpack(f"<{ndim}I")
+        (tag,) = self.unpack("<I")
+        if tag >= len(_DTYPES):
+            raise self.error(f"unknown dtype tag {tag} for {name} in {self.path}")
+        data = np.frombuffer(self.take(math.prod(shape) * _DTYPES[tag].itemsize), dtype=_DTYPES[tag])
+        try:  # a zero-size shape passes the size check; numpy still refuses >64 dims or a size overflow
+            return data.reshape(shape).copy()
+        except ValueError as e:
+            raise self.error(f"bad shape for {name} in {self.path}: {e}") from None
+
+    def end(self) -> None:
+        extra = len(self.view) - self.at
+        if extra:
+            raise self.error(f"{self.what} {self.path} has {extra} bytes after its end")
+
+
+def _table(arrays: dict) -> list:
+    chunks = [struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in _TAGS:
-            raise ValueError(f"unsupported checkpoint dtype {arr.dtype} for {name}")
+        arr = np.ascontiguousarray(arrays[name])  # a 0-d array is stored with shape (1,)
         nb = name.encode()
-        f.write(struct.pack("<H", len(nb)))
-        f.write(nb)
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        f.write(struct.pack("<I", _TAGS[arr.dtype]))
-        f.write(arr.tobytes(order="C"))
+        chunks += [struct.pack("<H", len(nb)), nb, struct.pack("<I", arr.ndim), *array_record(arr, "checkpoint", name)]
+    return chunks
 
 
-def _read(f, n: int) -> bytes:
-    """``n`` bytes of ``f``; a count past the end of the file is refused before any read,
-    so a corrupt size field cannot ask for more memory than the file holds."""
-    buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
-    if len(buf) != n:
-        raise CheckpointMismatch(f"checkpoint {f.name} is truncated at byte {f.tell()}")
-    return buf
-
-
-def _unpack(f, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read(f, struct.calcsize(fmt)))
-
-
-def _read_table(f) -> dict:
-    (count,) = _unpack(f, "<I")
+def _read_table(f: RecordFile) -> dict:
+    (count,) = f.unpack("<I")
     out = {}
     for _ in range(count):
-        (nlen,) = _unpack(f, "<H")
-        raw = _read(f, nlen)
+        (nlen,) = f.unpack("<H")
         try:
-            name = raw.decode()
+            name = bytes(f.take(nlen)).decode()
         except UnicodeDecodeError:
-            raise CheckpointMismatch(f"a parameter name in {f.name} is not UTF-8") from None
-        (ndim,) = _unpack(f, "<I")
-        shape = _unpack(f, f"<{ndim}I")
-        (tag,) = _unpack(f, "<I")
-        if tag not in _DTYPES:
-            raise CheckpointMismatch(f"unknown dtype tag {tag} for {name} in {f.name}")
-        dtype = np.dtype(_DTYPES[tag])
-        data = np.frombuffer(_read(f, math.prod(shape) * dtype.itemsize), dtype=dtype)
-        try:  # a zero-size shape passes the size check; numpy still refuses >64 dims or a size overflow
-            out[name] = data.reshape(shape).copy()
-        except ValueError as e:
-            raise CheckpointMismatch(f"bad shape for {name} in {f.name}: {e}") from None
+            raise CheckpointMismatch(f"a parameter name in {f.path} is not UTF-8") from None
+        (ndim,) = f.unpack("<I")
+        out[name] = f.array(name, ndim)
     return out
 
 
@@ -107,17 +135,9 @@ def save_checkpoint(
 ) -> None:
     """Atomically persist named parameters (Tensor or ndarray values)."""
     arrays = {k: (v.data if hasattr(v, "data") and not isinstance(v, np.ndarray) else np.asarray(v)) for k, v in params.items()}
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MCCK_MAGIC)
-        f.write(struct.pack("<I", MCCK_VERSION))
-        f.write(config_digest(config))
-        f.write(struct.pack("<Q", step))
-        _write_table(f, arrays)
-        f.write(struct.pack("<B", 1 if optimizer_arrays else 0))
-        if optimizer_arrays:
-            _write_table(f, optimizer_arrays)
-    os.replace(tmp, path)
+    chunks = [config_digest(config), struct.pack("<Q", step), *_table(arrays)]
+    chunks += [struct.pack("<B", 1), *_table(optimizer_arrays)] if optimizer_arrays else [struct.pack("<B", 0)]
+    write_records(path, MCCK_MAGIC, MCCK_VERSION, chunks)
 
 
 def load_checkpoint(path: str, config: dict | None = None):
@@ -125,21 +145,13 @@ def load_checkpoint(path: str, config: dict | None = None):
 
     With ``config``, warns when the checkpoint was written under another one.
     """
-    with open(path, "rb") as f:
-        magic = _read(f, 4)
-        if magic != MCCK_MAGIC:
-            raise CheckpointMismatch(f"bad checkpoint magic {magic!r} in {path}")
-        (version,) = _unpack(f, "<I")
-        if version != MCCK_VERSION:
-            raise CheckpointMismatch(f"unsupported checkpoint version {version}")
-        digest = _read(f, 32)
-        (step,) = _unpack(f, "<Q")
-        params = _read_table(f)
-        (has_opt,) = _unpack(f, "<B")
-        opt = _read_table(f) if has_opt else None
-        extra = os.fstat(f.fileno()).st_size - f.tell()
-        if extra:
-            raise CheckpointMismatch(f"checkpoint {path} has {extra} bytes after its end")
+    f = RecordFile(path, MCCK_MAGIC, MCCK_VERSION, "checkpoint", CheckpointMismatch)
+    digest = bytes(f.take(32))
+    (step,) = f.unpack("<Q")
+    params = _read_table(f)
+    (has_opt,) = f.unpack("<B")
+    opt = _read_table(f) if has_opt else None
+    f.end()
     if config is not None and digest != config_digest(config):
         warnings.warn(f"checkpoint {path} was written under a different config", stacklevel=2)
     return params, step, opt

@@ -1,26 +1,27 @@
 """Command-line harness: pretrain, finetune, rollout, eval, budget, experiment.
 
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
-unknown key, a value out of range or not finite, a DiT width that is not its
-head count times a multiple of 8, a condition schedule not starting at frame
-0 or a code outside the vocabulary), a file that cannot be read or written
-(missing, a directory, no permission: any OSError), a corrupt latent file
-(bad magic, unsupported version, unknown dtype, truncated), two latent files
-``eval`` cannot compare (another frame shape, no frames, or frames with no
-pixels), an ``experiment`` with a negative seed or step budget or fewer than
-one scene (rejected before any training runs), a ``finetune`` whose
-``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``--resume``
-checkpoint whose step is past ``training.steps``, a ``budget``
-geometry that is not positive and finite, whose frame count (fps times
-duration) is not finite, or that reduces to zero tokens, or a
-checkpoint that does not fit (bad magic, unsupported version, truncated
-file, a parameter name that is not UTF-8, a shape or payload larger than the
-bytes left in the file or that numpy cannot hold, unknown dtype, missing,
-unknown or mis-shaped parameters or optimizer state); 3 for a runtime or
-numeric failure: diverged training, or any other ValueError or
-ArithmeticError.  Argument errors that
-argparse reports (a missing or non-numeric argument, an unknown experiment
-recipe) also exit 2.  All commands are deterministic given config + seed;
+unknown key, a value out of range, such as a negative seed, or not finite, a
+DiT width that is not its head count times a multiple of 8, a condition
+schedule not starting at frame 0 or a code outside the vocabulary), a file
+that cannot be read or written (missing, a directory, no permission: any
+OSError), a corrupt latent file (bad magic, unsupported version, unknown
+dtype, truncated, bytes after its end), two latent files ``eval`` cannot
+compare (another frame shape, no frames, frames with no pixels, or a NaN or
+infinite value), an ``experiment`` with a negative or repeated seed, a
+negative step budget or fewer than one scene (rejected before any training
+runs), a ``finetune`` whose ``encoder.chunk_len`` leaves fewer than two
+chunks per scene, a ``--resume`` checkpoint whose step is past
+``training.steps``, a ``budget`` geometry that is not positive and finite,
+whose frame count (fps times duration) is not finite, or that reduces to
+zero tokens, or a checkpoint that does not fit (bad magic, unsupported
+version, truncated file, bytes after its end, a parameter name that is not
+UTF-8, a shape or payload larger than the bytes left in the file or that
+numpy cannot hold, unknown dtype, missing, unknown or mis-shaped parameters
+or optimizer state); 3 for a runtime or numeric failure: diverged training,
+or any other ValueError or ArithmeticError.  Argument errors that argparse
+reports (a missing or non-numeric argument, an unknown experiment recipe)
+also exit 2.  All commands are deterministic given config + seed;
 checkpoints are written atomically and training can resume from them.
 """
 
@@ -194,6 +195,8 @@ def cmd_eval(args) -> int:
     b = data.load_latents(args.reference)
     if a.shape[1:] != b.shape[1:] or 0 in a.shape + b.shape:
         raise config_mod.ConfigError(f"cannot compare latents of shapes {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise config_mod.ConfigError("cannot compare latents that hold NaN or infinite values")
     n = min(a.shape[0], b.shape[0])
     scores = {
         "psnr": metrics.psnr(a[:n], b[:n]),
@@ -259,7 +262,7 @@ def cmd_experiment(args) -> int:
             finetune_steps=args.finetune_steps,
             n_scenes=args.scenes,
         )
-    except ValueError as e:  # a negative seed or step budget, or no scenes
+    except ValueError as e:  # a negative or repeated seed, a negative step budget, or no scenes
         raise config_mod.ConfigError(str(e)) from None
     report = RECIPES[args.recipe](recipe, out_dir=args.out_dir)
     print(experiments.report_text(report))

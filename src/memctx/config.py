@@ -11,133 +11,92 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .compressor import VARIANTS
 
-__all__ = ["ConfigError", "load_config", "validate_config", "DEFAULTS"]
+__all__ = ["ConfigError", "load_config", "validate_config", "FIELDS"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "seed": 0,
-    "dataset": {
-        "seed": 100,
-        "size": 48,
-        "vocab": 16,
-        "static": False,
-    },
-    "encoder": {
-        "rate": [4, 4, 2],
-        "variant": "dual",
-        "chunk_len": 8,
-    },
-    "dit": {
-        "inner_dim": 64,
-        "blocks": 4,
-        "heads": 4,
-        "lora_rank": 0,
-    },
-    "diffusion": {
-        # training timesteps concentrate near t=1: memory is only consulted
-        # when the noisy clip carries little information, so high-noise
-        # coverage is what drives context usage during retrieval training
-        "mu": 2.0,
-        "sigma": 0.8,
-        "shift": 1.0,
-        "sample_steps": 8,
-    },
-    "training": {
-        "steps": 2000,
-        "batch": 4,
-        "lr": 3e-3,
-        "omega_policy": "uniform",
-        "freeze_encoder": False,
-        "log_every": 50,
-        "eval_every": 0,
-    },
-    "rollout": {
-        "n_steps": 4,
-        "window_frames": 0,
-        "condition_schedule": [[0, 0]],
-        "seed_scene": 0,
-    },
-    "output": {
-        "dir": "runs/default",
-    },
+def _int(lo=-math.inf):
+    # type(v) is int, not isinstance: JSON true/false load as bool, a subclass of int
+    return lambda v: type(v) is int and v >= lo
+
+
+def _real(lo=-math.inf):
+    """A number above ``lo`` that is finite as a float: the comparisons also refuse NaN, and
+    an integer literal too large for a float, such as 10**400, which JSON loads as an int."""
+    return lambda v: type(v) in (int, float) and lo < v and abs(v) <= sys.float_info.max
+
+
+def _one_of(*choices):
+    # compared with their type too, so that 0 and 1 are not false and true
+    return lambda v: any(type(v) is type(c) and v == c for c in choices)
+
+
+def _list_of(check, n=None):
+    """A list of ``n`` items (or at least one) that each pass ``check``."""
+    return lambda v: isinstance(v, list) and (len(v) == n if n else len(v) >= 1) and all(map(check, v))
+
+
+# every config field as dotted path: (default, check); a path with a dot names a block's key
+FIELDS = {
+    "seed": (0, _int(0)),
+    "dataset.seed": (100, _int(0)),
+    "dataset.size": (48, _int(1)),
+    "dataset.vocab": (16, _int(1)),
+    "dataset.static": (False, _one_of(False, True)),
+    "encoder.rate": ([4, 4, 2], _list_of(_int(1), n=3)),
+    "encoder.variant": ("dual", _one_of(*VARIANTS)),
+    "encoder.chunk_len": (8, _int(1)),
+    "dit.inner_dim": (64, _int(8)),
+    "dit.blocks": (4, _int(1)),
+    "dit.heads": (4, _int(1)),
+    "dit.lora_rank": (0, _int(0)),
+    # training timesteps concentrate near t=1: memory is only consulted
+    # when the noisy clip carries little information, so high-noise
+    # coverage is what drives context usage during retrieval training
+    "diffusion.mu": (2.0, _real()),
+    "diffusion.sigma": (0.8, _real(0)),
+    "diffusion.shift": (1.0, _real(0)),
+    "diffusion.sample_steps": (8, _int(1)),
+    "training.steps": (2000, _int(1)),
+    "training.batch": (4, _int(1)),
+    "training.lr": (3e-3, _real(0)),
+    "training.omega_policy": ("uniform", _one_of("uniform", "fixed-endpoints")),
+    "training.freeze_encoder": (False, _one_of(False, True)),
+    "training.log_every": (50, _int(1)),
+    "training.eval_every": (0, _int(0)),
+    "rollout.n_steps": (4, _int(1)),
+    "rollout.window_frames": (0, _int(0)),
+    "rollout.condition_schedule": ([[0, 0]], _list_of(_list_of(_int(), n=2))),
+    "rollout.seed_scene": (0, _int()),
+    "output.dir": ("runs/default", lambda v: isinstance(v, str) and v != ""),
 }
-
-# type(v) is int, not isinstance: JSON true/false load as bool, a subclass of int
-_VALIDATORS = {
-    "seed": lambda v: type(v) is int,
-    "dataset.seed": lambda v: type(v) is int,
-    "dataset.size": lambda v: type(v) is int and v >= 1,
-    "dataset.vocab": lambda v: type(v) is int and v >= 1,
-    "dataset.static": lambda v: isinstance(v, bool),
-    "encoder.rate": lambda v: (
-        isinstance(v, list) and len(v) == 3 and all(type(r) is int and r >= 1 for r in v)
-    ),
-    "encoder.variant": lambda v: v in VARIANTS,
-    "encoder.chunk_len": lambda v: type(v) is int and v >= 1,
-    "dit.inner_dim": lambda v: type(v) is int and v >= 8,
-    "dit.blocks": lambda v: type(v) is int and v >= 1,
-    "dit.heads": lambda v: type(v) is int and v >= 1,
-    "dit.lora_rank": lambda v: type(v) is int and v >= 0,
-    "diffusion.mu": lambda v: type(v) in (int, float) and math.isfinite(v),
-    "diffusion.sigma": lambda v: type(v) in (int, float) and 0 < v < math.inf,
-    "diffusion.shift": lambda v: type(v) in (int, float) and 0 < v < math.inf,
-    "diffusion.sample_steps": lambda v: type(v) is int and v >= 1,
-    "training.steps": lambda v: type(v) is int and v >= 1,
-    "training.batch": lambda v: type(v) is int and v >= 1,
-    "training.lr": lambda v: type(v) in (int, float) and 0 < v < math.inf,
-    "training.omega_policy": lambda v: v in ("uniform", "fixed-endpoints"),
-    "training.freeze_encoder": lambda v: isinstance(v, bool),
-    "training.log_every": lambda v: type(v) is int and v >= 1,
-    "training.eval_every": lambda v: type(v) is int and v >= 0,
-    "rollout.n_steps": lambda v: type(v) is int and v >= 1,
-    "rollout.window_frames": lambda v: type(v) is int and v >= 0,
-    "rollout.condition_schedule": lambda v: (
-        isinstance(v, list)
-        and len(v) >= 1
-        and all(isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in v)
-    ),
-    "rollout.seed_scene": lambda v: type(v) is int,
-    "output.dir": lambda v: isinstance(v, str) and v,
-}
-
-
-def _merge(defaults, user, path=""):
-    out = {}
-    for key, dval in defaults.items():
-        here = f"{path}{key}"
-        if key in user:
-            uval = user[key]
-            if isinstance(dval, dict):
-                if not isinstance(uval, dict):
-                    raise ConfigError(f"field {here} must be a block, got {type(uval).__name__}")
-                out[key] = _merge(dval, uval, here + ".")
-            else:
-                out[key] = uval
-        else:
-            out[key] = json.loads(json.dumps(dval)) if isinstance(dval, (dict, list)) else dval
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key {path + sorted(unknown)[0]!r}")
-    return out
 
 
 def validate_config(user: dict) -> dict:
-    """Merge onto defaults, reject unknown keys, check fields and divisibility."""
-    cfg = _merge(DEFAULTS, user)
-    for path, check in _VALIDATORS.items():
-        blocks = path.split(".")
-        v = cfg
-        for b in blocks:
-            v = v[b]
-        if not check(v):
-            raise ConfigError(f"invalid value for {path}: {v!r}")
+    """Fill in defaults, reject unknown keys, check fields, then the cross-field rules."""
+    cfg, invalid = {}, []
+    for path, (default, check) in FIELDS.items():
+        block, _, key = path.rpartition(".")
+        given, out = (user.get(block, {}), cfg.setdefault(block, {})) if block else (user, cfg)
+        if not isinstance(given, dict):
+            raise ConfigError(f"field {block} must be a block, got {type(given).__name__}")
+        out[key] = given[key] if key in given else json.loads(json.dumps(default))
+        if not check(out[key]):
+            invalid.append(f"invalid value for {path}: {out[key]!r}")
+    for name, given in user.items():  # a name in cfg but not in FIELDS is a block, so a dict
+        names = [name] if name in FIELDS or name not in cfg else [f"{name}.{k}" for k in given]
+        unknown = sorted(set(names) - set(FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+    if invalid:
+        raise ConfigError(invalid[0])
     r_h, r_w, r_t = cfg["encoder"]["rate"]
     for name, r in (("r_h", r_h), ("r_w", r_w)):
         if r & (r - 1):

@@ -13,13 +13,10 @@ right, then the rows of a block one at a time from zero, frame by frame
 from __future__ import annotations
 
 import dataclasses
-import math
-import os
-import struct
 
 import numpy as np
 
-from . import seeding
+from . import checkpoint, seeding
 
 __all__ = [
     "SceneSpec",
@@ -45,7 +42,6 @@ DESK_LATENT = (24, 8, 8, LATENT_CHANNELS)
 
 MCTX_MAGIC = b"MCTX"
 MCTX_VERSION = 1
-_DTYPE_TAGS = {0: np.float32, 1: np.float64}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,54 +218,24 @@ def sample_omega(t_h: int, seed: int, policy: str = "uniform") -> FrameIndexSet:
     )
 
 
-# -- MCTX flat binary latent format --------------------------------------------
-
-
-def save_latents(path: str, array: np.ndarray) -> None:
-    """Write a 4-d array as magic/version/shape/dtype header + row-major values."""
-    if array.ndim != 4:
-        raise ValueError(f"MCTX stores 4-d latents, got shape {array.shape}")
-    tag = 0 if array.dtype == np.float32 else 1
-    arr = np.ascontiguousarray(array, dtype=_DTYPE_TAGS[tag])
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MCTX_MAGIC)
-        f.write(struct.pack("<I", MCTX_VERSION))
-        f.write(struct.pack("<4I", *arr.shape))
-        f.write(struct.pack("<I", tag))
-        f.write(arr.tobytes(order="C"))
-    os.replace(tmp, path)
+# -- MCTX flat binary latent format: magic, version, then one 4-d array record --
 
 
 class LatentFileError(ValueError):
     """An MCTX file that is not a complete, well-formed latent array."""
 
 
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise LatentFileError(f"latent file {f.name} is truncated at byte {f.tell()}")
-    return buf
+def save_latents(path: str, array: np.ndarray) -> None:
+    """Write a 4-d float32 or float64 array as an MCTX file."""
+    if array.ndim != 4:
+        raise ValueError(f"MCTX stores 4-d latents, got shape {array.shape}")
+    record = checkpoint.array_record(array, "latent file", "latents")
+    checkpoint.write_records(path, MCTX_MAGIC, MCTX_VERSION, record)
 
 
 def load_latents(path: str) -> np.ndarray:
     """Read an MCTX file; raises ``LatentFileError`` unless it is complete and well formed."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4)
-        if magic != MCTX_MAGIC:
-            raise LatentFileError(f"bad dataset magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
-        if version != MCTX_VERSION:
-            raise LatentFileError(f"unsupported dataset version {version}")
-        shape = struct.unpack("<4I", _read_exact(f, 16))
-        (tag,) = struct.unpack("<I", _read_exact(f, 4))
-        if tag not in _DTYPE_TAGS:
-            raise LatentFileError(f"unknown dtype tag {tag}")
-        dtype = _DTYPE_TAGS[tag]
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        payload = f.read()
-        if len(payload) < size:
-            raise LatentFileError(f"latent file {path} is truncated: its header gives shape {shape}")
-        if len(payload) > size:
-            raise LatentFileError(f"latent file {path} has {len(payload) - size} bytes after the end of its data")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    f = checkpoint.RecordFile(path, MCTX_MAGIC, MCTX_VERSION, "latent file", LatentFileError)
+    latents = f.array("latents", 4)
+    f.end()
+    return latents

@@ -60,6 +60,8 @@ class ExperimentRecipe:
             raise ValueError("recipe needs at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):  # a repeated seed would count as two
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.pretrain_steps < 0 or self.finetune_steps < 0:
             raise ValueError("step budgets must be non-negative")
         if self.n_scenes < 1:

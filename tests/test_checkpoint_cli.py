@@ -1,5 +1,6 @@
 """Checkpoint format, config validation, and the command-line harness."""
 
+import hashlib
 import json
 import os
 import struct
@@ -170,6 +171,31 @@ def test_checkpoint_with_bytes_after_the_end_is_refused(tmp_path):
         checkpoint.load_checkpoint(str(path))
 
 
+def test_file_bytes_follow_the_documented_layouts(tmp_path):
+    """MCTX: magic, version, shape, dtype tag, values. MCCK: magic, version, config digest,
+    step, a table of (name length, name, ndim, shape, dtype tag, values), then a flag for
+    the optimizer table that may follow."""
+    for tag, dtype in enumerate((np.float32, np.float64)):
+        arr = np.arange(2 * 1 * 3 * 2, dtype=dtype).reshape(2, 1, 3, 2)
+        data.save_latents(str(tmp_path / "a.mctx"), arr)
+        expected = b"MCTX" + struct.pack("<I4II", 1, 2, 1, 3, 2, tag) + arr.tobytes()
+        assert (tmp_path / "a.mctx").read_bytes() == expected
+
+    def table(name, arr, tag):  # a one-array table
+        array_record = struct.pack(f"<I{arr.ndim}II", arr.ndim, *arr.shape, tag) + arr.tobytes()
+        return struct.pack("<IH", 1, len(name)) + name.encode() + array_record
+
+    weight = np.array([[1.5, -2.0, 0.25]], np.float32)
+    moment = np.array([0.5, 4.0], np.float64)
+    digest = hashlib.sha256(b'{"seed":1}').digest()
+    head = b"MCCK" + struct.pack("<I", 2) + digest + struct.pack("<Q", 7) + table("w", weight, 0)
+    path = tmp_path / "m.mcck"
+    checkpoint.save_checkpoint(str(path), {"w": weight}, {"seed": 1}, step=7)
+    assert path.read_bytes() == head + b"\x00"
+    checkpoint.save_checkpoint(str(path), {"w": weight}, {"seed": 1}, step=7, optimizer_arrays={"m.w": moment})
+    assert path.read_bytes() == head + b"\x01" + table("m.w", moment, 1)
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     """A saved parameter table with optimizer state, and a path to write corrupt copies to."""
@@ -243,7 +269,10 @@ def _tiny_cfg(tmp_path, **overrides):
         "output": {"dir": str(tmp_path / "out")},
     }
     for block, vals in overrides.items():
-        cfg.setdefault(block, {}).update(vals)
+        if isinstance(vals, dict):
+            cfg.setdefault(block, {}).update(vals)
+        else:  # a top-level field such as seed
+            cfg[block] = vals
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -476,11 +505,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
         ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
         ({"diffusion": {"mu": float("nan")}}, "diffusion.mu: nan"),
+        ({"seed": -1}, "invalid value for seed: -1"),
+        ({"dataset": {"seed": -5}}, "invalid value for dataset.seed: -5"),
+        ({"training": {"lr": 10**400}}, "invalid value for training.lr: 1000"),  # JSON loads it as an int
     ],
-    ids=["heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu"],
+    ids=["heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu",
+         "negative_seed", "negative_dataset_seed", "lr_past_float"],
 )
 def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, override, message):
-    """Each of these validated and then failed mid-run (or trained on a non-finite constant)."""
+    """Each of these validated and then failed mid-run (or trained on a non-finite constant);
+    a negative seed fails in numpy's SeedSequence unless validation refuses it."""
     cfg_path = _tiny_cfg(tmp_path, **override)  # json writes inf and nan as Infinity and NaN
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -580,6 +614,18 @@ def test_cli_eval_frames_with_no_pixels_are_config_error(tmp_path, capsys, shape
     assert "cannot compare" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_cli_eval_non_finite_latents_are_config_error(tmp_path, capsys, value):
+    """A NaN or an infinity would make the scores NaN, which strict JSON parsers reject."""
+    latents = np.zeros((2, 8, 8, 4), np.float32)
+    latents[1, 2, 3, 0] = value
+    path = str(tmp_path / "a.mctx")
+    data.save_latents(path, latents)
+    assert cli.main(["eval", path, path]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "cannot compare" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("shape", [(2, 4, 8, 4), (2, 8, 4, 4)], ids=["short", "narrow"])
 def test_cli_eval_fits_the_ssim_window_to_small_frames(tmp_path, capsys, shape):
     """The SSIM window shrinks to the smaller of a frame's height and width."""
@@ -620,8 +666,8 @@ def test_cli_experiment_unknown_recipe(capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--scenes", "0"], ["--pretrain-steps", "-1"], ["--seeds", "-1"]],
-    ids=["no_scenes", "negative_steps", "negative_seed"],
+    [["--scenes", "0"], ["--pretrain-steps", "-1"], ["--seeds", "-1"], ["--seeds", "0", "0"]],
+    ids=["no_scenes", "negative_steps", "negative_seed", "repeated_seed"],
 )
 def test_cli_experiment_rejects_bad_recipe_before_training(args, tmp_path, capsys, monkeypatch):
     def no_training(*a, **kw):

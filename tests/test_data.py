@@ -250,8 +250,16 @@ def test_latents_with_bytes_after_the_end_are_refused(tmp_path):
     path = tmp_path / "clip.mctx"
     data.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
     path.write_bytes(path.read_bytes() + b"\x00" * 7)
-    with pytest.raises(data.LatentFileError, match="7 bytes after the end"):
+    with pytest.raises(data.LatentFileError, match="7 bytes after its end"):
         data.load_latents(str(path))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32])
+def test_latents_refuse_dtypes_other_than_float32_and_float64(tmp_path, dtype):
+    """Only float32 and float64 have a dtype tag; for any other dtype nothing is written."""
+    with pytest.raises(ValueError, match=f"unsupported latent file dtype {np.dtype(dtype)}"):
+        data.save_latents(str(tmp_path / "x.mctx"), np.zeros((2, 4, 4, 4), dtype))
+    assert not list(tmp_path.iterdir())
 
 
 def test_latents_rejects_non_4d(tmp_path):
