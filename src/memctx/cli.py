@@ -7,21 +7,21 @@ schedule not starting at frame 0 or a code outside the vocabulary), a file
 that cannot be read or written (missing, a directory, no permission: any
 OSError), a corrupt latent file (bad magic, unsupported version, unknown
 dtype, truncated, bytes after its end), two latent files ``eval`` cannot
-compare (another frame shape, no frames, frames with no pixels, or a NaN or
-infinite value), an ``experiment`` with a negative or repeated seed, a
-negative step budget or fewer than one scene (rejected before any training
-runs), a ``finetune`` whose ``encoder.chunk_len`` leaves fewer than two
-chunks per scene, a ``--resume`` checkpoint whose step is past
-``training.steps``, a ``budget`` geometry that is not positive and finite,
-whose frame count (fps times duration) is not finite, or that reduces to
-zero tokens, or a checkpoint that does not fit (bad magic, unsupported
-version, truncated file, bytes after its end, a parameter name that is not
-UTF-8, a shape or payload larger than the bytes left in the file or that
-numpy cannot hold, unknown dtype, missing, unknown or mis-shaped parameters
-or optimizer state); 3 for a runtime or numeric failure: diverged training,
-or any other ValueError or ArithmeticError.  Argument errors that argparse
-reports (a missing or non-numeric argument, an unknown experiment recipe)
-also exit 2.  All commands are deterministic given config + seed;
+compare (another frame shape, no frames, frames with no pixels, or a NaN,
+infinite or larger than 1e75 value among the frames compared), an
+``experiment`` with a negative or repeated seed, a negative step budget or
+fewer than one scene (rejected before any training runs), a ``finetune`` whose
+``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``--resume``
+checkpoint whose step is past ``training.steps``, a ``budget`` geometry that
+is not positive and finite, whose frame count (fps times duration) is not
+finite, or that reduces to zero tokens, or a checkpoint that does not fit (bad
+magic, unsupported version, truncated file, bytes after its end, a parameter
+name that is not UTF-8, a shape or payload larger than the bytes left in the
+file or that numpy cannot hold, unknown dtype, missing, unknown or mis-shaped
+parameters or optimizer state); 3 for a runtime or numeric failure: diverged
+training, or any other ValueError or ArithmeticError. Argument errors that
+argparse reports (a missing or non-numeric argument, an unknown experiment
+recipe) also exit 2. All commands are deterministic given config + seed;
 checkpoints are written atomically and training can resume from them.
 """
 
@@ -64,11 +64,6 @@ def _dataset(cfg):
         vocab=cfg["dataset"]["vocab"],
         static=cfg["dataset"]["static"],
     )
-
-
-def _timestep_dist(cfg):
-    d = cfg["diffusion"]
-    return diffusion.TimestepDistribution(mu=d["mu"], sigma=d["sigma"], shift=d["shift"])
 
 
 def _train_command(cfg, resume: str | None, objective: str, out_name: str,
@@ -125,9 +120,11 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
         on_step=on_step,
     )
     if objective == "retrieval":
+        d = cfg["diffusion"]
         opt = training.pretrain_retrieval(
             enc, g, dataset, omega_policy=tr["omega_policy"],
-            timestep_dist=_timestep_dist(cfg), **kwargs,
+            timestep_dist=diffusion.TimestepDistribution(mu=d["mu"], sigma=d["sigma"], shift=d["shift"]),
+            **kwargs,
         )
     else:
         opt = training.finetune_next_clip(
@@ -195,12 +192,14 @@ def cmd_eval(args) -> int:
     b = data.load_latents(args.reference)
     if a.shape[1:] != b.shape[1:] or 0 in a.shape + b.shape:
         raise config_mod.ConfigError(f"cannot compare latents of shapes {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise config_mod.ConfigError("cannot compare latents that hold NaN or infinite values")
     n = min(a.shape[0], b.shape[0])
+    a, b = a[:n], b[:n]
+    # NaN fails the comparison too; below 1e75, SSIM's products of four values stay finite in float64
+    if not all(float(np.abs(x).max()) <= 1e75 for x in (a, b)):
+        raise config_mod.ConfigError("cannot compare latents that hold NaN, infinite or huge (past 1e75) values")
     scores = {
-        "psnr": metrics.psnr(a[:n], b[:n]),
-        "ssim": metrics.ssim(a[:n], b[:n], window=min(7, *a.shape[1:3])),
+        "psnr": metrics.psnr(a, b),
+        "ssim": metrics.ssim(a, b, window=min(7, *a.shape[1:3])),
         "frames_compared": int(n),
     }
     if args.out:

@@ -80,23 +80,25 @@ FIELDS = {
 
 
 def validate_config(user: dict) -> dict:
-    """Fill in defaults, reject unknown keys, check fields, then the cross-field rules."""
-    cfg, invalid = {}, []
+    """Reject blocks that are not objects and unknown keys, fill in defaults and check each
+    field, then the cross-field rules."""
+    tops = dict.fromkeys(path.partition(".")[0] for path in FIELDS)  # top-level fields and blocks
+    for block in (name for name in tops if name not in FIELDS and name in user):
+        if not isinstance(user[block], dict):
+            raise ConfigError(f"field {block} must be a block, got {type(user[block]).__name__}")
+        unknown = sorted(key for key in user[block] if f"{block}.{key}" not in FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown config key {block + '.' + unknown[0]!r}")
+    unknown = sorted(set(user) - set(tops))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    cfg = {}
     for path, (default, check) in FIELDS.items():
         block, _, key = path.rpartition(".")
         given, out = (user.get(block, {}), cfg.setdefault(block, {})) if block else (user, cfg)
-        if not isinstance(given, dict):
-            raise ConfigError(f"field {block} must be a block, got {type(given).__name__}")
         out[key] = given[key] if key in given else json.loads(json.dumps(default))
         if not check(out[key]):
-            invalid.append(f"invalid value for {path}: {out[key]!r}")
-    for name, given in user.items():  # a name in cfg but not in FIELDS is a block, so a dict
-        names = [name] if name in FIELDS or name not in cfg else [f"{name}.{k}" for k in given]
-        unknown = sorted(set(names) - set(FIELDS))
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
-    if invalid:
-        raise ConfigError(invalid[0])
+            raise ConfigError(f"invalid value for {path}: {out[key]!r}")
     r_h, r_w, r_t = cfg["encoder"]["rate"]
     for name, r in (("r_h", r_h), ("r_w", r_w)):
         if r & (r - 1):

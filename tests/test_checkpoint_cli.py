@@ -31,6 +31,9 @@ def test_config_rejects_unknown_key():
         config.validate_config({"trainer": {}})
     with pytest.raises(config.ConfigError, match="unknown"):
         config.validate_config({"training": {"step": 10}})
+    for flat in ({"training.steps": 10}, {"dataset.seed": 5}):  # a dotted path is not a top-level key
+        with pytest.raises(config.ConfigError, match=f"unknown config key '{next(iter(flat))}'"):
+            config.validate_config(flat)
 
 
 def test_config_rejects_removed_dit_keys():
@@ -624,6 +627,44 @@ def test_cli_eval_non_finite_latents_are_config_error(tmp_path, capsys, value):
     assert cli.main(["eval", path, path]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "cannot compare" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("value", [1e154, 1e80], ids=["psnr_difference", "ssim_product"])
+def test_cli_eval_latents_whose_scores_overflow_are_config_error(tmp_path, capsys, value):
+    """Finite float64 values past 1e75: checkerboards of +-1e154 against their negation
+    overflow PSNR's squared difference, and of +-1e80 SSIM's products of four values."""
+    a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
+    latents = np.zeros((2, 8, 8, 4))
+    latents[1] = value * (-1.0) ** np.indices((8, 8, 4)).sum(axis=0)
+    data.save_latents(str(a), latents)
+    data.save_latents(str(b), -latents)
+    assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "cannot compare" in captured.err and captured.out == ""
+
+
+def test_cli_eval_scores_latents_at_the_magnitude_bound(tmp_path, capsys):
+    """Checkerboards of +-1e75 against their negation score without an overflow warning."""
+    a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
+    latents = np.zeros((2, 8, 8, 4))
+    latents[1] = 1e75 * (-1.0) ** np.indices((8, 8, 4)).sum(axis=0)
+    data.save_latents(str(a), latents)
+    data.save_latents(str(b), -latents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["frames_compared"] == 2
+
+
+def test_cli_eval_ignores_frames_past_the_shorter_file(tmp_path, capsys):
+    """Only the first frames of both files are compared, so a NaN after them is not read."""
+    a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
+    latents = np.zeros((3, 8, 8, 4), np.float32)
+    data.save_latents(str(b), latents[:2])
+    latents[2] = np.nan
+    data.save_latents(str(a), latents)
+    assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["frames_compared"] == 2
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 8, 4), (2, 8, 4, 4)], ids=["short", "narrow"])
