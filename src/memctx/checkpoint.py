@@ -1,14 +1,16 @@
-"""Binary checkpoint format, and the record layer it shares with MCTX latent files.
+"""Binary checkpoint and MCTX latent file formats, and the record layer they share.
 
-Layout: magic "MCCK", version, sha256 config digest, training step counter,
+Checkpoint layout: magic "MCCK", version, sha256 config digest, training step counter,
 then a named parameter table of array records (shape, dtype tag, row-major
 values), then an optional optimizer-state table in the same layout, which
-ends the file. Writes are atomic (temp file + rename), reads refuse a
+ends the file. An MCTX latent file is magic "MCTX", version, then one 4-d
+array record. Writes are atomic (temp file + rename), reads refuse a
 truncated file or bytes after its end, and loads round-trip every array bitwise.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -21,10 +23,12 @@ MCCK_MAGIC = b"MCCK"
 # 2: the DiT reads context tokens as read-only memory; a version-1 checkpoint was
 # trained with context tokens as joint rows, so it is refused rather than loaded
 MCCK_VERSION = 2
+MCTX_MAGIC = b"MCTX"
+MCTX_VERSION = 1
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # an array record's dtype tag indexes this
 
 __all__ = ["config_digest", "save_checkpoint", "load_checkpoint", "CheckpointMismatch",
-           "RecordFile", "array_record", "write_records"]
+           "save_latents", "load_latents", "LatentFileError", "RecordFile", "array_record", "write_records"]
 
 
 class CheckpointMismatch(Exception):
@@ -37,7 +41,6 @@ _UNDIGESTED = (("training", "steps"), ("output", "dir"))
 
 
 def config_digest(config: dict) -> bytes:
-    import hashlib  # imported here: it loads OpenSSL, which a process that only moves latents need not
     kept = dict(config)
     for block, key in _UNDIGESTED:
         if isinstance(kept.get(block), dict):
@@ -101,6 +104,25 @@ class RecordFile:
         extra = len(self.view) - self.at
         if extra:
             raise self.error(f"{self.what} {self.path} has {extra} bytes after its end")
+
+
+class LatentFileError(ValueError):
+    """An MCTX file that is not a complete, well-formed latent array."""
+
+
+def save_latents(path: str, array: np.ndarray) -> None:
+    """Write a 4-d float32 or float64 array as an MCTX file."""
+    if array.ndim != 4:
+        raise ValueError(f"MCTX stores 4-d latents, got shape {array.shape}")
+    write_records(path, MCTX_MAGIC, MCTX_VERSION, array_record(array, "latent file", "latents"))
+
+
+def load_latents(path: str) -> np.ndarray:
+    """Read an MCTX file; raises ``LatentFileError`` unless it is complete and well formed."""
+    f = RecordFile(path, MCTX_MAGIC, MCTX_VERSION, "latent file", LatentFileError)
+    latents = f.array("latents", 4)
+    f.end()
+    return latents
 
 
 def _table(arrays: dict) -> list:

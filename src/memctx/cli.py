@@ -178,7 +178,7 @@ def cmd_rollout(args) -> int:
     )
     video, records = session.run(ro["n_steps"])
     lat_path = os.path.join(out_dir, "rollout.mctx")
-    data.save_latents(lat_path, video)
+    checkpoint.save_latents(lat_path, video)
     met_path = os.path.join(out_dir, "rollout_metrics.json")
     with open(met_path, "w") as fh:
         json.dump({"records": records, "frames": int(video.shape[0])}, fh, indent=2, sort_keys=True)
@@ -188,8 +188,8 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    a = data.load_latents(args.generated)
-    b = data.load_latents(args.reference)
+    a = checkpoint.load_latents(args.generated)
+    b = checkpoint.load_latents(args.reference)
     if a.shape[1:] != b.shape[1:] or 0 in a.shape + b.shape:
         raise config_mod.ConfigError(f"cannot compare latents of shapes {a.shape} and {b.shape}")
     n = min(a.shape[0], b.shape[0])
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (config_mod.ConfigError, checkpoint.CheckpointMismatch, data.LatentFileError, OSError) as e:
+    except (config_mod.ConfigError, checkpoint.CheckpointMismatch, checkpoint.LatentFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, ValueError, ArithmeticError) as e:

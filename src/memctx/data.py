@@ -1,8 +1,9 @@
 """Procedural latent-video data.
 
-Synthetic sprite scenes with persistent object identity, a fixed linear
-"toy VAE" that turns pixel videos into 4-channel latents, random frame
-index sets with noise-as-mask levels, and the MCTX binary latent format.
+Synthetic sprite scenes with persistent object identity, rendered as
+single-channel (T, H, W) pixel videos, a fixed linear "toy VAE" that turns
+them into 4-channel latents, and random frame index sets with noise-as-mask
+levels.
 
 Latents are bitwise reproducible, because the encoder adds in one fixed
 float32 order: each 8-pixel block row pairwise, its 4-pixel halves left to
@@ -16,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from . import checkpoint, seeding
+from . import seeding
 
 __all__ = [
     "SceneSpec",
@@ -26,9 +27,6 @@ __all__ = [
     "sample_omega",
     "sample_mask_levels",
     "make_latent_scene",
-    "save_latents",
-    "load_latents",
-    "LatentFileError",
     "VAE_RATES",
     "LATENT_CHANNELS",
     "DESK_PIXEL",
@@ -39,9 +37,6 @@ VAE_RATES = (4, 8, 8)  # temporal, height, width
 LATENT_CHANNELS = 4
 DESK_PIXEL = (96, 64, 64)  # T, H, W
 DESK_LATENT = (24, 8, 8, LATENT_CHANNELS)
-
-MCTX_MAGIC = b"MCTX"
-MCTX_VERSION = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +88,7 @@ class FrameIndexSet:
 
 
 def generate_scene(spec: SceneSpec, t_pixel: int, h_pixel: int, w_pixel: int, seed: int) -> np.ndarray:
-    """Render a (T, H, W, 1) pixel video in [0, 1], deterministic in (spec, seed).
+    """Render a single-channel (T, H, W) pixel video in [0, 1], deterministic in (spec, seed).
 
     Sprites move smoothly (bouncing) within a shot; a shot change
     repositions everything while keeping sprite identities fixed.  Each
@@ -105,7 +100,7 @@ def generate_scene(spec: SceneSpec, t_pixel: int, h_pixel: int, w_pixel: int, se
         if extent <= 0 or extent % rate != 0:
             raise ValueError(f"pixel extent {name}={extent} not divisible by toy-VAE rate {rate}")
 
-    video = np.full((t_pixel, h_pixel, w_pixel, 1), spec.background, dtype=np.float32)
+    video = np.full((t_pixel, h_pixel, w_pixel), spec.background, dtype=np.float32)
     n = len(spec.sprite_intensities)
     if n == 0:
         return video
@@ -127,7 +122,7 @@ def generate_scene(spec: SceneSpec, t_pixel: int, h_pixel: int, w_pixel: int, se
             ys = _bounce(pos[s, 0] * span_h + vy * dt, span_h)
             xs = _bounce(pos[s, 1] * span_w + vx * dt, span_w)
             for t, y, x in zip(range(t0, t1), ys, xs):
-                video[t, y : y + size, x : x + size, 0] = spec.sprite_intensities[s]
+                video[t, y : y + size, x : x + size] = spec.sprite_intensities[s]
     return video
 
 
@@ -139,7 +134,7 @@ def _bounce(p: np.ndarray, span: int) -> list:
 
 
 def toy_vae_encode(pixels: np.ndarray) -> np.ndarray:
-    """Linear block encoding: per 4x8x8 block keep (mean, h-diff, v-diff, t-diff).
+    """Linear block encoding of a (T, H, W) video: per 4x8x8 block keep (mean, h-diff, v-diff, t-diff).
 
     The three difference channels are half-block mean contrasts divided
     by two.
@@ -149,15 +144,13 @@ def toy_vae_encode(pixels: np.ndarray) -> np.ndarray:
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and its two 4-pixel halves left
     to right.  The row sums of a block, or of a half block, are then added
     to zero one at a time, frame-major, and divided by their count, a power
-    of two.  The channels are averaged first.
+    of two.
     """
     rt, rh, rw = VAE_RATES
-    t, h, w, c = pixels.shape
+    t, h, w = pixels.shape
     if t % rt or h % rh or w % rw:
         raise ValueError(f"pixel shape {pixels.shape} not divisible by rates {VAE_RATES}")
-    frames = pixels.sum(axis=-1)
-    frames /= c  # the channel mean, bitwise; numpy's mean divides by its count in float64, 4x slower here
-    r = frames.reshape(t // rt, rt, h // rh, rh, w // rw, rw).transpose(5, 1, 3, 0, 2, 4)
+    r = pixels.reshape(t // rt, rt, h // rh, rh, w // rw, rw).transpose(5, 1, 3, 0, 2, 4)
     rows = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))  # (rt, rh, T', H', W')
     left = ((r[0] + r[1]) + r[2]) + r[3]
     right = ((r[4] + r[5]) + r[6]) + r[7]
@@ -216,26 +209,3 @@ def sample_omega(t_h: int, seed: int, policy: str = "uniform") -> FrameIndexSet:
         mask_noise_levels={f: float(l) for f, l in zip(masked, levels)},
         total_frames=t_h,
     )
-
-
-# -- MCTX flat binary latent format: magic, version, then one 4-d array record --
-
-
-class LatentFileError(ValueError):
-    """An MCTX file that is not a complete, well-formed latent array."""
-
-
-def save_latents(path: str, array: np.ndarray) -> None:
-    """Write a 4-d float32 or float64 array as an MCTX file."""
-    if array.ndim != 4:
-        raise ValueError(f"MCTX stores 4-d latents, got shape {array.shape}")
-    record = checkpoint.array_record(array, "latent file", "latents")
-    checkpoint.write_records(path, MCTX_MAGIC, MCTX_VERSION, record)
-
-
-def load_latents(path: str) -> np.ndarray:
-    """Read an MCTX file; raises ``LatentFileError`` unless it is complete and well formed."""
-    f = checkpoint.RecordFile(path, MCTX_MAGIC, MCTX_VERSION, "latent file", LatentFileError)
-    latents = f.array("latents", 4)
-    f.end()
-    return latents

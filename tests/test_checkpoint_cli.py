@@ -180,7 +180,7 @@ def test_file_bytes_follow_the_documented_layouts(tmp_path):
     the optimizer table that may follow."""
     for tag, dtype in enumerate((np.float32, np.float64)):
         arr = np.arange(2 * 1 * 3 * 2, dtype=dtype).reshape(2, 1, 3, 2)
-        data.save_latents(str(tmp_path / "a.mctx"), arr)
+        checkpoint.save_latents(str(tmp_path / "a.mctx"), arr)
         expected = b"MCTX" + struct.pack("<I4II", 1, 2, 1, 3, 2, tag) + arr.tobytes()
         assert (tmp_path / "a.mctx").read_bytes() == expected
 
@@ -341,7 +341,7 @@ def test_cli_pretrain_rollout_eval_pipeline(tmp_path, capsys):
 
     assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_OK
     lat_path = str(tmp_path / "out" / "rollout.mctx")
-    video = data.load_latents(lat_path)
+    video = checkpoint.load_latents(lat_path)
     assert video.shape[0] == 16  # 8-frame seed clip + 1 generated clip
 
     out_json = str(tmp_path / "scores.json")
@@ -577,7 +577,7 @@ def test_cli_config_that_is_not_text_is_config_error(tmp_path, capsys):
 
 
 def _corrupt_latents(path, how):
-    data.save_latents(str(path), np.zeros((2, 4, 4, 4), np.float32))
+    checkpoint.save_latents(str(path), np.zeros((2, 4, 4, 4), np.float32))
     raw = path.read_bytes()
     overflow = raw[:8] + struct.pack("<4I", *[1 << 16] * 4) + raw[24:28]  # 2**64 values, which an int64 product wraps to 0
     corrupt = {
@@ -593,7 +593,7 @@ def _corrupt_latents(path, how):
 @pytest.mark.parametrize("how", ["magic", "header", "payload", "trailing", "overflow"])
 def test_cli_eval_corrupt_latent_file_is_config_error(tmp_path, capsys, how):
     good, bad = tmp_path / "good.mctx", tmp_path / "bad.mctx"
-    data.save_latents(str(good), np.zeros((2, 4, 4, 4), np.float32))
+    checkpoint.save_latents(str(good), np.zeros((2, 4, 4, 4), np.float32))
     _corrupt_latents(bad, how)
     assert cli.main(["eval", str(bad), str(good)]) == cli.EXIT_CONFIG
     assert cli.main(["eval", str(good), str(bad)]) == cli.EXIT_CONFIG
@@ -603,8 +603,8 @@ def test_cli_eval_corrupt_latent_file_is_config_error(tmp_path, capsys, how):
 @pytest.mark.parametrize("other_shape", [(2, 8, 8, 4), (0, 4, 4, 4)])
 def test_cli_eval_latents_it_cannot_compare_are_config_error(tmp_path, capsys, other_shape):
     a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
-    data.save_latents(str(a), np.zeros((2, 4, 4, 4), np.float32))
-    data.save_latents(str(b), np.zeros(other_shape, np.float32))
+    checkpoint.save_latents(str(a), np.zeros((2, 4, 4, 4), np.float32))
+    checkpoint.save_latents(str(b), np.zeros(other_shape, np.float32))
     assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_CONFIG
     assert "cannot compare" in capsys.readouterr().err
 
@@ -612,7 +612,7 @@ def test_cli_eval_latents_it_cannot_compare_are_config_error(tmp_path, capsys, o
 @pytest.mark.parametrize("shape", [(2, 0, 8, 4), (2, 8, 0, 4), (2, 8, 8, 0)], ids=["no_rows", "no_columns", "no_channels"])
 def test_cli_eval_frames_with_no_pixels_are_config_error(tmp_path, capsys, shape):
     path = str(tmp_path / "a.mctx")
-    data.save_latents(path, np.zeros(shape, np.float32))
+    checkpoint.save_latents(path, np.zeros(shape, np.float32))
     assert cli.main(["eval", path, path]) == cli.EXIT_CONFIG
     assert "cannot compare" in capsys.readouterr().err
 
@@ -623,7 +623,7 @@ def test_cli_eval_non_finite_latents_are_config_error(tmp_path, capsys, value):
     latents = np.zeros((2, 8, 8, 4), np.float32)
     latents[1, 2, 3, 0] = value
     path = str(tmp_path / "a.mctx")
-    data.save_latents(path, latents)
+    checkpoint.save_latents(path, latents)
     assert cli.main(["eval", path, path]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "cannot compare" in captured.err and captured.out == ""
@@ -636,8 +636,8 @@ def test_cli_eval_latents_whose_scores_overflow_are_config_error(tmp_path, capsy
     a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
     latents = np.zeros((2, 8, 8, 4))
     latents[1] = value * (-1.0) ** np.indices((8, 8, 4)).sum(axis=0)
-    data.save_latents(str(a), latents)
-    data.save_latents(str(b), -latents)
+    checkpoint.save_latents(str(a), latents)
+    checkpoint.save_latents(str(b), -latents)
     assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "cannot compare" in captured.err and captured.out == ""
@@ -648,8 +648,8 @@ def test_cli_eval_scores_latents_at_the_magnitude_bound(tmp_path, capsys):
     a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
     latents = np.zeros((2, 8, 8, 4))
     latents[1] = 1e75 * (-1.0) ** np.indices((8, 8, 4)).sum(axis=0)
-    data.save_latents(str(a), latents)
-    data.save_latents(str(b), -latents)
+    checkpoint.save_latents(str(a), latents)
+    checkpoint.save_latents(str(b), -latents)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_OK
@@ -660,9 +660,9 @@ def test_cli_eval_ignores_frames_past_the_shorter_file(tmp_path, capsys):
     """Only the first frames of both files are compared, so a NaN after them is not read."""
     a, b = tmp_path / "a.mctx", tmp_path / "b.mctx"
     latents = np.zeros((3, 8, 8, 4), np.float32)
-    data.save_latents(str(b), latents[:2])
+    checkpoint.save_latents(str(b), latents[:2])
     latents[2] = np.nan
-    data.save_latents(str(a), latents)
+    checkpoint.save_latents(str(a), latents)
     assert cli.main(["eval", str(a), str(b)]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["frames_compared"] == 2
 
@@ -671,7 +671,7 @@ def test_cli_eval_ignores_frames_past_the_shorter_file(tmp_path, capsys):
 def test_cli_eval_fits_the_ssim_window_to_small_frames(tmp_path, capsys, shape):
     """The SSIM window shrinks to the smaller of a frame's height and width."""
     path = str(tmp_path / "a.mctx")
-    data.save_latents(path, np.random.default_rng(3).normal(size=shape).astype(np.float32))
+    checkpoint.save_latents(path, np.random.default_rng(3).normal(size=shape).astype(np.float32))
     assert cli.main(["eval", path, path]) == cli.EXIT_OK
     scores = json.loads(capsys.readouterr().out)
     assert scores["frames_compared"] == 2 and scores["ssim"] == pytest.approx(1.0)
@@ -733,7 +733,7 @@ def test_cli_large_patchifier_pretrain_finetune_rollout(tmp_path, capsys):
     assert not any(name.startswith("enc.conv") for name in params)
     assert cli.main(["finetune", cfg_path, "--pretrained", pretrained]) == cli.EXIT_OK
     assert cli.main(["rollout", cfg_path, str(out / "finetune.mcck")]) == cli.EXIT_OK
-    assert data.load_latents(str(out / "rollout.mctx")).shape[0] == 16
+    assert checkpoint.load_latents(str(out / "rollout.mctx")).shape[0] == 16
 
 
 def test_cli_resume_digest_ignores_step_budget_only(tmp_path):
@@ -825,7 +825,7 @@ def test_cli_rollout_past_frame_191_runs(tmp_path, capsys):
     assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
     ckpt = str(tmp_path / "out" / "pretrain.mcck")
     assert cli.main(["rollout", cfg_path, ckpt]) == cli.EXIT_OK
-    video = data.load_latents(str(tmp_path / "out" / "rollout.mctx"))
+    video = checkpoint.load_latents(str(tmp_path / "out" / "rollout.mctx"))
     assert video.shape[0] == 8 + 24 * 8
     assert np.isfinite(video).all()
 

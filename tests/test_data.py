@@ -1,13 +1,17 @@
 """Synthetic scene generator, toy VAE, index-set sampling, and latent file format."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memctx import data, seeding
+from memctx import checkpoint, data, seeding
 
 
 # -- scene generation -------------------------------------------------------------
@@ -17,7 +21,7 @@ def test_scene_deterministic_and_in_range():
     spec = data.SceneSpec.random(3)
     a = data.generate_scene(spec, 24, 32, 32, seed=7)
     b = data.generate_scene(spec, 24, 32, 32, seed=7)
-    assert a.shape == (24, 32, 32, 1)
+    assert a.shape == (24, 32, 32)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
@@ -51,7 +55,7 @@ def _reference_bounce(p, span):
 
 def _reference_scene(spec, t_pixel, h_pixel, w_pixel, seed):
     """The frame-by-frame, sprite-by-sprite scalar renderer ``generate_scene`` vectorizes."""
-    video = np.full((t_pixel, h_pixel, w_pixel, 1), spec.background, dtype=np.float32)
+    video = np.full((t_pixel, h_pixel, w_pixel), spec.background, dtype=np.float32)
     n = len(spec.sprite_intensities)
     for shot in range((t_pixel + spec.shot_len - 1) // spec.shot_len):
         rng = seeding.stream(seed, spec.condition_code, shot)
@@ -68,15 +72,15 @@ def _reference_scene(spec, t_pixel, h_pixel, w_pixel, seed):
                 vx = spec.speeds[s] * np.cos(ang[s])
                 y = _reference_bounce(pos[s, 0] * span_h + vy * dt, span_h)
                 x = _reference_bounce(pos[s, 1] * span_w + vx * dt, span_w)
-                video[t, y : y + size, x : x + size, 0] = spec.sprite_intensities[s]
+                video[t, y : y + size, x : x + size] = spec.sprite_intensities[s]
     return video
 
 
 def _reference_encode(pixels):
     """The toy encoder as numpy's multi-axis means, whose summation order ``toy_vae_encode`` writes out."""
     rt, rh, rw = data.VAE_RATES
-    t, h, w, c = pixels.shape
-    blocks = pixels.reshape(t // rt, rt, h // rh, rh, w // rw, rw, c).mean(axis=-1)
+    t, h, w = pixels.shape
+    blocks = pixels.reshape(t // rt, rt, h // rh, rh, w // rw, rw)
     mean = blocks.mean(axis=(1, 3, 5))
     hdiff = (blocks[..., : rw // 2].mean(axis=(1, 3, 5)) - blocks[..., rw // 2 :].mean(axis=(1, 3, 5))) / 2
     vdiff = (blocks[:, :, :, : rh // 2].mean(axis=(1, 3, 5)) - blocks[:, :, :, rh // 2 :].mean(axis=(1, 3, 5))) / 2
@@ -115,15 +119,14 @@ def test_sprite_wider_than_the_frame_clamps_its_span_and_clips():
 
 @given(
     blocks=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
-    channels=st.integers(1, 3),
     scale=st.sampled_from((1e-3, 1.0, 1e3)),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_encoder_equals_numpy_means_bitwise_on_random_volumes(blocks, channels, scale, seed):
-    """Any float32 volume of at least two blocks along each axis encodes to the reference's bytes.
+def test_encoder_equals_numpy_means_bitwise_on_random_volumes(blocks, scale, seed):
+    """Any float32 video of at least two blocks along each axis encodes to the reference's bytes.
     (With one block along W, numpy joins the block's pixel rows into one 64-wide sum.)"""
-    shape = tuple(n * r for n, r in zip(blocks, data.VAE_RATES)) + (channels,)
+    shape = tuple(n * r for n, r in zip(blocks, data.VAE_RATES))
     pixels = (np.random.default_rng(seed).standard_normal(shape) * scale).astype(np.float32)
     assert data.toy_vae_encode(pixels).tobytes() == _reference_encode(pixels).tobytes()
 
@@ -138,21 +141,37 @@ def test_scene_divisibility_error():
 
 
 def test_vae_encode_shape():
-    pix = np.random.default_rng(0).uniform(size=(8, 16, 16, 1)).astype(np.float32)
+    pix = np.random.default_rng(0).uniform(size=(8, 16, 16)).astype(np.float32)
     lat = data.toy_vae_encode(pix)
     assert lat.shape == (2, 2, 2, 4)
 
 
 def test_vae_encode_mean_channel_oracle():
-    pix = np.random.default_rng(2).uniform(size=(4, 8, 8, 1)).astype(np.float32)
+    pix = np.random.default_rng(2).uniform(size=(4, 8, 8)).astype(np.float32)
     lat = data.toy_vae_encode(pix)
-    oracle = pix.reshape(1, 4, 1, 8, 1, 8, 1).mean(axis=(1, 3, 5))[..., 0]
+    oracle = pix.reshape(1, 4, 1, 8, 1, 8).mean(axis=(1, 3, 5))
     assert np.allclose(lat[..., 0], oracle, atol=1e-6)
 
 
 def test_vae_divisibility_error():
     with pytest.raises(ValueError):
-        data.toy_vae_encode(np.zeros((5, 8, 8, 1), dtype=np.float32))
+        data.toy_vae_encode(np.zeros((5, 8, 8), dtype=np.float32))
+
+
+def test_latent_scene_holds_one_pixel_video_at_a_time():
+    """Rendering and encoding a desk-size scene peaks below two pixel videos' bytes: the encoder
+    reads the rendered video in place, with no channel-mean copy of it."""
+    video_bytes = np.prod(data.DESK_PIXEL) * np.dtype(np.float32).itemsize
+    spec = data.SceneSpec.random(5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()  # counted from here, also when the run already traces allocations
+        before, _ = tracemalloc.get_traced_memory()
+        data.make_latent_scene(spec, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * video_bytes
 
 
 def test_latent_standardization_near_unit_variance():
@@ -217,13 +236,29 @@ def test_mask_levels_in_open_interval(seed):
 # -- latent file format ---------------------------------------------------------------
 
 
+def test_training_and_rollout_load_neither_the_file_formats_nor_hashlib():
+    """The MCTX and MCCK formats live in ``checkpoint``, which imports ``hashlib`` (and with it
+    OpenSSL); a process that only makes scenes, trains and rolls out loads neither."""
+    src = os.path.dirname(os.path.dirname(data.__file__))
+    script = (
+        "import sys; from memctx import training, rollout; "
+        "assert 'memctx.checkpoint' not in sys.modules and 'hashlib' not in sys.modules, "
+        "[m for m in ('memctx.checkpoint', 'hashlib') if m in sys.modules]"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def test_latents_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(9)
     for dtype in (np.float32, np.float64):
         arr = rng.normal(size=(6, 8, 8, 4)).astype(dtype)
         path = str(tmp_path / f"clip_{arr.dtype}.mctx")
-        data.save_latents(path, arr)
-        back = data.load_latents(path)
+        checkpoint.save_latents(path, arr)
+        back = checkpoint.load_latents(path)
         assert back.dtype == arr.dtype
         assert np.array_equal(back, arr)
 
@@ -233,35 +268,35 @@ def test_latents_bad_magic(tmp_path):
     with open(path, "wb") as f:
         f.write(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError, match="magic"):
-        data.load_latents(path)
+        checkpoint.load_latents(path)
 
 
 def test_latents_truncated_file_is_refused(tmp_path):
     path = tmp_path / "clip.mctx"
-    data.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
+    checkpoint.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
     raw = path.read_bytes()
     for cut in (2, 12, len(raw) - 1):
         path.write_bytes(raw[:cut])
-        with pytest.raises(data.LatentFileError, match="truncated"):
-            data.load_latents(str(path))
+        with pytest.raises(checkpoint.LatentFileError, match="truncated"):
+            checkpoint.load_latents(str(path))
 
 
 def test_latents_with_bytes_after_the_end_are_refused(tmp_path):
     path = tmp_path / "clip.mctx"
-    data.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
+    checkpoint.save_latents(str(path), np.ones((2, 4, 4, 4), np.float32))
     path.write_bytes(path.read_bytes() + b"\x00" * 7)
-    with pytest.raises(data.LatentFileError, match="7 bytes after its end"):
-        data.load_latents(str(path))
+    with pytest.raises(checkpoint.LatentFileError, match="7 bytes after its end"):
+        checkpoint.load_latents(str(path))
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.int32])
 def test_latents_refuse_dtypes_other_than_float32_and_float64(tmp_path, dtype):
     """Only float32 and float64 have a dtype tag; for any other dtype nothing is written."""
     with pytest.raises(ValueError, match=f"unsupported latent file dtype {np.dtype(dtype)}"):
-        data.save_latents(str(tmp_path / "x.mctx"), np.zeros((2, 4, 4, 4), dtype))
+        checkpoint.save_latents(str(tmp_path / "x.mctx"), np.zeros((2, 4, 4, 4), dtype))
     assert not list(tmp_path.iterdir())
 
 
 def test_latents_rejects_non_4d(tmp_path):
     with pytest.raises(ValueError):
-        data.save_latents(str(tmp_path / "x.mctx"), np.zeros((2, 2)))
+        checkpoint.save_latents(str(tmp_path / "x.mctx"), np.zeros((2, 2)))
