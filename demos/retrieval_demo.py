@@ -4,32 +4,25 @@ Trains the 4x4x2 compression encoder and toy DiT on the frame-retrieval
 objective for a short budget and reports held-out retrieval PSNR against
 a non-learned reference: the masked history's mean frame, scored on the
 same clean targets.  The PSNR should climb visibly while the ctx-usage
-probe shows the model beginning to read its compressed memory.
+probe shows the model beginning to read its compressed memory.  Both
+probes score ``training.retrieval_cases``, the cases the recipes score.
 """
 
 import time
 
 import numpy as np
 
-from memctx import data, diffusion, metrics, nn, training
+from memctx import diffusion, metrics, nn, training
 from memctx.tensor import no_grad
 
 STEPS = 1500
-
-
-def _case(eval_ds, k):
-    """Scene k's latents, condition, masked history and first four clean targets."""
-    lat, cond = eval_ds[k % len(eval_ds)]
-    omega = data.sample_omega(lat.shape[0], (9, 0xE7A1, k))
-    masked = diffusion.mask_history(lat, omega, (9, 0xE7A3, k))
-    return lat, cond, masked, sorted(omega.indices)[:4]
+EVAL_SEED = 9
 
 
 def mean_frame_psnr(eval_ds, n=4):
     """PSNR of the masked history's mean frame on the targets ``ctx_usage_delta`` scores."""
     scores = []
-    for k in range(n):
-        lat, _, masked, targets = _case(eval_ds, k)
+    for lat, _, masked, targets, _ in training.retrieval_cases(eval_ds, EVAL_SEED, n, "uniform"):
         guess = np.broadcast_to(masked.mean(axis=0), (len(targets),) + lat.shape[1:])
         scores.append(metrics.psnr(guess, lat[targets]))
     return float(np.mean(scores))
@@ -38,16 +31,13 @@ def mean_frame_psnr(eval_ds, n=4):
 def ctx_usage_delta(enc, g, eval_ds, n=4):
     """Eval PSNR with the true compressed context minus with a zeroed one."""
     true_scores, zero_scores = [], []
-    for k in range(n):
-        lat, cond, masked, targets = _case(eval_ds, k)
+    for lat, cond, masked, targets, seed in training.retrieval_cases(eval_ds, EVAL_SEED, n, "uniform"):
         shape = (len(targets),) + lat.shape[1:]
         with no_grad():
             ctx = enc.compress(masked)
-            recon = diffusion.sample(g, ctx, cond, shape, seed=(9, 0xE7A4, k),
-                                     steps=4, frame_indices=targets)
+            recon = diffusion.sample(g, ctx, cond, shape, seed, targets, steps=4)
             ctx.tokens = ctx.tokens * 0.0
-            blind = diffusion.sample(g, ctx, cond, shape, seed=(9, 0xE7A4, k),
-                                     steps=4, frame_indices=targets)
+            blind = diffusion.sample(g, ctx, cond, shape, seed, targets, steps=4)
         true_scores.append(metrics.psnr(recon, lat[targets]))
         zero_scores.append(metrics.psnr(blind, lat[targets]))
     return float(np.mean(true_scores)), float(np.mean(true_scores) - np.mean(zero_scores))

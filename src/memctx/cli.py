@@ -3,9 +3,9 @@
 Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
 unknown key, a value out of range, such as a negative seed, or not finite, a
 DiT width that is not its head count times a multiple of 8, a condition
-schedule not starting at frame 0 or a code outside the vocabulary), a file
-that cannot be read or written (missing, a directory, no permission: any
-OSError), a corrupt latent file (bad magic, unsupported version, unknown
+schedule not starting at frame 0, with two entries at one frame or with a
+code outside the vocabulary), a file that cannot be read or written
+(missing, a directory, no permission: any OSError), a corrupt latent file (bad magic, unsupported version, unknown
 dtype, truncated, bytes after its end), two latent files ``eval`` cannot
 compare (another frame shape, no frames, frames with no pixels, or a NaN,
 infinite or larger than 1e75 value among the frames compared), an
@@ -105,7 +105,7 @@ def _train_command(cfg, resume: str | None, objective: str, out_name: str,
             log_lines.append(f"step {step} loss {loss:.6f}")
         if tr["eval_every"] and step % tr["eval_every"] == 0:
             res = training.evaluate_retrieval(
-                enc, g, eval_ds, seed=cfg["seed"], n_eval=4,
+                enc, g, eval_ds, seed=cfg["seed"], n_eval=4, policy="uniform",
                 sample_steps=cfg["diffusion"]["sample_steps"],
             )
             log_lines.append(f"step {step} eval_psnr {res['psnr']:.3f}")

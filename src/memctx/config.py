@@ -3,8 +3,9 @@
 Unknown keys are rejected with their field path; numbers must be finite
 (``NaN`` and ``Infinity`` are refused) and never ``true``/``false``;
 cross-field constraints (the divisibility of the desk geometry and of the
-DiT's width, and a condition schedule that starts at frame 0 with codes
-inside the vocabulary) are validated before any compute starts.
+DiT's width, and a condition schedule that starts at frame 0, with one
+entry per start frame and codes inside the vocabulary) are validated
+before any compute starts.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ def validate_config(user: dict) -> dict:
     if dim % heads or (dim // heads) % 8:
         raise ConfigError(f"dit.inner_dim {dim} must be dit.heads {heads} times a multiple of 8")
     schedule = cfg["rollout"]["condition_schedule"]
-    first = min(start for start, _ in schedule)
-    if first != 0:
-        raise ConfigError(f"rollout.condition_schedule must start at frame 0, its earliest entry is at {first}")
+    starts = sorted(start for start, _ in schedule)
+    if starts[0] != 0:
+        raise ConfigError(f"rollout.condition_schedule must start at frame 0, its earliest entry is at {starts[0]}")
+    for a, b in zip(starts, starts[1:]):
+        if a == b:
+            raise ConfigError(f"rollout.condition_schedule has two entries at frame {a}")
     vocab = cfg["dataset"]["vocab"]
     for _, code in schedule:
         if not 0 <= code < vocab:

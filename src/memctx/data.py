@@ -56,12 +56,12 @@ class SceneSpec:
     static: bool = False
 
     @staticmethod
-    def random(seed: int, n_sprites: int = 3, vocab: int = 16, static: bool = False) -> "SceneSpec":
+    def random(seed: int, vocab: int = 16, static: bool = False) -> "SceneSpec":
         rng = seeding.stream(seed, 0xA11CE)
         return SceneSpec(
-            sprite_intensities=tuple(rng.uniform(0.35, 1.0, size=n_sprites).round(3)),
-            sprite_sizes=tuple(int(s) for s in rng.integers(14, 29, size=n_sprites)),
-            speeds=tuple(rng.uniform(1.0, 3.0, size=n_sprites).round(3)),
+            sprite_intensities=tuple(rng.uniform(0.35, 1.0, size=3).round(3)),
+            sprite_sizes=tuple(int(s) for s in rng.integers(14, 29, size=3)),
+            speeds=tuple(rng.uniform(1.0, 3.0, size=3).round(3)),
             shot_len=10**6 if static else int(rng.integers(16, 33)),
             background=round(float(rng.uniform(0.05, 0.2)), 3),
             condition_code=int(rng.integers(0, vocab)),
@@ -102,9 +102,6 @@ def generate_scene(spec: SceneSpec, t_pixel: int, h_pixel: int, w_pixel: int, se
 
     video = np.full((t_pixel, h_pixel, w_pixel), spec.background, dtype=np.float32)
     n = len(spec.sprite_intensities)
-    if n == 0:
-        return video
-
     n_shots = (t_pixel + spec.shot_len - 1) // spec.shot_len
     for shot in range(n_shots):
         rng = seeding.stream(seed, spec.condition_code, shot)

@@ -1,13 +1,15 @@
 """Flow-matching machinery.
 
 The shifted logit-normal timestep distribution, the frame-retrieval
-pretraining loss and the autoregressive fine-tuning loss (both on the
-straight-line path x_t = (1 - t) x0 + t eps with velocity target
-eps - x0), and a deterministic Euler sampler.
+pretraining loss, the autoregressive fine-tuning loss and a deterministic
+Euler sampler.  Each loss draws its own targets, noise and timesteps, then
+ends in one velocity regression on the straight-line path
+x_t = (1 - t) x0 + t eps with target eps - x0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -67,6 +69,18 @@ def mask_history(history: np.ndarray, omega: FrameIndexSet, seed: int) -> np.nda
     return _mask_history(history, omega, seeding.stream(seed, 0x3A5C))
 
 
+def _velocity_loss(g, ctx, x0, eps, t, c, frame_indices, window_latents=None) -> Tensor:
+    """Mean squared velocity residual at x_t = (1 - t) x0 + t eps of the (N, T, H, W, C) targets
+    ``x0`` at global ``frame_indices``, reading ``ctx`` and any (N, w, H, W, C) window before them."""
+    x_t = (1.0 - t[:, None, None, None, None]) * x0 + t[:, None, None, None, None] * eps
+    window_frames = 0 if window_latents is None else np.shape(window_latents)[1]
+    memory = g.read_memory(ctx, x0.shape[2:4])
+    rope = g.row_rope(x_t.shape, frame_indices, window_frames)
+    pred = g.predict_velocity(x_t, t, c, memory, rope, window_latents)
+    resid = pred - as_default_dtype(eps - x0)
+    return resid.square().mean()
+
+
 def retrieval_loss(
     g,
     phi,
@@ -86,23 +100,14 @@ def retrieval_loss(
     if len(omega.indices) == 0:
         raise ValueError("retrieval needs at least one selected frame")
     h = np.asarray(history)
-    n = h.shape[0]
     if omega.total_frames != h.shape[1]:
         raise ValueError("index set does not match history length")
-    dist = timestep_dist or TimestepDistribution()
     rng = seeding.stream(seed, 0x2E72)
-
     target = h[:, list(omega.indices)]  # (N, |omega|, H, W, C)
     masked = _mask_history(h, omega, rng)
     eps = rng.standard_normal(target.shape).astype(h.dtype)
-    t = dist.sample(rng, size=n)
-    x_t = (1.0 - t[:, None, None, None, None]) * target + t[:, None, None, None, None] * eps
-
-    ctx = phi.compress(masked)
-    memory = g.read_memory(ctx, h.shape[2:4])
-    pred = g.predict_velocity(x_t, t, c, memory, g.row_rope(x_t.shape, omega.indices))
-    resid = pred - as_default_dtype(eps - target)
-    return resid.square().mean()
+    t = (timestep_dist or TimestepDistribution()).sample(rng, size=h.shape[0])
+    return _velocity_loss(g, phi.compress(masked), target, eps, t, c, omega.indices)
 
 
 def finetune_loss(
@@ -118,28 +123,19 @@ def finetune_loss(
     """Next-clip objective: predict the velocity of the (N, T', H, W, C)
     future clip given the compressed (N, T, H, W, C) history and,
     optionally, its last w frames uncompressed as (N, w, H, W, C)
-    ``window_latents``.  Timesteps follow ``FINETUNE_TIMESTEPS``."""
+    ``window_latents``.  Timesteps follow ``FINETUNE_TIMESTEPS``.  A frozen
+    encoder compresses under ``no_grad``, so it stays off the tape."""
     h = np.asarray(history)
     x0 = np.asarray(x0_future)
     if h.shape[0] != x0.shape[0] or h.shape[2:] != x0.shape[2:]:
         raise ValueError(f"history {h.shape} and future clip {x0.shape} disagree")
     rng = seeding.stream(seed, 0xF17E)
-
-    n = h.shape[0]
     eps = rng.standard_normal(x0.shape).astype(h.dtype)
-    t = FINETUNE_TIMESTEPS.sample(rng, size=n)
-    x_t = (1.0 - t[:, None, None, None, None]) * x0 + t[:, None, None, None, None] * eps
-    frame_idx = range(h.shape[1], h.shape[1] + x0.shape[1])
-    window_frames = 0 if window_latents is None else np.shape(window_latents)[1]
-
-    ctx = phi.compress(h)
-    if freeze_encoder:
-        ctx = dataclasses.replace(ctx, tokens=ctx.tokens.detach())
-    memory = g.read_memory(ctx, h.shape[2:4])
-    rope = g.row_rope(x_t.shape, frame_idx, window_frames)
-    pred = g.predict_velocity(x_t, t, c, memory, rope, window_latents)
-    resid = pred - as_default_dtype(eps - x0)
-    return resid.square().mean()
+    t = FINETUNE_TIMESTEPS.sample(rng, size=h.shape[0])
+    with no_grad() if freeze_encoder else contextlib.nullcontext():
+        ctx = phi.compress(h)
+    frames = range(h.shape[1], h.shape[1] + x0.shape[1])
+    return _velocity_loss(g, ctx, x0, eps, t, c, frames, window_latents)
 
 
 def sample(g, ctx, c, shape, seed: int, frame_indices, steps: int = 8, window_latents=None) -> np.ndarray:

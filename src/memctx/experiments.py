@@ -128,9 +128,9 @@ def _trained(recipe, arm, seed, dataset):
     return enc, g
 
 
-def _retrieval(enc, g, eval_ds, positions="random") -> dict:
+def _retrieval(enc, g, eval_ds, policy="uniform") -> dict:
     return training.evaluate_retrieval(enc, g, eval_ds, seed=EVAL_SEED, n_eval=N_EVAL,
-                                       positions=positions, sample_steps=SAMPLE_STEPS)
+                                       policy=policy, sample_steps=SAMPLE_STEPS)
 
 
 def run_ablation_compression(recipe: ExperimentRecipe, out_dir: str | None = None) -> dict:
@@ -228,7 +228,7 @@ def _omega_job(recipe, arm, seed, data):
     enc, g = _trained(recipe, arm, seed, data.train)
     return {
         "random_position_psnr": _retrieval(enc, g, data.eval)["psnr"],
-        "endpoint_psnr": _retrieval(enc, g, data.eval, positions="endpoint")["psnr"],
+        "endpoint_psnr": _retrieval(enc, g, data.eval, policy="fixed-endpoints")["psnr"],
     }
 
 

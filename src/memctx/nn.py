@@ -286,12 +286,12 @@ def _softmax_vjp(g, y, axis):
     return gy
 
 
-def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine; one tape node.
 
     Backward keeps only the normalized input ``xhat`` and the per-row std.
     """
-    xhat, std = _normalized(x.data, eps)
+    xhat, std = _normalized(x.data)
     y = _into_first(np.add, xhat * gain.data, shift.data)
     needs = (x.requires_grad, gain.requires_grad, shift.requires_grad)
 
@@ -304,13 +304,11 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tens
     return Tensor._make(y, (x, gain, shift), vjp)
 
 
-def _normalized(x: np.ndarray, eps: float = 1e-5):
+def _normalized(x: np.ndarray):
     """(xhat, std): ``x`` at zero mean and unit variance over its last axis, and the per-row std."""
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
     xhat = x - x.mean(axis=-1, keepdims=True)
-    # eps enters as a default-dtype array, as an operand of a composed op would
-    std = (xhat * xhat).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=default_dtype())
+    # eps 1e-5 enters as a default-dtype array, as an operand of a composed op would
+    std = (xhat * xhat).mean(axis=-1, keepdims=True) + np.asarray(1e-5, dtype=default_dtype())
     np.sqrt(std, out=std)
     return _into_first(np.divide, xhat, std), std
 
@@ -508,14 +506,14 @@ class Adam:
     named by their position; checkpointed moments are keyed by those names.
     """
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8  # the textbook betas and epsilon
+
+    def __init__(self, params, lr=1e-3):
         items = params.items() if isinstance(params, dict) else enumerate(params)
         named = [(str(name), p) for name, p in items if p.requires_grad]
         self.names = [name for name, _ in named]
         self.params = [p for _, p in named]
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -39,6 +39,9 @@ class RolloutSession:
         self.schedule = sorted((int(s), int(c)) for s, c in condition_schedule)
         if not self.schedule or self.schedule[0][0] != 0:
             raise ValueError("condition schedule must start at frame 0")
+        for (a, _), (b, _) in zip(self.schedule, self.schedule[1:]):
+            if a == b:
+                raise ValueError(f"condition schedule has two entries at frame {a}")
         self.window_frames = int(window_frames)
         self.sample_steps = sample_steps
         self.clip_len = encoder.chunk_len  # one chunk per step keeps streaming aligned

@@ -135,9 +135,6 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -1,4 +1,5 @@
-"""Shared training and evaluation loops for pretraining and fine-tuning."""
+"""Shared training loops for pretraining and fine-tuning, and the retrieval cases that
+recipes, the CLI's periodic eval and the retrieval demo all score."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ __all__ = [
     "build_models",
     "pretrain_retrieval",
     "finetune_next_clip",
+    "retrieval_cases",
     "evaluate_retrieval",
 ]
 
@@ -151,42 +153,30 @@ def finetune_next_clip(
     return _train(enc, g, batch_loss, steps, lr, optimizer, start_step, on_step)
 
 
-def evaluate_retrieval(
-    enc,
-    g,
-    dataset,
-    seed: int,
-    n_eval: int = 6,
-    positions: str = "random",
-    sample_steps: int = 8,
-):
-    """Held-out retrieval PSNR under the training-style masking protocol.
+def retrieval_cases(dataset, seed: int, n_eval: int, policy: str):
+    """Yield the retrieval-scoring protocol's cases: (latents, condition, masked history,
+    targets, sample seed) for scenes 0 to ``n_eval`` - 1, cycling through ``dataset``.
 
-    Per scene: draw an index set, mask the history (index-set frames kept
-    clean, all others noised), compress, then sample reconstructions at the
-    first four clean index positions — random positions (``positions='random'``) or
-    the final frame only (``positions='endpoint'``).
+    Per scene: draw an index set under ``data.sample_omega``'s ``policy``,
+    keep its frames clean and noise all others, and target its first four
+    clean frames.
     """
-    scores = []
-    ssim_scores = []
     for k in range(n_eval):
         lat, cond = dataset[k % len(dataset)]
-        t_h = lat.shape[0]
-        policy = "fixed-endpoints" if positions == "endpoint" else "uniform"
-        omega = data.sample_omega(t_h, (seed, 0xE7A1, k), policy=policy)
-        masked_hist = diffusion.mask_history(lat, omega, (seed, 0xE7A3, k))
-        targets = sorted(omega.indices)[:4]
+        omega = data.sample_omega(lat.shape[0], (seed, 0xE7A1, k), policy=policy)
+        masked = diffusion.mask_history(lat, omega, (seed, 0xE7A3, k))
+        yield lat, cond, masked, sorted(omega.indices)[:4], (seed, 0xE7A4, k)
+
+
+def evaluate_retrieval(enc, g, dataset, seed: int, n_eval: int, policy: str, sample_steps: int):
+    """Held-out retrieval PSNR and SSIM: per ``retrieval_cases`` case, compress the masked
+    history and sample the targets in ``sample_steps`` Euler steps."""
+    scores, ssim_scores = [], []
+    for lat, cond, masked, targets, sample_seed in retrieval_cases(dataset, seed, n_eval, policy):
         with no_grad():
-            ctx = enc.compress(masked_hist)
-        recon = diffusion.sample(
-            g,
-            ctx,
-            cond,
-            (len(targets),) + lat.shape[1:],
-            seed=(seed, 0xE7A4, k),
-            steps=sample_steps,
-            frame_indices=targets,
-        )
+            ctx = enc.compress(masked)
+        shape = (len(targets),) + lat.shape[1:]
+        recon = diffusion.sample(g, ctx, cond, shape, sample_seed, targets, steps=sample_steps)
         scores.append(metrics.psnr(recon, lat[targets]))
         ssim_scores.append(metrics.ssim(recon, lat[targets], window=7))
     return {
@@ -194,4 +184,3 @@ def evaluate_retrieval(
         "ssim": float(np.mean(ssim_scores)),
         "per_scene": scores,
     }
-

@@ -506,14 +506,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         ({"dit": {"inner_dim": 48, "heads": 4}}, "dit.inner_dim 48 must be dit.heads 4 times a multiple of 8"),
         ({"rollout": {"condition_schedule": [[0, -1]]}}, "code -1 is outside [0, 16)"),
         ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
+        ({"rollout": {"condition_schedule": [[0, 5], [8, 3], [8, 1]]}}, "has two entries at frame 8"),
         ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
         ({"diffusion": {"mu": float("nan")}}, "diffusion.mu: nan"),
         ({"seed": -1}, "invalid value for seed: -1"),
         ({"dataset": {"seed": -5}}, "invalid value for dataset.seed: -5"),
         ({"training": {"lr": 10**400}}, "invalid value for training.lr: 1000"),  # JSON loads it as an int
     ],
-    ids=["heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "infinite_mu", "nan_mu",
-         "negative_seed", "negative_dataset_seed", "lr_past_float"],
+    ids=["heads", "inner_dim", "head_width", "negative_code", "code_past_vocab", "repeated_start", "infinite_mu",
+         "nan_mu", "negative_seed", "negative_dataset_seed", "lr_past_float"],
 )
 def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, override, message):
     """Each of these validated and then failed mid-run (or trained on a non-finite constant);

@@ -120,16 +120,28 @@ def test_retrieval_loss_at_init_equals_target_second_moment():
     assert loss.item() == pytest.approx(expected, rel=1e-6)
 
 
-def test_finetune_loss_freeze_encoder_blocks_grads():
+def test_finetune_loss_freeze_encoder_blocks_grads(monkeypatch):
+    """A frozen encoder compresses off the tape: its tokens never require a gradient, and
+    no encoder parameter gets one."""
     enc, g = _models()
     # give the output head weight so gradients are nonzero at init
     g.out_proj.weight.data[:] = np.random.default_rng(7).normal(
         0, 0.05, size=g.out_proj.weight.shape
     )
+    taped = []
+    original = enc.compress
+
+    def recording(history):
+        ctx = original(history)
+        taped.append(ctx.tokens.requires_grad)
+        return ctx
+
+    monkeypatch.setattr(enc, "compress", recording)
     hist = np.random.default_rng(8).normal(size=(1, 24, 8, 8, 4)).astype(np.float32)
     loss = diffusion.finetune_loss(g, enc, hist[:, :16], hist[:, 16:], c=[0], seed=13, freeze_encoder=True)
     backward(loss)
-    assert all(p.grad is None or np.all(p.grad == 0) for p in enc.parameters())
+    assert taped == [False]
+    assert all(p.grad is None for p in enc.parameters())
     assert any(p.grad is not None and np.abs(p.grad).sum() > 0 for p in g.parameters())
 
 
@@ -247,3 +259,21 @@ def test_sampler_validation():
     with pytest.raises(ValueError):
         diffusion.sample(_ConstantVelocity(np.zeros((1, 2, 2, 4), np.float32)), None, 0,
                          (1, 2, 2, 4), seed=0, frame_indices=[0], steps=0)
+
+
+@pytest.mark.parametrize("policy", ["uniform", "fixed-endpoints"])
+def test_retrieval_cases_follow_the_scoring_protocol(policy):
+    """Per scene k, cycling through the dataset: an index set drawn on stream 0xE7A1, the history
+    masked on 0xE7A3, its first four clean frames as targets, and sample seed (seed, 0xE7A4, k)."""
+    dataset = training.make_dataset(3, 2)
+    cases = list(training.retrieval_cases(dataset, 9, 3, policy))
+    assert len(cases) == 3
+    for k, (lat, cond, masked, targets, sample_seed) in enumerate(cases):
+        want_lat, want_cond = dataset[k % 2]
+        omega = data.sample_omega(24, (9, 0xE7A1, k), policy=policy)
+        assert lat is want_lat and cond == want_cond
+        assert np.array_equal(masked, diffusion.mask_history(want_lat, omega, (9, 0xE7A3, k)))
+        assert targets == sorted(omega.indices)[:4]
+        assert sample_seed == (9, 0xE7A4, k)
+        if policy == "fixed-endpoints":
+            assert targets == [23]

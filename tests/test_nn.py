@@ -461,11 +461,6 @@ def test_layernorm_gradient():
     check_grads(lambda x, g, s: (nn.layernorm(x, g, s) * w).sum().square(), x, gain, shift)
 
 
-def test_layernorm_eps_must_be_positive():
-    with pytest.raises(ValueError):
-        nn.layernorm(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=0.0)
-
-
 @pytest.mark.parametrize(
     "x_dtype,param_dtype,eps_dtype",
     [

@@ -92,6 +92,14 @@ def test_condition_schedule_validation():
         RolloutSession(g, enc, seed=0, seed_clip=np.zeros((8, 8, 8, 4), np.float32), condition_schedule=((4, 1),))
 
 
+@pytest.mark.parametrize("schedule, frame", [(((0, 2), (0, 1)), 0), (((0, 1), (0, 2)), 0), (((0, 5), (8, 3), (8, 1)), 8)])
+def test_condition_schedule_refuses_two_entries_at_one_frame(schedule, frame):
+    """Such a schedule names two codes for one frame, and neither is the one to run."""
+    enc, g = training.build_models(0)
+    with pytest.raises(ValueError, match=f"two entries at frame {frame}"):
+        RolloutSession(g, enc, seed=0, seed_clip=np.zeros((8, 8, 8, 4), np.float32), condition_schedule=schedule)
+
+
 def test_window_latents_tail():
     sess, seed_clip = _session(window_frames=5)
     win = sess.window_latents()
