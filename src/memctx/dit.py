@@ -46,7 +46,8 @@ class _Block:
     of the context tokens, without the t-modulation) and then the block's
     own rows; only the rows are queried and updated.  Each stage is one tape
     node: ``_adaln`` normalizes and modulates, the attention node turns q and
-    k, and ``_gated`` gates a branch and adds it to the residual.
+    k, ``nn.mlp`` runs fc1, the SiLU and fc2, and ``_gated`` gates a branch
+    and adds it to the residual.
     """
 
     def __init__(self, dim, heads, rng):
@@ -72,7 +73,7 @@ class _Block:
         if n_query is not None:
             x, q = x[:, -n_query:], h[:, -n_query:]
         x = _gated(x, self.attn(q, h, memory, rope), mod, 2)
-        return _gated(x, self.fc2(self.fc1(_adaln(x, self.ln2, mod, 4, 3)).silu()), mod, 5)
+        return _gated(x, nn.mlp(_adaln(x, self.ln2, mod, 4, 3), self.fc1, self.fc2), mod, 5)
 
     def named_modules(self):
         return {
@@ -292,7 +293,7 @@ class DiTModel:
         tokens = concat(segments, axis=1)
 
         temb = Tensor(nn.sinusoidal_embedding(t_arr, self.inner_dim))
-        temb = self.t_fc2(self.t_fc1(temb).silu())
+        temb = nn.mlp(temb, self.t_fc1, self.t_fc2)
         tokens = tokens + temb.reshape(n, 1, self.inner_dim)
 
         # the velocity reads only the target rows, so the last block queries only those

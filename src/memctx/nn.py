@@ -4,9 +4,9 @@ Linear maps (with optional low-rank adapters), strided 3D convolution,
 multi-head attention, rotary positions, layer normalization, learned
 embeddings, and the Adam optimizer used by every training loop.
 
-The linear map, softmax, layernorm, rotation, attention and conv3d are fused
-kernels: each runs one array computation and records at most one tape
-node, whose backward is an analytic vector-Jacobian product.  Taped and
+The linear map, the MLP, softmax, layernorm, rotation, attention and conv3d
+are fused kernels: each runs one array computation and records at most one
+tape node, whose backward is an analytic vector-Jacobian product.  Taped and
 no-tape calls (under ``no_grad``, or when nothing requires a gradient)
 share that computation, so their outputs are bitwise equal; a no-tape
 call only skips the node.  The attention node also turns q and k by
@@ -17,19 +17,21 @@ gradient is one ordered gather per sample.
 
 A node keeps no array that its backward can rebuild bitwise from its
 parents: attention keeps only each score row's max and Σe and recomputes
-the exponentials, and conv3d gathers its im2col columns again.
+the exponentials, the MLP keeps only its pre-activation and rebuilds the
+SiLU output from it, and conv3d gathers its im2col columns again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast, default_dtype
+from .tensor import Tensor, _sigmoid, _unbroadcast, default_dtype
 
 __all__ = [
     "Linear",
     "LoraLinear",
     "linear",
+    "mlp",
     "Conv3dLayer",
     "AttentionLayer",
     "attention",
@@ -115,6 +117,69 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return (gx, gw, g2.sum(axis=0) if needs[2] else None)
 
     return Tensor._make(y.reshape(x.shape[:-1] + (out_dim,)), parents, vjp)
+
+
+def mlp(x: Tensor, fc1, fc2) -> Tensor:
+    """fc2(silu(fc1(x))) over the last axis of ``x`` as one tape node; each map a ``Linear`` or ``LoraLinear``.
+
+    The forward runs the three composed nodes' array operations in their
+    order, ``LoraLinear``'s y + 2·A(Bx) included, so the output and every
+    gradient are bitwise theirs.  The node keeps fc1's pre-activation a and
+    each adapter's (rows, r) product Bx, and no (rows, hidden) array beside
+    a: backward rebuilds silu(a) = a·σ(a) with the forward's own expression,
+    as ``Tensor.silu`` rebuilds σ(a), and recomputes no GEMM.
+    """
+    t1, t2 = _terms(fc1), _terms(fc2)
+    if x.shape[-1] != t1[0].shape[1]:
+        raise ValueError(f"mlp: input has {x.shape[-1]} features, fc1 expects {t1[0].shape[1]}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    a, low1 = _affine(t1, x2)
+    y, low2 = _affine(t2, a * _sigmoid(a))
+    need1 = [t.requires_grad for t in (x, *t1)]
+    need2 = [any(need1)] + [t.requires_grad for t in t2]  # silu(a) requires a gradient when fc1's output does
+
+    def vjp(g):
+        sig = _sigmoid(a)
+        gs, grads2 = _affine_vjp(t2, a * sig, low2, g.reshape(-1, g.shape[-1]), need2)
+        if gs is None:
+            return (None,) * len(need1) + grads2
+        gx, grads1 = _affine_vjp(t1, x2, low1, gs * (sig * (1.0 + a * (1.0 - sig))), need1)
+        return ((None if gx is None else gx.reshape(x.shape)),) + grads1 + grads2
+
+    return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, *t1, *t2), vjp)
+
+
+def _terms(m) -> tuple:
+    """The tensors of a ``Linear`` (w, b) or a ``LoraLinear`` (w, b, A, B)."""
+    if isinstance(m, LoraLinear):
+        return m.base.weight, m.base.bias, m.A, m.B
+    return m.weight, m.bias
+
+
+def _affine(terms, x2):
+    """A map's output on 2-D ``x2`` by ``linear``'s and ``LoraLinear``'s array operations,
+    and its adapter's product x2·Bᵀ (None for a plain map)."""
+    y = _into_first(np.add, x2 @ terms[0].data.T, terms[1].data)
+    if len(terms) == 2:
+        return y, None
+    low = x2 @ terms[3].data.T
+    return _into_first(np.add, y, (low @ terms[2].data.T) * 2.0), low
+
+
+def _affine_vjp(terms, x2, low, g2, needs):
+    """(the gradient of ``x2``, then a tuple of one gradient per tensor of ``terms``) from the
+    2-D gradient ``g2`` of ``_affine``'s output; ``needs`` flags x2 and each tensor, and a
+    gradient is None where its flag is False."""
+    gx = g2 @ terms[0].data if needs[0] else None
+    grads = [g2.T @ x2 if needs[1] else None, g2.sum(axis=0) if needs[2] else None]
+    if len(terms) == 4:
+        gl = g2 * 2.0
+        grads.append(gl.T @ low if needs[3] else None)
+        glow = gl @ terms[2].data if needs[0] or needs[4] else None
+        grads.append(glow.T @ x2 if needs[4] else None)
+        if needs[0]:
+            gx = glow @ terms[3].data + gx
+    return gx, tuple(grads)
 
 
 class Conv3dLayer:
@@ -557,18 +622,22 @@ class Adam:
     def load_state_arrays(self, arrays):
         """Restore the moments by parameter name, cast to each parameter's dtype.
 
-        Raises ``ValueError`` unless the state names exactly this optimizer's
-        parameters, each moment with its parameter's shape.
+        Raises ``ValueError`` unless each of the ``adam.m`` and ``adam.v``
+        tables names exactly this optimizer's parameters, each moment with its
+        parameter's shape.
         """
-        saved = {k[len("adam.m."):] for k in arrays if k.startswith("adam.m.")}
-        missing = [name for name in self.names if name not in saved]
-        extra = sorted(saved - set(self.names))
-        if missing or extra:
-            raise ValueError(f"optimizer state lacks {missing[:3]} and has unknown {extra[:3]}")
-        for name, p in zip(self.names, self.params):
-            shape = arrays[f"adam.m.{name}"].shape
-            if shape != p.data.shape:
-                raise ValueError(f"optimizer state {name} has shape {shape}, its parameter {p.data.shape}")
+        for prefix in ("adam.m.", "adam.v."):
+            saved = {k[len(prefix):] for k in arrays if k.startswith(prefix)}
+            missing = [name for name in self.names if name not in saved]
+            extra = sorted(saved - set(self.names))
+            if missing or extra:
+                raise ValueError(f"optimizer state lacks {missing[:3]} and has unknown {extra[:3]} in {prefix}*")
+            for name, p in zip(self.names, self.params):
+                shape = arrays[prefix + name].shape
+                if shape != p.data.shape:
+                    raise ValueError(
+                        f"optimizer state {name} has shape {shape} in {prefix}*, its parameter {p.data.shape}"
+                    )
         self.step_count = int(arrays["adam.step"][0])
         self.m = [arrays[f"adam.m.{n}"].astype(p.data.dtype) for n, p in zip(self.names, self.params)]
         self.v = [arrays[f"adam.v.{n}"].astype(p.data.dtype) for n, p in zip(self.names, self.params)]

@@ -71,13 +71,15 @@ def _train(enc, g, batch_loss, steps, lr, optimizer, start_step, on_step):
     opt = optimizer or nn.Adam(named_params(enc, g), lr=lr)
     for step in range(start_step, steps):
         loss = batch_loss(step)
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError(f"training diverged at step {step} (loss={loss.item()})")
+        value = loss.item()
+        if not np.isfinite(value):
+            raise FloatingPointError(f"training diverged at step {step} (loss={value})")
         opt.zero_grad()
         backward(loss)  # looked up in this module per call: the benchmark's tracer wraps it here
+        del loss  # the consumed graph goes now, not when the next step's forward rebinds the name
         opt.step()
         if on_step is not None:
-            on_step(step + 1, float(loss.item()))
+            on_step(step + 1, value)
     return opt
 
 

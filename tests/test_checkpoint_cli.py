@@ -882,3 +882,22 @@ def test_cli_resume_refuses_optimizer_state_under_other_names(tmp_path, capsys):
         assert cli.main(["pretrain", longer, "--resume", path]) == cli.EXIT_CONFIG, label
         err = capsys.readouterr().err
         assert "does not fit this model" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["misshaped", "unknown"])
+def test_cli_resume_checks_the_second_moments_as_the_first(tmp_path, capsys, fault):
+    """A second moment of the wrong shape, or one under a name the model lacks, exits 2 on resume."""
+    cfg_path = _tiny_cfg(tmp_path, training={"steps": 2})
+    assert cli.main(["pretrain", cfg_path]) == cli.EXIT_OK
+    params, step, opt = checkpoint.load_checkpoint(str(tmp_path / "out" / "pretrain.mcck"))
+    if fault == "misshaped":
+        opt["adam.v.dit.blocks.0.attn.wk.b"] = np.zeros(3, np.float32)
+    else:
+        opt["adam.v.ghost"] = np.zeros(2, np.float32)
+    path = str(tmp_path / f"{fault}.mcck")
+    checkpoint.save_checkpoint(path, params, config.load_config(cfg_path), step, opt)
+    capsys.readouterr()
+    longer = _tiny_cfg(tmp_path, training={"steps": 3})
+    assert cli.main(["pretrain", longer, "--resume", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "does not fit this model" in err and "adam.v." in err and "Traceback" not in err

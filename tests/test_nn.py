@@ -2,6 +2,7 @@
 
 import contextlib
 import warnings
+import weakref
 import zlib
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from memctx import nn, training
 from memctx.dit import _adaln, _gated
 from memctx.tensor import Tensor, backward, concat, no_grad, using_dtype
 
-from test_tensor import check_grad, check_grads, finite_diff, held_arrays, matmul, tape_nodes
+from test_tensor import check_grad, check_grads, finite_diff, held_arrays, matmul, tape_bytes, tape_nodes
 
 RNG = None  # bound per test by _rng_per_test
 
@@ -83,10 +84,29 @@ def _conv3d_of(w, b):
     return layer
 
 
+def _linear_of(w, b, *adapter):
+    """A ``Linear`` whose weight and bias are ``w`` and ``b``, or a ``LoraLinear`` over it with the adapter (A, B)."""
+    m = nn.Linear(w.shape[1], w.shape[0], make_rng())
+    if adapter:
+        m = nn.LoraLinear(m, adapter[0].shape[1], make_rng())
+        m.base.weight, m.base.bias, m.A, m.B = w, b, *adapter
+    else:
+        m.weight, m.bias = w, b
+    return m
+
+
 # name -> (op, argument shapes) for the fused kernels of this module, and the DiT block's
 FUSED_OPS = {
     "conv3d": (lambda x, w, b: nn.conv3d_forward(_conv3d_of(w, b), x), [(2, 3, 4, 6, 6), (5, 3, 3, 3, 3), (5,)]),
     "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
+    "mlp": (
+        lambda x, w1, b1, w2, b2: nn.mlp(x, _linear_of(w1, b1), _linear_of(w2, b2)),
+        [(2, 3, 4), (8, 4), (8,), (4, 8), (4,)],
+    ),
+    "mlp_lora": (
+        lambda x, w1, b1, a1, b_1, w2, b2, a2, b_2: nn.mlp(x, _linear_of(w1, b1, a1, b_1), _linear_of(w2, b2, a2, b_2)),
+        [(2, 3, 4), (8, 4), (8,), (8, 2), (2, 4), (4, 8), (4,), (4, 2), (2, 8)],
+    ),
     "softmax": (lambda x: nn.softmax(x, axis=0), [(3, 4)]),
     "layernorm": (nn.layernorm, [(2, 3, 8), (8,), (8,)]),
     "attention": (
@@ -145,6 +165,76 @@ def test_lora_adapters_receive_gradients_base_stays_frozen():
     backward(wrapped(x).square().mean())
     assert wrapped.A.grad is not None and wrapped.B.grad is not None
     assert not wrapped.base.weight.requires_grad
+
+
+def _mlp_maps(dtype, rank, dim=8, hidden=32):
+    """fc1 (dim → hidden) and fc2 (hidden → dim) in ``dtype`` with nonzero biases; at ``rank`` > 0
+    LoRA-wrapped with nonzero A, so every adapter gradient is live."""
+    with using_dtype(dtype):
+        rng = make_rng()
+        maps = [nn.Linear(dim, hidden, rng), nn.Linear(hidden, dim, rng)]
+        for m in maps:
+            m.bias.data[:] = rng.standard_normal(m.bias.shape)
+        if rank:
+            maps = [nn.LoraLinear(m, rank, rng) for m in maps]
+            for m in maps:
+                m.A.data[:] = rng.standard_normal(m.A.shape)
+    return maps
+
+
+def _trainable(*maps):
+    return [p for m in maps for p in m.named_parameters("m").values() if p.requires_grad]
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_mlp_equals_the_composed_maps_bitwise(dtype, rank):
+    """nn.mlp against fc2(fc1(x).silu()): the output, taped and under no_grad, and the gradients of
+    x and of each map's trainable parameters, with x requiring a gradient and as a constant."""
+    fc1, fc2 = _mlp_maps(dtype, rank)
+    params = _trainable(fc1, fc2)
+    x = RNG.standard_normal((2, 5, 8)).astype(dtype)
+    g = Tensor(RNG.standard_normal((2, 5, 8)).astype(dtype))
+    for input_grad in (True, False):
+        results = []
+        for op in (lambda t: nn.mlp(t, fc1, fc2), lambda t: fc2(fc1(t).silu())):
+            with no_grad():
+                free = op(Tensor(x)).numpy()
+            xt = Tensor(x, requires_grad=input_grad)
+            for p in params:
+                p.grad = None
+            out = op(xt)
+            backward((out * g).sum())
+            results.append([free, out.numpy(), *(p.grad for p in params)] + ([xt.grad] if input_grad else []))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.array_equal(got, want)
+        assert np.array_equal(results[0][0], results[0][1])
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+def test_mlp_gradients_match_central_differences(rank):
+    """float64 central differences for the input and each map's trainable parameters."""
+    fc1, fc2 = _mlp_maps("float64", rank, dim=3, hidden=6)
+    with using_dtype("float64"):
+        x = Tensor(RNG.standard_normal((2, 2, 3)), requires_grad=True)
+        probe = Tensor(RNG.standard_normal((2, 2, 3)))
+
+        def loss():
+            return (nn.mlp(x, fc1, fc2) * probe).square().sum()
+
+        backward(loss())
+        for i, t in enumerate([x, *_trainable(fc1, fc2)]):
+            numeric = finite_diff(lambda _: loss().item(), t.data)  # perturbs t.data in place
+            denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(numeric)), 1e-8)
+            rel = np.abs(t.grad - numeric) / denom
+            assert rel.max() < 1e-5, f"tensor {i}: max rel err {rel.max():.3e}"
+
+
+def test_mlp_rejects_an_input_of_the_wrong_width():
+    fc1, fc2 = _mlp_maps("float32", 0)
+    with pytest.raises(ValueError, match="mlp: input has 7 features, fc1 expects 8"):
+        nn.mlp(Tensor(np.zeros((2, 7), np.float32)), fc1, fc2)
 
 
 # -- conv3d -------------------------------------------------------------------
@@ -381,7 +471,8 @@ def default_step_loss(loop, seed=0, batch=4):
 @pytest.mark.parametrize("loop", [training.pretrain_retrieval, training.finetune_next_clip])
 def test_attention_silu_and_conv3d_nodes_keep_nothing_they_can_rebuild(loop):
     """Beside views of its parents' data, no attention VJP of a default step holds an (N, heads,
-    Lq, Lk) score-shaped array, no silu VJP a sigmoid and no conv3d VJP an (N·M, C·K) column matrix."""
+    Lq, Lk) score-shaped array, no silu VJP a sigmoid, no conv3d VJP an (N·M, C·K) column matrix,
+    and no mlp VJP a (rows, hidden) array but fc1's pre-activation: no sigmoid and no SiLU output."""
     seen, stack, kinds = set(), [default_step_loss(loop)], set()
     while stack:
         node = stack.pop()
@@ -401,10 +492,51 @@ def test_attention_silu_and_conv3d_nodes_keep_nothing_they_can_rebuild(loop):
             x, w = node._parents[:2]
             columns = (x.shape[0] * int(np.prod(node.shape[2:])), w.data[0].size)
             assert not [a for a in held if a.shape == columns]
+        elif kind == "mlp":
+            with no_grad():
+                pre = nn.linear(*node._parents[:3]).data
+            hidden = [a for a in held if a.size == pre.size]
+            assert len(hidden) == 1 and np.array_equal(hidden[0].reshape(pre.shape), pre)
         else:
             continue
         kinds.add(kind)
-    assert kinds == {"attention", "Tensor.silu", "conv3d_forward"}
+    assert kinds == {"attention", "Tensor.silu", "conv3d_forward", "mlp"}
+
+
+@pytest.mark.parametrize(
+    "loop, mb", [(training.pretrain_retrieval, 7.3), (training.finetune_next_clip, 11.6)], ids=["pretrain", "finetune"]
+)
+def test_a_default_step_keeps_its_tape_under_its_bytes(loop, mb):
+    """The first default step's graph, node outputs and VJP-held arrays (7.17 and 11.49 MB today)."""
+    assert tape_bytes(default_step_loss(loop)) <= mb * 2**20
+
+
+@pytest.mark.parametrize("loop", [training.pretrain_retrieval, training.finetune_next_clip])
+def test_no_consumed_graph_outlives_its_step(loop, monkeypatch):
+    """When a step's ``batch_loss`` starts, the data of every node the previous step recorded is gone."""
+    refs, alive = [], []
+    train = training._train
+
+    def watched_train(enc, g, batch_loss, *args):
+        def watched(step):
+            alive.append(sum(r() is not None for r in refs))
+            loss = batch_loss(step)
+            seen, stack = set(), [loss]
+            refs.clear()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._vjp is not None:
+                    seen.add(id(node))
+                    refs.append(weakref.ref(node.data))
+                    stack.extend(node._parents)
+            return loss
+
+        return train(enc, g, watched, *args)
+
+    monkeypatch.setattr(training, "_train", watched_train)
+    enc, g = training.build_models(0)
+    loop(enc, g, training.make_dataset(0, 2), steps=3, seed=0, batch=2)
+    assert len(refs) > 100 and alive == [0, 0, 0]
 
 
 # -- softmax / layernorm -------------------------------------------------------
@@ -869,6 +1001,9 @@ def test_adam_state_load_casts_moments_and_checks_shapes():
     state["adam.m.0"] = np.zeros(4)
     with pytest.raises(ValueError, match="optimizer state 0 has shape"):
         opt.load_state_arrays(state)
+    state["adam.m.0"], state["adam.v.0"] = np.zeros(3), np.zeros(4)
+    with pytest.raises(ValueError, match=r"optimizer state 0 has shape \(4,\) in adam\.v\.\*"):
+        opt.load_state_arrays(state)
 
 
 def test_adam_state_follows_parameter_names_not_positions():
@@ -901,6 +1036,8 @@ def test_adam_state_must_name_exactly_its_parameters():
     state = opt.state_arrays()
     missing = {k: v for k, v in state.items() if k != "adam.m.a"}
     extra = {**state, "adam.m.c": np.zeros(2)}
-    for bad in (missing, extra):
+    missing_v = {k: v for k, v in state.items() if k != "adam.v.a"}
+    extra_v = {**state, "adam.v.c": np.zeros(2)}
+    for bad in (missing, extra, missing_v, extra_v):
         with pytest.raises(ValueError, match="optimizer state lacks"):
             opt.load_state_arrays(bad)
