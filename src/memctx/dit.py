@@ -14,9 +14,9 @@ have no upper bound.  ``predict_velocity`` takes one input form: its
 caller builds the memory (``DiTModel.read_memory``) and the rows' angles
 (``DiTModel.row_rope``), as a sampler does once per clip.  The velocity
 reads only the target rows, so the last block queries only the target
-tokens.  All linear maps can be wrapped with low-rank adapters for
-fine-tuning; parameters are named by their place in the model, adapters
-beside their frozen bases.
+tokens.  Every linear map can take a low-rank adapter for fine-tuning;
+parameters are named by their place in the model, adapters beside the
+frozen weights they adapt.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ class DiTModel:
         self.ln_out = _LayerNormParams(inner_dim)
         self.out_proj = nn.Linear(inner_dim, patch_in, rng)
         self.out_proj.weight.data[:] = 0.0  # velocity head starts at zero
-        self._lora = False
 
     # -- tokenization ---------------------------------------------------------
 
@@ -305,24 +304,12 @@ class DiTModel:
     # -- variants -------------------------------------------------------------
 
     def enable_lora(self, rank: int, rng) -> None:
-        """Wrap every linear map with an adapter; bases freeze in place."""
-        if self._lora:
-            raise ValueError("LoRA already enabled")
-        for holder, attr in self._linear_slots():
-            holder.__dict__[attr] = nn.LoraLinear(holder.__dict__[attr], rank, rng)
-        self._lora = True
-
-    def _linear_slots(self):
-        slots = [
-            (self, "patch_proj"),
-            (self, "t_fc1"),
-            (self, "t_fc2"),
-            (self, "out_proj"),
-        ]
+        """Give every linear map a low-rank adapter (``nn.Linear.adapt``); the maps' own weights freeze."""
+        maps = [self.patch_proj, self.t_fc1, self.t_fc2, self.out_proj]
         for b in self.blocks:
-            slots += [(b.attn, "wq"), (b.attn, "wk"), (b.attn, "wv"), (b.attn, "wo")]
-            slots += [(b, "fc1"), (b, "fc2"), (b, "mod")]
-        return slots
+            maps += [b.attn.wq, b.attn.wk, b.attn.wv, b.attn.wo, b.fc1, b.fc2, b.mod]
+        for m in maps:
+            m.adapt(rank, rng)
 
     def parameters(self):
         return list(self.named_parameters().values())
@@ -330,9 +317,9 @@ class DiTModel:
     def named_parameters(self, prefix="dit"):
         """Every parameter by its place in the model, e.g. ``dit.blocks.0.attn.wq.w``.
 
-        A LoRA-wrapped map keeps its base weights' names (frozen) and adds
+        An adapted map keeps its own weights' names (frozen) and adds
         ``….lora.A`` and ``….lora.B``, so a plain checkpoint names the same
-        base weights as a wrapped model.
+        base weights as an adapted model.
         """
         modules = {
             "patch_proj": self.patch_proj,

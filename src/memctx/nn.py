@@ -6,7 +6,9 @@ embeddings, and the Adam optimizer used by every training loop.
 
 The linear map, the MLP, softmax, layernorm, rotation, attention and conv3d
 are fused kernels: each runs one array computation and records at most one
-tape node, whose backward is an analytic vector-Jacobian product.  Taped and
+tape node, whose backward is an analytic vector-Jacobian product.  A linear
+map with its adapter is one node too, and it and the MLP's two maps share
+one affine kernel, ``_affine`` and ``_affine_vjp``.  Taped and
 no-tape calls (under ``no_grad``, or when nothing requires a gradient)
 share that computation, so their outputs are bitwise equal; a no-tape
 call only skips the node.  The attention node also turns q and k by
@@ -29,7 +31,6 @@ from .tensor import Tensor, _sigmoid, _unbroadcast, default_dtype
 
 __all__ = [
     "Linear",
-    "LoraLinear",
     "linear",
     "mlp",
     "Conv3dLayer",
@@ -50,86 +51,71 @@ def _param(values) -> Tensor:
 
 
 class Linear:
-    """y = x @ W.T + b with W of shape (out, in)."""
+    """y = x @ W.T + b with W of shape (out, in), plus a low-rank residual once ``adapt`` adds one."""
 
     def __init__(self, in_dim, out_dim, rng):
         self.weight = _param(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim)))
         self.bias = _param(np.zeros(out_dim))
+        self.lora = ()  # the adapter's (A, B) once adapted
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
+    def adapt(self, rank: int, rng) -> None:
+        """Freeze W and b and add the trainable residual (alpha/r)·A·B·x with alpha = 2r (LoRA).
 
-    def named_parameters(self, prefix):
-        return {f"{prefix}.w": self.weight, f"{prefix}.b": self.bias}
-
-
-class LoraLinear:
-    """Frozen base linear plus trainable low-rank residual (alpha/r)·A·B, with alpha = 2r.
-
-    A is (out, r) zero-initialized so the wrapped map equals the base at
-    step 0; B is (r, in) with small Gaussian init.
-    """
-
-    def __init__(self, base: Linear, rank: int, rng):
+        A is (out, r) zero-initialized, so the map is unchanged until a step
+        trains it; B is (r, in) with small Gaussian init.
+        """
         if rank <= 0:
             raise ValueError(f"LoRA rank must be positive, got {rank}")
-        out_dim, in_dim = base.weight.shape
-        self.base = base
-        base.weight.requires_grad = False
-        base.bias.requires_grad = False
-        self.A = _param(np.zeros((out_dim, rank)))
-        self.B = _param(rng.normal(0.0, 0.02, size=(rank, in_dim)))
+        if self.lora:
+            raise ValueError("LoRA already enabled")
+        out_dim, in_dim = self.weight.shape
+        self.weight.requires_grad = self.bias.requires_grad = False
+        self.lora = (_param(np.zeros((out_dim, rank))), _param(rng.normal(0.0, 0.02, size=(rank, in_dim))))
+
+    def terms(self) -> tuple:
+        """``linear``'s tensors after x: (W, b), then the adapter's (A, B) once adapted."""
+        return (self.weight, self.bias, *self.lora)
 
     def __call__(self, x: Tensor) -> Tensor:
-        # the base goes through the same kernel as an unwrapped Linear, so A = 0 is bitwise the base
-        y = linear(x, self.base.weight, self.base.bias)
-        low = linear(linear(x, self.B), self.A)
-        return y + low.scale(2.0)
+        return linear(x, *self.terms())
 
     def named_parameters(self, prefix):
-        """The frozen base under the names it had unwrapped, then the adapters."""
-        return {**self.base.named_parameters(prefix), f"{prefix}.lora.A": self.A, f"{prefix}.lora.B": self.B}
+        """W and b, then an adapter's A and B beside them, so W and b keep their names when adapted."""
+        return dict(zip((f"{prefix}.{key}" for key in ("w", "b", "lora.A", "lora.B")), self.terms()))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w.T + b over the last axis of ``x``: one 2-D GEMM and one tape node.
+def linear(x: Tensor, w: Tensor, b: Tensor, *lora) -> Tensor:
+    """x @ w.T + b over the last axis of ``x``, plus 2·A(B·x) for a LoRA pair ``lora`` = (A, B); one tape node.
 
-    Backward forms the weight gradient as one GEMM over all leading rows and
-    the bias gradient as one sum; each gradient is built only for an operand
-    that required one at forward time.
+    Each product is one 2-D GEMM over all leading rows; backward forms each
+    weight gradient as one GEMM and the bias gradient as one sum, and builds
+    a gradient only for an operand that required one at forward time.
     """
-    out_dim, in_dim = w.shape
-    if x.shape[-1] != in_dim:
-        raise ValueError(f"linear: input has {x.shape[-1]} features, weight expects {in_dim}")
-    x2 = x.data.reshape(-1, in_dim)
-    y = x2 @ w.data.T
-    if b is not None:
-        y = _into_first(np.add, y, b.data)
-    parents = (x, w) if b is None else (x, w, b)
-    needs = [p.requires_grad for p in parents]
+    terms = (w, b, *lora)
+    if x.shape[-1] != w.shape[1]:
+        raise ValueError(f"linear: input has {x.shape[-1]} features, weight expects {w.shape[1]}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y, low = _affine(terms, x2)
+    needs = [t.requires_grad for t in (x, *terms)]
 
     def vjp(g):
-        g2 = g.reshape(-1, out_dim)
-        gx = (g2 @ w.data).reshape(x.shape) if needs[0] else None
-        gw = g2.T @ x2 if needs[1] else None
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, g2.sum(axis=0) if needs[2] else None)
+        gxs, grads = _affine_vjp(terms, x2, low, g.reshape(-1, g.shape[-1]), needs, x.shape)
+        return gxs + grads
 
-    return Tensor._make(y.reshape(x.shape[:-1] + (out_dim,)), parents, vjp)
+    return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), (*_reading(x, terms), *terms), vjp)
 
 
-def mlp(x: Tensor, fc1, fc2) -> Tensor:
-    """fc2(silu(fc1(x))) over the last axis of ``x`` as one tape node; each map a ``Linear`` or ``LoraLinear``.
+def mlp(x: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
+    """fc2(silu(fc1(x))) over the last axis of ``x`` as one tape node; either map plain or adapted.
 
-    The forward runs the three composed nodes' array operations in their
-    order, ``LoraLinear``'s y + 2·A(Bx) included, so the output and every
-    gradient are bitwise theirs.  The node keeps fc1's pre-activation a and
-    each adapter's (rows, r) product Bx, and no (rows, hidden) array beside
-    a: backward rebuilds silu(a) = a·σ(a) with the forward's own expression,
-    as ``Tensor.silu`` rebuilds σ(a), and recomputes no GEMM.
+    The forward runs the two ``linear`` nodes' array operations and the
+    SiLU's in their order, so the output and every gradient are bitwise
+    theirs.  The node keeps fc1's pre-activation a and each adapter's
+    (rows, r) product Bx, and no (rows, hidden) array beside a: backward
+    rebuilds silu(a) = a·σ(a) with the forward's own expression, as
+    ``Tensor.silu`` rebuilds σ(a), and recomputes no GEMM.
     """
-    t1, t2 = _terms(fc1), _terms(fc2)
+    t1, t2 = fc1.terms(), fc2.terms()
     if x.shape[-1] != t1[0].shape[1]:
         raise ValueError(f"mlp: input has {x.shape[-1]} features, fc1 expects {t1[0].shape[1]}")
     x2 = x.data.reshape(-1, x.shape[-1])
@@ -137,28 +123,29 @@ def mlp(x: Tensor, fc1, fc2) -> Tensor:
     y, low2 = _affine(t2, a * _sigmoid(a))
     need1 = [t.requires_grad for t in (x, *t1)]
     need2 = [any(need1)] + [t.requires_grad for t in t2]  # silu(a) requires a gradient when fc1's output does
+    parents = (*_reading(x, t1), *t1, *t2)
 
     def vjp(g):
         sig = _sigmoid(a)
-        gs, grads2 = _affine_vjp(t2, a * sig, low2, g.reshape(-1, g.shape[-1]), need2)
-        if gs is None:
-            return (None,) * len(need1) + grads2
-        gx, grads1 = _affine_vjp(t1, x2, low1, gs * (sig * (1.0 + a * (1.0 - sig))), need1)
-        return ((None if gx is None else gx.reshape(x.shape)),) + grads1 + grads2
+        gss, grads2 = _affine_vjp(t2, a * sig, low2, g.reshape(-1, g.shape[-1]), need2, a.shape)
+        if gss[0] is None:
+            return (None,) * (len(parents) - len(grads2)) + grads2
+        gs = sum(gss[1:], gss[0])  # the adapter's term plus the base's
+        gxs, grads1 = _affine_vjp(t1, x2, low1, gs * (sig * (1.0 + a * (1.0 - sig))), need1, x.shape)
+        return gxs + grads1 + grads2
 
-    return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, *t1, *t2), vjp)
+    return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), parents, vjp)
 
 
-def _terms(m) -> tuple:
-    """The tensors of a ``Linear`` (w, b) or a ``LoraLinear`` (w, b, A, B)."""
-    if isinstance(m, LoraLinear):
-        return m.base.weight, m.base.bias, m.A, m.B
-    return m.weight, m.bias
+def _reading(x: Tensor, terms) -> tuple:
+    """``x`` once per term of a map that reads it, the adapter's first: as parents, these make
+    backward add x's gradients in the order that composing the base and adapter nodes did."""
+    return (x,) * (len(terms) // 2)
 
 
 def _affine(terms, x2):
-    """A map's output on 2-D ``x2`` by ``linear``'s and ``LoraLinear``'s array operations,
-    and its adapter's product x2·Bᵀ (None for a plain map)."""
+    """A map's output on 2-D ``x2`` for its ``terms`` (W, b[, A, B]), and the adapter's product
+    x2·Bᵀ (None for a plain map)."""
     y = _into_first(np.add, x2 @ terms[0].data.T, terms[1].data)
     if len(terms) == 2:
         return y, None
@@ -166,20 +153,18 @@ def _affine(terms, x2):
     return _into_first(np.add, y, (low @ terms[2].data.T) * 2.0), low
 
 
-def _affine_vjp(terms, x2, low, g2, needs):
-    """(the gradient of ``x2``, then a tuple of one gradient per tensor of ``terms``) from the
-    2-D gradient ``g2`` of ``_affine``'s output; ``needs`` flags x2 and each tensor, and a
-    gradient is None where its flag is False."""
-    gx = g2 @ terms[0].data if needs[0] else None
-    grads = [g2.T @ x2 if needs[1] else None, g2.sum(axis=0) if needs[2] else None]
-    if len(terms) == 4:
-        gl = g2 * 2.0
-        grads.append(gl.T @ low if needs[3] else None)
-        glow = gl @ terms[2].data if needs[0] or needs[4] else None
-        grads.append(glow.T @ x2 if needs[4] else None)
-        if needs[0]:
-            gx = glow @ terms[3].data + gx
-    return gx, tuple(grads)
+def _affine_vjp(terms, x2, low, g2, needs, shape):
+    """From the 2-D gradient ``g2`` of ``_affine``'s output: the gradients of ``x2`` in the input's
+    ``shape``, one per term that reads it as ``_reading`` lists them, and then one gradient per
+    tensor of ``terms``.  ``needs`` flags x2 and each tensor; a gradient is None where its flag is False."""
+    gx = (g2 @ terms[0].data).reshape(shape) if needs[0] else None
+    grads = (g2.T @ x2 if needs[1] else None, g2.sum(axis=0) if needs[2] else None)
+    if len(terms) == 2:
+        return (gx,), grads
+    gl = g2 * 2.0
+    glow = gl @ terms[2].data if needs[0] or needs[4] else None
+    gx_low = (glow @ terms[3].data).reshape(shape) if needs[0] else None
+    return (gx_low, gx), grads + (gl.T @ low if needs[3] else None, glow.T @ x2 if needs[4] else None)
 
 
 class Conv3dLayer:
@@ -546,7 +531,12 @@ class Embedding:
         self.table = _param(rng.normal(0.0, 0.02, size=(vocab, dim)))
 
     def __call__(self, idx) -> Tensor:
-        return self.table[np.asarray(idx, dtype=np.int64)]
+        """The rows of the codes ``idx``; a code outside [0, vocab) raises ``ValueError``, not wraps."""
+        idx, vocab = np.asarray(idx, dtype=np.int64), self.table.shape[0]
+        bad = idx[(idx < 0) | (idx >= vocab)]
+        if bad.size:
+            raise ValueError(f"code {bad[0]} is outside the vocabulary of {vocab} codes [0, {vocab})")
+        return self.table[idx]
 
     def named_parameters(self, prefix):
         return {f"{prefix}.table": self.table}

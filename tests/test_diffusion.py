@@ -255,6 +255,13 @@ def test_sampler_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("code", [-1, 16])
+def test_sampler_refuses_a_condition_code_outside_the_vocabulary(code):
+    _, g = _models()
+    with pytest.raises(ValueError, match=f"code {code} is outside the vocabulary of 16 codes"):
+        diffusion.sample(g, None, c=code, shape=(2, 8, 8, 4), seed=5, frame_indices=[3, 9], steps=1)
+
+
 def test_sampler_validation():
     with pytest.raises(ValueError):
         diffusion.sample(_ConstantVelocity(np.zeros((1, 2, 2, 4), np.float32)), None, 0,

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from memctx import nn, training
+from memctx import nn, seeding, training
 from memctx.dit import _adaln, _gated
 from memctx.tensor import Tensor, backward, concat, no_grad, using_dtype
 
@@ -46,14 +46,15 @@ def test_linear_gradients():
     lin = nn.Linear(3, 2, make_rng())
     x = RNG.standard_normal((4, 3))
     check_grad(lambda t: lin(t).square().mean(), x)
-    # the kernel itself: input, weight and bias on 2-D and 3-D inputs, with and without bias
+    # the kernel itself: input, weight and bias on 2-D and 3-D inputs, without and with an adapter
     rng = np.random.default_rng(11)
     w, b = rng.standard_normal((2, 3)), rng.standard_normal(2)
+    a, b_ = rng.standard_normal((2, 2)), rng.standard_normal((2, 3))
     for x_shape in ((4, 3), (2, 5, 3)):
         x = rng.standard_normal(x_shape)
         probe = Tensor(rng.standard_normal(x_shape[:-1] + (2,)))
         check_grads(lambda x, w, b: (nn.linear(x, w, b) * probe).square().sum(), x, w, b)
-        check_grads(lambda x, w: (nn.linear(x, w) * probe).square().sum(), x, w)
+        check_grads(lambda *t: (nn.linear(*t) * probe).square().sum(), x, w, b, a, b_)
 
 
 def test_linear_builds_no_gradient_for_an_input_that_needs_none():
@@ -85,20 +86,38 @@ def _conv3d_of(w, b):
 
 
 def _linear_of(w, b, *adapter):
-    """A ``Linear`` whose weight and bias are ``w`` and ``b``, or a ``LoraLinear`` over it with the adapter (A, B)."""
+    """A ``Linear`` whose weight and bias are ``w`` and ``b``, adapted with the adapter (A, B) if one is given."""
     m = nn.Linear(w.shape[1], w.shape[0], make_rng())
     if adapter:
-        m = nn.LoraLinear(m, adapter[0].shape[1], make_rng())
-        m.base.weight, m.base.bias, m.A, m.B = w, b, *adapter
-    else:
-        m.weight, m.bias = w, b
+        m.adapt(adapter[0].shape[1], make_rng())
+    m.weight, m.bias, m.lora = w, b, adapter
     return m
+
+
+def _unbiased(x, w):
+    """x @ w.T as one tape node: the no-bias linear map the composed LoRA path was built from."""
+    x2 = x.data.reshape(-1, w.shape[1])
+    needs = (x.requires_grad, w.requires_grad)
+
+    def vjp(g):
+        g2 = g.reshape(-1, w.shape[0])
+        return ((g2 @ w.data).reshape(x.shape) if needs[0] else None, g2.T @ x2 if needs[1] else None)
+
+    return Tensor._make((x2 @ w.data.T).reshape(x.shape[:-1] + w.shape[:1]), (x, w), vjp)
+
+
+def _composed(m, x):
+    """``m(x)`` for a plain or adapted ``Linear`` through separate nodes: the map's own, and for an
+    adapter B, A, the 2× and the add; the bitwise reference for the one-node map."""
+    y = nn.linear(x, m.weight, m.bias)
+    return y + _unbiased(_unbiased(x, m.lora[1]), m.lora[0]).scale(2.0) if m.lora else y
 
 
 # name -> (op, argument shapes) for the fused kernels of this module, and the DiT block's
 FUSED_OPS = {
     "conv3d": (lambda x, w, b: nn.conv3d_forward(_conv3d_of(w, b), x), [(2, 3, 4, 6, 6), (5, 3, 3, 3, 3), (5,)]),
     "linear": (nn.linear, [(2, 5, 3), (4, 3), (4,)]),
+    "linear_lora": (nn.linear, [(2, 5, 3), (4, 3), (4,), (4, 2), (2, 3)]),
     "mlp": (
         lambda x, w1, b1, w2, b2: nn.mlp(x, _linear_of(w1, b1), _linear_of(w2, b2)),
         [(2, 3, 4), (8, 4), (8,), (4, 8), (4,)],
@@ -134,7 +153,8 @@ def test_each_fused_op_records_exactly_one_tape_node(name):
     leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
     out = op(*leaves)
     assert tape_nodes(out) == 1
-    assert out._parents == tuple(leaves)
+    # an adapted map lists its input once per term that reads it (see nn._reading)
+    assert tuple(dict.fromkeys(out._parents)) == tuple(leaves)
     with no_grad():
         assert tape_nodes(op(*leaves)) == 0
 
@@ -143,42 +163,79 @@ def test_lora_wrap_is_identity_at_step_zero():
     base = nn.Linear(6, 6, make_rng())
     x = Tensor(RNG.standard_normal((3, 6)).astype(np.float32))
     before = base(x).numpy()
-    wrapped = nn.LoraLinear(base, rank=2, rng=make_rng())
-    after = wrapped(x).numpy()
+    base.adapt(rank=2, rng=make_rng())
+    after = base(x).numpy()
     np.testing.assert_array_equal(before, after)  # A = 0 makes the residual vanish
 
 
 def test_lora_b_initialized_nonzero_and_a_zero():
-    wrapped = nn.LoraLinear(nn.Linear(6, 6, make_rng()), rank=3, rng=make_rng())
-    assert np.all(wrapped.A.numpy() == 0.0)
-    assert np.any(wrapped.B.numpy() != 0.0)
+    wrapped = nn.Linear(6, 6, make_rng())
+    wrapped.adapt(rank=3, rng=make_rng())
+    a, b = wrapped.lora
+    assert np.all(a.numpy() == 0.0)
+    assert np.any(b.numpy() != 0.0)
 
 
 def test_lora_rank_must_be_positive():
     with pytest.raises(ValueError):
-        nn.LoraLinear(nn.Linear(4, 4, make_rng()), rank=0, rng=make_rng())
+        nn.Linear(4, 4, make_rng()).adapt(rank=0, rng=make_rng())
 
 
 def test_lora_adapters_receive_gradients_base_stays_frozen():
-    wrapped = nn.LoraLinear(nn.Linear(4, 4, make_rng()), rank=2, rng=make_rng())
+    wrapped = nn.Linear(4, 4, make_rng())
+    wrapped.adapt(rank=2, rng=make_rng())
     x = Tensor(RNG.standard_normal((3, 4)).astype(np.float32))
     backward(wrapped(x).square().mean())
-    assert wrapped.A.grad is not None and wrapped.B.grad is not None
-    assert not wrapped.base.weight.requires_grad
+    assert all(t.grad is not None for t in wrapped.lora)
+    assert not wrapped.weight.requires_grad and wrapped.weight.grad is None
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_input_read_by_three_adapted_maps_equals_the_composed_maps_bitwise(dtype):
+    """Three adapted maps of one input, as wq, wk and wv read one h, each one node, against the
+    composed path's five nodes per map: the outputs, taped and under no_grad, and the gradients of
+    the input and of every adapter, bitwise (the input's gradient sums its six terms in the
+    composed path's order)."""
+    with using_dtype(dtype):
+        rng = make_rng()
+        maps = [nn.Linear(8, 8, rng) for _ in range(3)]
+        for m in maps:
+            m.bias.data[:] = rng.standard_normal(m.bias.shape)
+            m.adapt(2, rng)
+            m.lora[0].data[:] = rng.standard_normal(m.lora[0].shape)
+    params = _trainable(*maps)
+    x = RNG.standard_normal((2, 5, 8)).astype(dtype)
+    probes = [Tensor(RNG.standard_normal((2, 5, 8)).astype(dtype)) for _ in maps]
+    results = []
+    for apply in (lambda m, t: m(t), _composed):
+        with no_grad():
+            free = [apply(m, Tensor(x)).numpy() for m in maps]
+        for p in params:
+            p.grad = None
+        h = Tensor(x, requires_grad=True)
+        outs = [apply(m, h) for m in maps]
+        loss = (outs[0] * probes[0]).sum() + (outs[1] * probes[1]).sum() + (outs[2] * probes[2]).sum()
+        backward(loss)
+        results.append([*free, *(o.numpy() for o in outs), h.grad, *(p.grad for p in params)])
+    assert len(results[0]) == 3 + 3 + 1 + 6
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
 
 
 def _mlp_maps(dtype, rank, dim=8, hidden=32):
     """fc1 (dim → hidden) and fc2 (hidden → dim) in ``dtype`` with nonzero biases; at ``rank`` > 0
-    LoRA-wrapped with nonzero A, so every adapter gradient is live."""
+    adapted with nonzero A, so every adapter gradient is live."""
     with using_dtype(dtype):
         rng = make_rng()
         maps = [nn.Linear(dim, hidden, rng), nn.Linear(hidden, dim, rng)]
         for m in maps:
             m.bias.data[:] = rng.standard_normal(m.bias.shape)
         if rank:
-            maps = [nn.LoraLinear(m, rank, rng) for m in maps]
             for m in maps:
-                m.A.data[:] = rng.standard_normal(m.A.shape)
+                m.adapt(rank, rng)
+            for m in maps:
+                m.lora[0].data[:] = rng.standard_normal(m.lora[0].shape)
     return maps
 
 
@@ -197,7 +254,7 @@ def test_mlp_equals_the_composed_maps_bitwise(dtype, rank):
     g = Tensor(RNG.standard_normal((2, 5, 8)).astype(dtype))
     for input_grad in (True, False):
         results = []
-        for op in (lambda t: nn.mlp(t, fc1, fc2), lambda t: fc2(fc1(t).silu())):
+        for op in (lambda t: nn.mlp(t, fc1, fc2), lambda t: _composed(fc2, _composed(fc1, t).silu())):
             with no_grad():
                 free = op(Tensor(x)).numpy()
             xt = Tensor(x, requires_grad=input_grad)
@@ -456,9 +513,12 @@ def test_conv3d_regathered_columns_give_the_kept_columns_gradients_bitwise(dtype
             x = results[0][0]
 
 
-def default_step_loss(loop, seed=0, batch=4):
-    """The loss of ``loop``'s first step on default models and scenes, its tape not yet walked back."""
+def default_step_loss(loop, seed=0, batch=4, lora_rank=0):
+    """The loss of ``loop``'s first step on default models and scenes, its tape not yet walked back;
+    at ``lora_rank`` > 0 the DiT's maps are adapted first, from the CLI's stream."""
     enc, g = training.build_models(seed)
+    if lora_rank:
+        g.enable_lora(lora_rank, seeding.stream(seed, 0x10BA))
     losses = []
     walk_back, training.backward = training.backward, losses.append
     try:
@@ -504,11 +564,20 @@ def test_attention_silu_and_conv3d_nodes_keep_nothing_they_can_rebuild(loop):
 
 
 @pytest.mark.parametrize(
-    "loop, mb", [(training.pretrain_retrieval, 7.3), (training.finetune_next_clip, 11.6)], ids=["pretrain", "finetune"]
+    "loop, lora_rank, mb",
+    [(training.pretrain_retrieval, 0, 7.3), (training.finetune_next_clip, 0, 11.6), (training.finetune_next_clip, 2, 11.8)],
+    ids=["pretrain", "finetune", "finetune_lora"],
 )
-def test_a_default_step_keeps_its_tape_under_its_bytes(loop, mb):
-    """The first default step's graph, node outputs and VJP-held arrays (7.17 and 11.49 MB today)."""
-    assert tape_bytes(default_step_loss(loop)) <= mb * 2**20
+def test_a_default_step_keeps_its_tape_under_its_bytes(loop, lora_rank, mb):
+    """The first default step's graph, node outputs and VJP-held arrays (7.17, 11.49 and, with
+    rank-2 adapters on every DiT map, 11.65 MB today)."""
+    assert tape_bytes(default_step_loss(loop, lora_rank=lora_rank)) <= mb * 2**20
+
+
+def test_adapted_maps_add_no_tape_node():
+    """A rank-2 LoRA finetune step records as many nodes as a plain one: an adapted map is one node."""
+    plain, adapted = (default_step_loss(training.finetune_next_clip, lora_rank=r) for r in (0, 2))
+    assert tape_nodes(adapted) == tape_nodes(plain)
 
 
 @pytest.mark.parametrize("loop", [training.pretrain_retrieval, training.finetune_next_clip])

@@ -100,6 +100,15 @@ def test_condition_schedule_refuses_two_entries_at_one_frame(schedule, frame):
         RolloutSession(g, enc, seed=0, seed_clip=np.zeros((8, 8, 8, 4), np.float32), condition_schedule=schedule)
 
 
+@pytest.mark.parametrize("code", [-1, 16])
+def test_a_condition_code_outside_the_vocabulary_is_refused(code):
+    """The default vocabulary is 16 codes: −1 would read code 15's row, and 16 index past the table."""
+    sess, _ = _session(condition_schedule=((0, 2), (16, code)))
+    sess.step()
+    with pytest.raises(ValueError, match=f"code {code} is outside the vocabulary of 16 codes"):
+        sess.step()
+
+
 def test_window_latents_tail():
     sess, seed_clip = _session(window_frames=5)
     win = sess.window_latents()
