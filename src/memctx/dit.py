@@ -283,7 +283,7 @@ class DiTModel:
         if memory is None:
             memory = [None] * len(self.blocks)
 
-        c_idx = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
+        c_idx = np.broadcast_to(np.asarray(c), (n,))
         segments = [self.cond_emb(c_idx).reshape(n, 1, self.inner_dim)]
         if window_latents is not None:
             segments.append(self.patchify(window_latents))

@@ -77,7 +77,7 @@ class Linear:
         return (self.weight, self.bias, *self.lora)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, *self.terms())
+        return linear(x, self.weight, self.bias, *self.lora)
 
     def named_parameters(self, prefix):
         """W and b, then an adapter's A and B beside them, so W and b keep their names when adapted."""
@@ -102,7 +102,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, *lora) -> Tensor:
         gxs, grads = _affine_vjp(terms, x2, low, g.reshape(-1, g.shape[-1]), needs, x.shape)
         return gxs + grads
 
-    return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), (*_reading(x, terms), *terms), vjp)
+    # x once per term that reads it, the adapter's first, so backward adds x's gradients in the
+    # order that composing the base and adapter nodes did: (prev + adapter term) + base term
+    parents = (x,) * (len(terms) // 2) + terms
+    return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), parents, vjp)
 
 
 def mlp(x: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
@@ -123,7 +126,7 @@ def mlp(x: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
     y, low2 = _affine(t2, a * _sigmoid(a))
     need1 = [t.requires_grad for t in (x, *t1)]
     need2 = [any(need1)] + [t.requires_grad for t in t2]  # silu(a) requires a gradient when fc1's output does
-    parents = (*_reading(x, t1), *t1, *t2)
+    parents = (x,) * (len(t1) // 2) + t1 + t2  # x once per term that reads it, as in ``linear``
 
     def vjp(g):
         sig = _sigmoid(a)
@@ -135,12 +138,6 @@ def mlp(x: Tensor, fc1: Linear, fc2: Linear) -> Tensor:
         return gxs + grads1 + grads2
 
     return Tensor._make(y.reshape(x.shape[:-1] + y.shape[-1:]), parents, vjp)
-
-
-def _reading(x: Tensor, terms) -> tuple:
-    """``x`` once per term of a map that reads it, the adapter's first: as parents, these make
-    backward add x's gradients in the order that composing the base and adapter nodes did."""
-    return (x,) * (len(terms) // 2)
 
 
 def _affine(terms, x2):
@@ -155,7 +152,7 @@ def _affine(terms, x2):
 
 def _affine_vjp(terms, x2, low, g2, needs, shape):
     """From the 2-D gradient ``g2`` of ``_affine``'s output: the gradients of ``x2`` in the input's
-    ``shape``, one per term that reads it as ``_reading`` lists them, and then one gradient per
+    ``shape``, one per term that reads it (the adapter's, then the base's), and then one gradient per
     tensor of ``terms``.  ``needs`` flags x2 and each tensor; a gradient is None where its flag is False."""
     gx = (g2 @ terms[0].data).reshape(shape) if needs[0] else None
     grads = (g2.T @ x2 if needs[1] else None, g2.sum(axis=0) if needs[2] else None)
@@ -531,8 +528,11 @@ class Embedding:
         self.table = _param(rng.normal(0.0, 0.02, size=(vocab, dim)))
 
     def __call__(self, idx) -> Tensor:
-        """The rows of the codes ``idx``; a code outside [0, vocab) raises ``ValueError``, not wraps."""
-        idx, vocab = np.asarray(idx, dtype=np.int64), self.table.shape[0]
+        """The rows of the integer codes ``idx``; a code outside [0, vocab) or of a non-integer
+        dtype raises ``ValueError``, not wraps or truncates."""
+        idx, vocab = np.asarray(idx), self.table.shape[0]
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"codes must be integers, got dtype {idx.dtype}")
         bad = idx[(idx < 0) | (idx >= vocab)]
         if bad.size:
             raise ValueError(f"code {bad[0]} is outside the vocabulary of {vocab} codes [0, {vocab})")

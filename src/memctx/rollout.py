@@ -36,7 +36,7 @@ class RolloutSession:
         self.dit = dit
         self.encoder = encoder
         self.seed = seed
-        self.schedule = sorted((int(s), int(c)) for s, c in condition_schedule)
+        self.schedule = sorted((int(s), c) for s, c in condition_schedule)  # cond_emb checks each code
         if not self.schedule or self.schedule[0][0] != 0:
             raise ValueError("condition schedule must start at frame 0")
         for (a, _), (b, _) in zip(self.schedule, self.schedule[1:]):

@@ -255,10 +255,12 @@ def test_sampler_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("code", [-1, 16])
+@pytest.mark.parametrize("code", [-1, 16, 2.7], ids=str)
 def test_sampler_refuses_a_condition_code_outside_the_vocabulary(code):
+    """−1 would read code 15's row, 16 index past the table, and 2.7 run code 2."""
     _, g = _models()
-    with pytest.raises(ValueError, match=f"code {code} is outside the vocabulary of 16 codes"):
+    match = "codes must be integers" if isinstance(code, float) else f"code {code} is outside the vocabulary of 16 codes"
+    with pytest.raises(ValueError, match=match):
         diffusion.sample(g, None, c=code, shape=(2, 8, 8, 4), seed=5, frame_indices=[3, 9], steps=1)
 
 

@@ -100,12 +100,14 @@ def test_condition_schedule_refuses_two_entries_at_one_frame(schedule, frame):
         RolloutSession(g, enc, seed=0, seed_clip=np.zeros((8, 8, 8, 4), np.float32), condition_schedule=schedule)
 
 
-@pytest.mark.parametrize("code", [-1, 16])
+@pytest.mark.parametrize("code", [-1, 16, 2.7], ids=str)
 def test_a_condition_code_outside_the_vocabulary_is_refused(code):
-    """The default vocabulary is 16 codes: −1 would read code 15's row, and 16 index past the table."""
+    """The default vocabulary is 16 codes: −1 would read code 15's row, 16 index past the table,
+    and 2.7 run code 2."""
     sess, _ = _session(condition_schedule=((0, 2), (16, code)))
     sess.step()
-    with pytest.raises(ValueError, match=f"code {code} is outside the vocabulary of 16 codes"):
+    match = "codes must be integers" if isinstance(code, float) else f"code {code} is outside the vocabulary of 16 codes"
+    with pytest.raises(ValueError, match=match):
         sess.step()
 
 
