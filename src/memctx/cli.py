@@ -1,28 +1,26 @@
 """Command-line harness: pretrain, finetune, rollout, eval, budget, experiment.
 
-Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an
-unknown key, a value out of range, such as a negative seed, or not finite, a
-DiT width that is not its head count times a multiple of 8, a condition
-schedule not starting at frame 0, with two entries at one frame or with a
-code outside the vocabulary), a file that cannot be read or written
-(missing, a directory, no permission: any OSError), a corrupt latent file (bad magic, unsupported version, unknown
-dtype, truncated, bytes after its end), two latent files ``eval`` cannot
-compare (another frame shape, no frames, frames with no pixels, or a NaN,
-infinite or larger than 1e75 value among the frames compared), an
-``experiment`` with a negative or repeated seed, a negative step budget or
-fewer than one scene (rejected before any training runs), a ``finetune`` whose
-``encoder.chunk_len`` leaves fewer than two chunks per scene, a ``--resume``
-checkpoint whose step is past ``training.steps``, a ``budget`` geometry that
-is not positive and finite, whose frame count (fps times duration) is not
-finite, or that reduces to zero tokens, or a checkpoint that does not fit (bad
-magic, unsupported version, truncated file, bytes after its end, a parameter
-name that is not UTF-8, a shape or payload larger than the bytes left in the
-file or that numpy cannot hold, unknown dtype, missing, unknown or mis-shaped
-parameters or optimizer state); 3 for a runtime or numeric failure: diverged
-training, or any other ValueError or ArithmeticError. Argument errors that
-argparse reports (a missing or non-numeric argument, an unknown experiment
-recipe) also exit 2. All commands are deterministic given config + seed;
-checkpoints are written atomically and training can resume from them.
+Exit codes: 0 success; 2 for bad inputs: an invalid config (bad JSON, an unknown key, a value
+out of range, such as a negative seed, or not finite; or, found as ``_build`` builds the models
+before any scene is made or checkpoint read, rates or a chunk length that do not tile the desk
+grid, a DiT width that is not its head count times a multiple of 8, a condition schedule not
+starting at frame 0, with two entries at one frame or with a code outside the vocabulary), a
+file that cannot be read or written (missing, a directory, no permission: any OSError), a
+corrupt latent file (bad magic, unsupported version, unknown dtype, truncated, bytes after its
+end), two latent files ``eval`` cannot compare (another frame shape, no frames, frames with no
+pixels, or a NaN, infinite or larger than 1e75 value among the frames compared), an
+``experiment`` with a negative or repeated seed, a negative step budget or fewer than one scene
+(rejected before any training runs), a ``finetune`` whose ``encoder.chunk_len`` leaves fewer
+than two chunks per scene, a ``--resume`` checkpoint whose step is past ``training.steps``, a
+``budget`` geometry that is not positive and finite, whose frame count (fps times duration) is
+not finite, or that reduces to zero tokens, or a checkpoint that does not fit (bad magic,
+unsupported version, truncated file, bytes after its end, a parameter name that is not UTF-8, a
+shape or payload larger than the bytes left in the file or that numpy cannot hold, unknown
+dtype, missing, unknown or mis-shaped parameters or optimizer state); 3 for a runtime or
+numeric failure: diverged training, or any other ValueError or ArithmeticError. Argument errors
+that argparse reports (a missing or non-numeric argument, an unknown experiment recipe) also
+exit 2. All commands are deterministic given config + seed; checkpoints are written atomically
+and training can resume from them.
 """
 
 from __future__ import annotations
@@ -42,16 +40,21 @@ EXIT_RUNTIME = 3
 
 
 def _build(cfg):
-    enc, g = training.build_models(
-        cfg["seed"],
-        rate=tuple(cfg["encoder"]["rate"]),
-        variant=cfg["encoder"]["variant"],
-        chunk_len=cfg["encoder"]["chunk_len"],
-        model_dim=cfg["dit"]["inner_dim"],
-        n_blocks=cfg["dit"]["blocks"],
-        n_heads=cfg["dit"]["heads"],
-        vocab=cfg["dataset"]["vocab"],
-    )
+    """The config's encoder and DiT; a config that they or a rollout session refuse is a ConfigError."""
+    try:
+        enc, g = training.build_models(
+            cfg["seed"],
+            rate=tuple(cfg["encoder"]["rate"]),
+            variant=cfg["encoder"]["variant"],
+            chunk_len=cfg["encoder"]["chunk_len"],
+            model_dim=cfg["dit"]["inner_dim"],
+            n_blocks=cfg["dit"]["blocks"],
+            n_heads=cfg["dit"]["heads"],
+            vocab=cfg["dataset"]["vocab"],
+        )
+        rollout.check_schedule(g, cfg["rollout"]["condition_schedule"])
+    except ValueError as e:
+        raise config_mod.ConfigError(str(e)) from None
     if cfg["dit"]["lora_rank"] > 0:
         g.enable_lora(cfg["dit"]["lora_rank"], seeding.stream(cfg["seed"], 0x10BA))
     return enc, g
@@ -68,9 +71,9 @@ def _dataset(cfg):
 
 def _train_command(cfg, resume: str | None, objective: str, out_name: str,
                    init_from: str | None = None) -> int:
+    enc, g = _build(cfg)
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
-    enc, g = _build(cfg)
     named = training.named_params(enc, g)
     dataset = _dataset(cfg)
     tr = cfg["training"]
@@ -150,7 +153,7 @@ def cmd_finetune(args) -> int:
     chunk_len, scene_len = cfg["encoder"]["chunk_len"], data.DESK_LATENT[0]
     if scene_len // chunk_len < 2:  # a history chunk and the chunk after it
         raise config_mod.ConfigError(
-            f"encoder.chunk_len {chunk_len} leaves one chunk per {scene_len}-frame scene;"
+            f"encoder.chunk_len {chunk_len} leaves {scene_len // chunk_len} chunk(s) per {scene_len}-frame scene;"
             " finetuning needs two chunks per scene"
         )
     return _train_command(cfg, args.resume, "next_clip", "finetune", init_from=args.pretrained)
@@ -158,9 +161,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_rollout(args) -> int:
     cfg = config_mod.load_config(args.config)
+    enc, g = _build(cfg)
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
-    enc, g = _build(cfg)
     named = training.named_params(enc, g)
     params, _, _ = checkpoint.load_checkpoint(args.checkpoint, cfg)
     checkpoint.restore_into(named, params)
@@ -210,23 +213,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    for flag in ("width", "height", "fps", "duration", "vae_spatial", "vae_temporal"):
-        value = getattr(args, flag)
-        if not 0 < value < float("inf"):
-            name = "--" + flag.replace("_", "-")
-            raise config_mod.ConfigError(f"{name} must be positive and finite, got {value}")
-    spec = metrics.BudgetSpec(
-        width=args.width,
-        height=args.height,
-        fps=args.fps,
-        duration_s=args.duration,
-        vae_spatial=args.vae_spatial,
-        vae_temporal=args.vae_temporal,
-    )
     grid = [(1, 1, 1), (2, 2, 1), (2, 2, 2), (4, 4, 2), (8, 8, 4)]
     try:
+        spec = metrics.BudgetSpec(width=args.width, height=args.height, fps=args.fps, duration_s=args.duration,
+                                  vae_spatial=args.vae_spatial, vae_temporal=args.vae_temporal)
         rows = metrics.budget_table(spec, grid)
-    except ValueError as e:  # an infinite frame count, or less than one token on some axis
+    except ValueError as e:  # a value not positive and finite, an infinite frame count, or under one token
         raise config_mod.ConfigError(str(e)) from None
     print(f"uncompressed context length: {rows[0]['uncompressed']}")
     print(f"{'rate':>8} {'tokens':>12} {'reduction':>10}  accounting")

@@ -173,6 +173,8 @@ class EncoderModel:
         self.rate = rate
         self.model_dim = model_dim
         self.chunk_len = chunk_len
+        # the position table is sized for the desk grid, so chunks must tile it: checked before any draw
+        self._check_geometry((1,) + DESK_LATENT)
         self.variant = variant
         self._first_chunk_records: dict = {}  # (H, W) -> chunk 0's provenance records
         if variant == "large_patchifier":

@@ -38,6 +38,11 @@ class BudgetSpec:
     vae_spatial: int = 16
     vae_temporal: int = 4
 
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if not 0 < value < math.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
 
 def _floor(n: int, d: int, axis: str) -> int:
     if n % d != 0:

@@ -17,7 +17,24 @@ from .compressor import CompressedContext
 from .metrics import psnr
 from .tensor import default_dtype, no_grad
 
-__all__ = ["RolloutSession"]
+__all__ = ["RolloutSession", "check_schedule"]
+
+
+def check_schedule(dit, schedule) -> list:
+    """``schedule``'s (start frame, code) entries sorted by start frame; ``ValueError`` for an
+    empty schedule, a first start other than frame 0, two entries at one frame, or a code
+    that ``dit.cond_emb`` cannot embed."""
+    schedule = sorted((int(s), c) for s, c in schedule)
+    if not schedule:
+        raise ValueError("condition schedule is empty")
+    if schedule[0][0] != 0:
+        raise ValueError(f"condition schedule must start at frame 0, its earliest entry is at {schedule[0][0]}")
+    for (a, _), (b, _) in zip(schedule, schedule[1:]):
+        if a == b:
+            raise ValueError(f"condition schedule has two entries at frame {a}")
+    with no_grad():
+        dit.cond_emb(np.array([c for _, c in schedule]))
+    return schedule
 
 
 class RolloutSession:
@@ -36,12 +53,7 @@ class RolloutSession:
         self.dit = dit
         self.encoder = encoder
         self.seed = seed
-        self.schedule = sorted((int(s), c) for s, c in condition_schedule)  # cond_emb checks each code
-        if not self.schedule or self.schedule[0][0] != 0:
-            raise ValueError("condition schedule must start at frame 0")
-        for (a, _), (b, _) in zip(self.schedule, self.schedule[1:]):
-            if a == b:
-                raise ValueError(f"condition schedule has two entries at frame {a}")
+        self.schedule = check_schedule(dit, condition_schedule)
         self.window_frames = int(window_frames)
         self.sample_steps = sample_steps
         self.clip_len = encoder.chunk_len  # one chunk per step keeps streaming aligned

@@ -1,6 +1,7 @@
 """Checkpoint format, config validation, and the command-line harness."""
 
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -55,10 +56,10 @@ def test_cli_rejects_encoder_model_dim(tmp_path, capsys):
 def test_config_field_validation():
     with pytest.raises(config.ConfigError, match="training.steps"):
         config.validate_config({"training": {"steps": 0}})
-    with pytest.raises(config.ConfigError, match="power of two"):
-        config.validate_config({"encoder": {"rate": [3, 2, 1]}})
-    with pytest.raises(config.ConfigError, match="chunk_len"):
-        config.validate_config({"encoder": {"rate": [2, 2, 3]}})
+    with pytest.raises(config.ConfigError, match="r_h must be a power of two"):
+        cli._build(config.validate_config({"encoder": {"rate": [3, 2, 1]}}))
+    with pytest.raises(config.ConfigError, match="chunk length 8 not divisible by temporal rate 3"):
+        cli._build(config.validate_config({"encoder": {"rate": [2, 2, 3]}}))
 
 
 @pytest.mark.parametrize(
@@ -83,36 +84,40 @@ def test_config_refuses_booleans_for_numbers(tmp_path, capsys, override):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    dim=st.integers(8, 96),
-    heads=st.integers(1, 8),
+    dim=st.sampled_from([8, 16, 32, 64, 96, 10, 48]),
+    heads=st.sampled_from([1, 2, 4, 3]),
     vocab=st.integers(1, 40),
-    codes=st.lists(st.integers(-2, 40), min_size=1, max_size=3),
-    rate=st.tuples(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 4, 8]), st.integers(1, 4)),
-    chunk_len=st.sampled_from([1, 2, 4, 6, 8, 12, 24]),
+    first=st.sampled_from([0, 0, 0, 8, -8]),
+    entries=st.lists(st.tuples(st.sampled_from([8, 16, 8, 0]), st.integers(-1, 20)), min_size=1, max_size=3),
+    rate=st.tuples(st.sampled_from([1, 2, 4, 8, 3]), st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 4)),
+    chunk_len=st.sampled_from([8, 24, 12, 4, 2, 6, 1, 5, 48]),
     variant=st.sampled_from(compressor.VARIANTS),
 )
-def test_config_that_validates_builds(dim, heads, vocab, codes, rate, chunk_len, variant):
-    """A config either fails validation, or its models build and embed every condition code."""
+def test_config_that_validates_builds(dim, heads, vocab, first, entries, rate, chunk_len, variant):
+    """A config is refused with a ConfigError, or its models build, the encoder compresses a desk
+    history and the DiT embeds every scheduled code. Each start frame is the one before it plus
+    a gap, so a schedule may start before or after frame 0, or name one frame twice (a 0 gap)."""
+    starts = itertools.accumulate((gap for gap, _ in entries[1:]), initial=first)
+    schedule = [[start, code] for start, (_, code) in zip(starts, entries)]
     user = {
         "dit": {"inner_dim": dim, "heads": heads, "blocks": 1},
         "dataset": {"vocab": vocab},
         "encoder": {"rate": list(rate), "chunk_len": chunk_len, "variant": variant},
-        "rollout": {"condition_schedule": [[8 * i, code] for i, code in enumerate(codes)]},
+        "rollout": {"condition_schedule": schedule},
     }
     try:
-        cfg = config.validate_config(user)
+        enc, g = cli._build(config.validate_config(user))
     except config.ConfigError:
         return
-    enc, g = cli._build(cfg)
+    r_h, r_w, r_t = rate
+    t, h, w, _ = data.DESK_LATENT
     with no_grad():
-        rows = g.cond_emb(np.arange(vocab))
-    assert rows.shape == (vocab, dim)
-    if variant in ("dual", "without_lr"):
-        r_h, r_w, r_t = rate
-        _, h, w, _ = data.DESK_LATENT
-        assert enc.pos.shape[0] == (chunk_len // r_t) * (h // r_h) * (w // r_w)
+        ctx = enc.compress(np.zeros((1,) + data.DESK_LATENT, np.float32))
+        rows = g.cond_emb(np.array([code for _, code in schedule]))
+    assert ctx.length == (t // chunk_len) * (chunk_len // r_t) * (h // r_h) * (w // r_w)
+    assert rows.shape == (len(schedule), dim)
 
 
 def test_load_config_bad_json(tmp_path):
@@ -501,11 +506,11 @@ def test_cli_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ({"dit": {"heads": 3}}, "dit.inner_dim 64 must be dit.heads 3 times a multiple of 8"),
-        ({"dit": {"inner_dim": 10, "heads": 2}}, "dit.inner_dim 10 must be dit.heads 2 times a multiple of 8"),
-        ({"dit": {"inner_dim": 48, "heads": 4}}, "dit.inner_dim 48 must be dit.heads 4 times a multiple of 8"),
-        ({"rollout": {"condition_schedule": [[0, -1]]}}, "code -1 is outside [0, 16)"),
-        ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside [0, 4)"),
+        ({"dit": {"heads": 3}}, "inner_dim 64 must be 3 heads of a multiple of 8 features"),
+        ({"dit": {"inner_dim": 10, "heads": 2}}, "inner_dim 10 must be 2 heads of a multiple of 8 features"),
+        ({"dit": {"inner_dim": 48, "heads": 4}}, "inner_dim 48 must be 4 heads of a multiple of 8 features"),
+        ({"rollout": {"condition_schedule": [[0, -1]]}}, "code -1 is outside the vocabulary of 16 codes [0, 16)"),
+        ({"dataset": {"vocab": 4}, "rollout": {"condition_schedule": [[0, 0], [8, 4]]}}, "code 4 is outside the vocabulary of 4 codes [0, 4)"),
         ({"rollout": {"condition_schedule": [[0, 5], [8, 3], [8, 1]]}}, "has two entries at frame 8"),
         ({"diffusion": {"mu": float("inf")}}, "diffusion.mu: inf"),
         ({"diffusion": {"mu": float("nan")}}, "diffusion.mu: nan"),
@@ -526,7 +531,8 @@ def test_cli_config_its_models_cannot_use_is_config_error(tmp_path, capsys, over
 
 
 def test_cli_rollout_refuses_a_schedule_not_starting_at_frame_0(tmp_path, capsys):
-    """Such a schedule is a config error (exit 2) at validation, before the checkpoint loads."""
+    """Such a schedule is a config error (exit 2) when the CLI builds its models, before the
+    checkpoint loads."""
     assert cli.main(["pretrain", _tiny_cfg(tmp_path)]) == cli.EXIT_OK
     ckpt = str(tmp_path / "out" / "pretrain.mcck")
     for schedule, first in (([[8, 0]], 8), ([[-1, 0]], -1), ([[16, 1], [8, 0]], 8)):

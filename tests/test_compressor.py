@@ -71,6 +71,17 @@ def test_geometry_errors():
         EncoderModel(CompressionRate(1, 1, 3), seeding.stream(0, 1), chunk_len=8)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "rate, chunk_len, axis",
+    [((1, 1, 1), 5, "T=24"), ((1, 1, 1), 48, "T=24"), ((16, 2, 1), 8, "H=8"), ((2, 16, 1), 8, "W=8")],
+)
+def test_an_encoder_refuses_a_geometry_that_does_not_tile_the_desk_grid(variant, rate, chunk_len, axis):
+    """Its position table is sized for desk-grid chunks; it refuses before drawing any kernel or table."""
+    with pytest.raises(ValueError, match=f"history axis {axis} not divisible"):
+        _encoder(rate, variant=variant, chunk_len=chunk_len)
+
+
 def test_batched_matches_single():
     enc = _encoder((4, 4, 2))
     hist = _history(2)

@@ -72,6 +72,14 @@ def test_budget_table_rows_name_their_accounting_without_a_warning():
     assert [r["accounting"] for r in rows] == ["exact", "total/volume"]
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(metrics.BudgetSpec)])
+@pytest.mark.parametrize("value", [0, -4, math.nan, math.inf], ids=str)
+def test_budget_spec_refuses_a_value_not_positive_and_finite(field, value):
+    """A zero VAE stride would divide by zero in budget_table; the spec refuses it, naming the field."""
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+        dataclasses.replace(PUBLISHED, **{field: value})
+
+
 @given(
     r_h=st.sampled_from([1, 2, 4]),
     r_w=st.sampled_from([1, 2, 4]),

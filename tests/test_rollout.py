@@ -88,8 +88,9 @@ def test_run_records_the_condition_each_clip_was_generated_with():
 
 def test_condition_schedule_validation():
     enc, g = training.build_models(0)
-    with pytest.raises(ValueError, match="frame 0"):
-        RolloutSession(g, enc, seed=0, seed_clip=np.zeros((8, 8, 8, 4), np.float32), condition_schedule=((4, 1),))
+    for schedule, match in ((((4, 1),), "must start at frame 0, its earliest entry is at 4"), ((), "is empty")):
+        with pytest.raises(ValueError, match=match):
+            RolloutSession(g, enc, seed=0, seed_clip=np.zeros((8, 8, 8, 4), np.float32), condition_schedule=schedule)
 
 
 @pytest.mark.parametrize("schedule, frame", [(((0, 2), (0, 1)), 0), (((0, 1), (0, 2)), 0), (((0, 5), (8, 3), (8, 1)), 8)])
@@ -104,11 +105,9 @@ def test_condition_schedule_refuses_two_entries_at_one_frame(schedule, frame):
 def test_a_condition_code_outside_the_vocabulary_is_refused(code):
     """The default vocabulary is 16 codes: −1 would read code 15's row, 16 index past the table,
     and 2.7 run code 2."""
-    sess, _ = _session(condition_schedule=((0, 2), (16, code)))
-    sess.step()
     match = "codes must be integers" if isinstance(code, float) else f"code {code} is outside the vocabulary of 16 codes"
-    with pytest.raises(ValueError, match=match):
-        sess.step()
+    with pytest.raises(ValueError, match=match):  # at construction, before any clip is generated
+        _session(condition_schedule=((0, 2), (16, code)))
 
 
 def test_window_latents_tail():
